@@ -54,7 +54,7 @@ def main():
         print(report_text(cm))
 
         all_ids = np.arange(cube.height * cube.width)
-        preds = predict_pixels(result.model, ds, all_ids, batch=32,
+        preds = predict_pixels(result.model, ds.cube, all_ids, batch=32,
                                graph_k=10, graph_sigma=1.0)
         pred_map = (preds + 1).reshape(cube.height, cube.width)
         map_path = os.path.join(args.out_dir, f"map_{arch}.ppm")

@@ -20,16 +20,17 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import sampler as sampler_mod
-from .data import load_labels, save_cube, save_labels, save_split, synth_scene
+from .data import (load_cube, load_labels, normalize_bands, save_cube,
+                   save_labels, save_split, synth_scene)
 from .errors import (ConfigError, ContractError, FormatError, MgkError,
                      NumericError, ShapeError)
 from .graph import build_knn_rbf_graph
 from .metrics import (kappa, overall_accuracy, report_text, write_report_csv,
                       UndefinedKappaError)
 from .model import ModelConfig, load_model, save_model
-from .pipeline import (Dataset, evaluate_part, format_log_rows,
-                       infer_model_config, load_dataset, predict_pixels,
-                       train_model)
+from .pipeline import (Dataset, check_labels_match, evaluate_part,
+                       format_log_rows, infer_model_config, load_dataset,
+                       predict_pixels, train_model)
 
 SEED_ENV_VAR = "MGK_SEED"
 
@@ -331,23 +332,15 @@ def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
 def cmd_predict_map(cfg: RunConfig) -> int:
     _require(cfg, "cube", "checkpoint")
     mdl = load_model(cfg.paths.checkpoint)
-    if cfg.paths.labels and cfg.paths.split:
-        ds = _load_ds(cfg)
-    else:
-        # classification map only needs the cube; fabricate a trivial split
-        from .data import SplitSpec  # local import avoids a cycle at startup
-        from .data import LabelGrid as LG
-        from .data import load_cube as lc, normalize_bands as nb
-        cube = nb(lc(cfg.paths.cube))
-        fake = np.zeros((cube.height, cube.width), dtype=np.uint16)
-        fake[0, 0] = 1
-        fake[0, 1] = 2
-        ds = Dataset(cube=cube, grid=LG(labels=fake),
-                     split=SplitSpec(train={1: [0]}, test={2: [1]}))
-    h, w = ds.cube.height, ds.cube.width
-    all_ids = np.arange(h * w)
-    preds = predict_pixels(mdl, ds, all_ids, batch=cfg.train.batch,
-                           graph_k=cfg.graph.k, graph_sigma=cfg.graph.sigma)
+    cube = normalize_bands(load_cube(cfg.paths.cube))
+    truth = None
+    if cfg.paths.labels:
+        truth = load_labels(cfg.paths.labels)
+        check_labels_match(cube, truth)
+    h, w = cube.height, cube.width
+    preds = predict_pixels(mdl, cube, np.arange(h * w),
+                           batch=cfg.train.batch, graph_k=cfg.graph.k,
+                           graph_sigma=cfg.graph.sigma)
     pred_map = (preds + 1).reshape(h, w)
     out = _out_dir(cfg)
     map_path = os.path.join(out, "map.ppm")
@@ -356,8 +349,7 @@ def cmd_predict_map(cfg: RunConfig) -> int:
     write_legend(legend_path, mdl.cfg.classes)
     print(f"wrote {map_path}")
     print(f"wrote {legend_path}")
-    if cfg.paths.labels:
-        truth = load_labels(cfg.paths.labels)
+    if truth is not None:
         truth_path = os.path.join(out, "truth.ppm")
         write_ppm(truth_path, class_map_rgb(truth.labels))
         print(f"wrote {truth_path}")

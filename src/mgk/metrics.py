@@ -122,9 +122,8 @@ def report_text(cm: ConfusionMatrix, class_names=None) -> str:
         class_names = [f"class {i + 1}" for i in range(cm.num_classes)]
     lines = [f"{'class':<18}{'samples':>9}{'recall %':>10}"]
     for name, n, a in zip(class_names, rows, acc):
-        shown = "  n/a" if np.isnan(a) else f"{a:9.2f}"
-        lines.append(f"{name:<18}{int(n):>9}{shown:>10}"
-                     if np.isnan(a) else f"{name:<18}{int(n):>9}{a:>10.2f}")
+        shown = "n/a" if np.isnan(a) else f"{a:.2f}"
+        lines.append(f"{name:<18}{int(n):>9}{shown:>10}")
     lines.append("")
     lines.append(f"overall accuracy   {overall_accuracy(cm):.2f}")
     lines.append(f"average accuracy   {average_accuracy(cm):.2f}")

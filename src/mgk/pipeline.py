@@ -2,9 +2,10 @@
 
 This is the glue between the file formats and the math modules. The
 training graph is built on training pixels only, so inference is inductive:
-each inference chunk builds its own small KNN graph among the chunk's
-pixels using the training (k, sigma). Everything downstream of a seed is
-deterministic, including the training log and checkpoint bytes.
+``predict_pixels`` reads only the normalized cube, and each inference chunk
+builds its own small KNN graph among the chunk's pixels using the training
+(k, sigma). Everything downstream of a seed is deterministic, including the
+training log and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from .optim import AdamState, LrPolicy, adam_step, schedule_lr
 from .sampler import SubgraphBatch, induce_subgraph, partition_epoch
 
 
+def check_labels_match(cube: SpectralCube, grid: LabelGrid) -> None:
+    if (grid.height, grid.width) != (cube.height, cube.width):
+        raise ConfigError(
+            f"labels {grid.height}x{grid.width} do not match "
+            f"cube {cube.height}x{cube.width}"
+        )
+
+
 @dataclass
 class Dataset:
     """Normalized cube plus labels and the train/test split."""
@@ -34,12 +43,7 @@ class Dataset:
     split: SplitSpec
 
     def __post_init__(self):
-        if (self.grid.height, self.grid.width) != (self.cube.height,
-                                                   self.cube.width):
-            raise ConfigError(
-                f"labels {self.grid.height}x{self.grid.width} do not match "
-                f"cube {self.cube.height}x{self.cube.width}"
-            )
+        check_labels_match(self.cube, self.grid)
         self.split.validate_against(self.grid)
 
     @property
@@ -78,10 +82,6 @@ def _one_hot(classes: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _singleton_prop() -> SparseSymMatrix:
-    return SparseSymMatrix(1, [0], [0], [1.0])
-
-
 def chunk_prop(features: np.ndarray, k: int, sigma: float) -> SparseSymMatrix:
     """Within-chunk propagation operator for inference.
 
@@ -90,8 +90,16 @@ def chunk_prop(features: np.ndarray, k: int, sigma: float) -> SparseSymMatrix:
     """
     n = features.shape[0]
     if n == 1:
-        return _singleton_prop()
+        return SparseSymMatrix.identity(1)
     return build_knn_rbf_graph(features, min(k, n - 1), sigma).prop
+
+
+def fold_singleton_tail(batches: tuple) -> tuple:
+    """Merge a one-node last batch into the batch before it, since batch
+    norm cannot train on a single node; other partitions pass unchanged."""
+    if len(batches) > 1 and batches[-1].size == 1:
+        return batches[:-2] + (np.concatenate(batches[-2:]),)
+    return batches
 
 
 @dataclass
@@ -109,16 +117,22 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
 
     gcn trains full batch (one batch per epoch covering every train pixel);
     every other architecture partitions the train pixels into node-budget
-    batches, re-drawn each epoch. Bitwise reproducible for a fixed seed.
+    batches, re-drawn each epoch; a one-node last batch joins the one before
+    it. Bitwise reproducible for a fixed seed.
     """
-    x_all = ds.cube.pixels()
     train_ids, train_classes = ds.part_pixels("train")
     n_train = train_ids.size
+    budget = n_train if model_cfg.architecture == "gcn" \
+        else min(batch, n_train)
+    if budget < 2:
+        raise ContractError(f"training needs >= 2 nodes per batch, got "
+                            f"{n_train} train pixels at batch {batch}")
     labels_hot = _one_hot(train_classes, model_cfg.classes)
 
-    graph = None
+    x_train = graph = None
     if model_cfg.uses_graph:
-        graph = build_knn_rbf_graph(x_all[train_ids], graph_k, graph_sigma)
+        x_train = ds.cube.pixels()[train_ids]
+        graph = build_knn_rbf_graph(x_train, graph_k, graph_sigma)
     patches_train = None
     if model_cfg.uses_patches:
         patches_train = extract_patches(ds.cube, train_ids,
@@ -127,8 +141,6 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     seeds = np.random.SeedSequence(seed).spawn(epochs + 1)
     mdl = build(model_cfg, seed=seeds[0])
     state = AdamState()
-    budget = n_train if model_cfg.architecture == "gcn" \
-        else min(batch, n_train)
     policy = LrPolicy(base_lr=base_lr, max_iter=max(epochs, 1),
                       interval=lr_interval) if epochs > 0 else None
 
@@ -138,16 +150,13 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
         part = partition_epoch(n_train, budget, seeds[1 + epoch])
         epoch_loss = 0.0
         preds = np.empty(n_train, dtype=np.int64)
-        for ids in part.batches:
+        for ids in fold_singleton_tail(part.batches):
+            prop = feats = None
             if graph is not None:
-                sub = induce_subgraph(graph, ids,
-                                      features=x_all[train_ids[ids]],
-                                      labels=labels_hot[ids])
-            else:
-                sub = SubgraphBatch(node_ids=ids,
-                                    prop_s=_singleton_prop(),
-                                    features=None,
-                                    labels=labels_hot[ids])
+                prop = induce_subgraph(graph, ids).prop_s
+                feats = x_train[ids]
+            sub = SubgraphBatch(node_ids=ids, prop_s=prop, features=feats,
+                                labels=labels_hot[ids])
             p = patches_train[ids] if patches_train is not None else None
             try:
                 loss, grads, logits = loss_and_grads(
@@ -179,28 +188,28 @@ def infer_model_config(ds: Dataset, architecture: str, *, gcn_hidden=128,
     )
 
 
-def predict_pixels(mdl: Model, ds: Dataset, pixel_ids, *, batch: int,
-                   graph_k: int, graph_sigma: float) -> np.ndarray:
-    """Zero-based predicted classes for arbitrary pixels, chunked.
+def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
+                   batch: int, graph_k: int, graph_sigma: float
+                   ) -> np.ndarray:
+    """Zero-based predicted classes for arbitrary pixels of a normalized
+    cube, chunked.
 
     Chunks follow the given pixel order; graph architectures get a fresh
     within-chunk KNN graph per chunk (training k and sigma).
     """
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
-    x_all = ds.cube.pixels()
     cfg = mdl.cfg
+    x_all = cube.pixels() if cfg.uses_graph else None
     out = np.empty(pixel_ids.size, dtype=np.int64)
     for start in range(0, pixel_ids.size, batch):
         ids = pixel_ids[start:start + batch]
-        feats = x_all[ids]
+        prop = feats = None
         if cfg.uses_graph:
+            feats = x_all[ids]
             prop = chunk_prop(feats, graph_k, graph_sigma)
-            sub = SubgraphBatch(node_ids=np.arange(ids.size), prop_s=prop,
-                                features=feats)
-        else:
-            sub = SubgraphBatch(node_ids=np.arange(ids.size),
-                                prop_s=_singleton_prop(), features=None)
-        p = extract_patches(ds.cube, ids, cfg.patch_size) \
+        sub = SubgraphBatch(node_ids=np.arange(ids.size), prop_s=prop,
+                            features=feats)
+        p = extract_patches(cube, ids, cfg.patch_size) \
             if cfg.uses_patches else None
         out[start:start + batch] = predict(mdl, sub, patches=p)
     return out
@@ -209,7 +218,7 @@ def predict_pixels(mdl: Model, ds: Dataset, pixel_ids, *, batch: int,
 def evaluate_part(mdl: Model, ds: Dataset, part: str, *, batch: int,
                   graph_k: int, graph_sigma: float) -> ConfusionMatrix:
     ids, classes = ds.part_pixels(part)
-    preds = predict_pixels(mdl, ds, ids, batch=batch, graph_k=graph_k,
+    preds = predict_pixels(mdl, ds.cube, ids, batch=batch, graph_k=graph_k,
                            graph_sigma=graph_sigma)
     return accumulate(classes, preds, mdl.cfg.classes)
 

@@ -7,10 +7,11 @@ trains on the subgraph induced by its vertices, whose propagation operator
 is recomputed from the induced adjacency plus self-loops.
 
 ``node_estimate`` is the per-vertex aggregation estimator that divides each
-full-graph propagation entry by a normalization constant e_uv; with e == 1
-it reduces to plain restriction, and ``estimator_bias_diagnostic``
-measures (rather than assumes) the bias of both choices against the
-full-batch aggregation.
+full-graph propagation entry by a normalization constant e_uv; it restricts
+the graph's operator to the batch when called, so a training batch carries
+no full-graph entries. With e == 1 it reduces to plain restriction, and
+``estimator_bias_diagnostic`` measures (rather than assumes) the bias of
+both choices against the full-batch aggregation.
 """
 
 from __future__ import annotations
@@ -59,19 +60,16 @@ def partition_epoch(n: int, m: int, seed) -> EpochPartition:
 
 @dataclass
 class SubgraphBatch:
-    """A batch's vertices plus the operators needed to train on them.
+    """A batch's vertices plus what a step reads of them.
 
     prop_s is the propagation recomputed on the induced subgraph (self-loops
-    added, induced degrees); prop_full carries the full-graph propagation
-    entries restricted to the batch, which the normalization-corrected
-    estimator needs.
+    added, induced degrees); batches of a graph-free model carry None.
     """
 
     node_ids: np.ndarray
-    prop_s: SparseSymMatrix
+    prop_s: Optional[SparseSymMatrix]
     features: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
-    prop_full: Optional[SparseSymMatrix] = None
 
 
 def _restrict(matrix: SparseSymMatrix, node_ids: np.ndarray
@@ -124,15 +122,14 @@ def induce_subgraph(g: Graph, node_ids, features=None, labels=None
         prop_s=_renorm_prop(adj_s),
         features=features,
         labels=labels,
-        prop_full=_restrict(g.prop, node_ids),
     )
 
 
-def node_estimate(v: int, subgraph: SubgraphBatch, h_prev, p: LayerParams,
-                  e=1.0) -> np.ndarray:
+def node_estimate(v: int, g: Graph, subgraph: SubgraphBatch, h_prev,
+                  p: LayerParams, e=1.0) -> np.ndarray:
     """Aggregation estimate for one vertex from a sampled batch.
 
-    Sums full-graph propagation entries over batch members, each divided by
+    Sums the entries of g's propagation over batch members, each divided by
     its normalization constant e_uv, then applies the layer weights:
     sum_u prop[u, v] / e[u, v] * h_prev[u] @ W + b. ``e`` is either a scalar
     (e == 1 everywhere) or a dense (n, n) array indexed by global vertex ids.
@@ -140,15 +137,15 @@ def node_estimate(v: int, subgraph: SubgraphBatch, h_prev, p: LayerParams,
     if p.kind != "graph_conv":
         raise ContractError(f"node_estimate needs graph_conv params, got "
                             f"{p.kind!r}")
-    if subgraph.prop_full is None:
-        raise ContractError("subgraph carries no full-graph propagation "
-                            "entries")
     ids = subgraph.node_ids
+    if ids.max() >= g.n:
+        raise ContractError(f"batch vertex {int(ids.max())} is out of range "
+                            f"for graph of order {g.n}")
     where = np.nonzero(ids == v)[0]
     if where.size == 0:
         raise ContractError(f"vertex {v} is not in the sampled batch")
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    col = subgraph.prop_full.to_dense()[:, int(where[0])]
+    col = _restrict(g.prop, ids).to_dense()[:, int(where[0])]
     if np.isscalar(e):
         e_col = np.full(ids.size, float(e))
     else:

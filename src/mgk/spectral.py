@@ -1,6 +1,6 @@
 """Spectral filtering on graph signals.
 
-Four routes from slowest/exact to cheapest/approximate:
+Three routes from slowest/exact to cheapest/approximate:
 
 * ``spectral_filter``     -- exact: eigendecompose L, scale the transform
                              coefficients, transform back.

@@ -6,7 +6,7 @@ import pytest
 
 from mgk.cli import (PALETTE, RunConfig, SEED_ENV_VAR, class_map_rgb,
                      load_run_config, main, parse_overrides, write_ppm)
-from mgk.data import load_labels
+from mgk.data import LabelGrid, load_labels, save_labels
 from mgk.errors import ConfigError
 from mgk.model import load_model, save_model
 from mgk.pipeline import load_dataset
@@ -248,6 +248,23 @@ def test_predict_map_needs_only_the_cube(scene_dir, trained, tmp_path,
                  "--train.batch=16", "--graph.k=5"]) == 0
     capsys.readouterr()
     assert (out / "map.ppm").exists()
+    assert not (out / "truth.ppm").exists()
+
+
+def test_predict_map_rejects_labels_of_another_shape(scene_dir, trained,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, ckpt = trained
+    labels = tmp_path / "short.hsl"
+    save_labels(labels, LabelGrid(labels=np.zeros((9, 12), dtype=np.uint16)))
+    out = tmp_path / "mismatch"
+    assert main(["predict-map", f"--paths.cube={scene_dir / 'cube.hsc'}",
+                 f"--paths.labels={labels}", f"--paths.checkpoint={ckpt}",
+                 f"--paths.output={out}", "--train.batch=16",
+                 "--graph.k=5"]) == 1
+    assert "labels 9x12 do not match cube 12x12" in capsys.readouterr().err
+    assert not (out / "map.ppm").exists()
     assert not (out / "truth.ppm").exists()
 
 

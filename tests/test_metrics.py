@@ -197,6 +197,15 @@ def test_report_text_contains_summary_lines():
     assert "kappa" in text
 
 
+def test_report_text_class_rows_are_pinned():
+    cm = accumulate([0, 0, 1], [0, 1, 1], num_classes=3)
+    rows = report_text(cm).splitlines()
+    assert rows[0] == "class               samples  recall %"
+    assert rows[1] == "class 1                   2     50.00"
+    assert rows[2] == "class 2                   1    100.00"
+    assert rows[3] == "class 3                   0       n/a"
+
+
 def test_report_csv_schema_and_consistency():
     cm = accumulate([0, 0, 1, 1], [0, 1, 1, 1], num_classes=2)
     buf = io.StringIO()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import mgk.pipeline
 from mgk.data import LabelGrid, SplitSpec, synth_scene
-from mgk.errors import ConfigError, NumericError
+from mgk.errors import ConfigError, ContractError, NumericError
 from mgk.metrics import overall_accuracy
 from mgk.model import build, save_model
 from mgk.pipeline import (Dataset, dataset_from_parts, evaluate_part,
-                          format_log_rows, infer_model_config,
-                          predict_pixels, train_model)
+                          fold_singleton_tail, format_log_rows,
+                          infer_model_config, predict_pixels, train_model)
+from mgk.sampler import partition_epoch
 
 TRAIN_KW = dict(epochs=3, batch=16, base_lr=0.01, l2=0.001, bn_momentum=0.9,
                 seed=11, graph_k=5, graph_sigma=1.0)
@@ -106,9 +109,9 @@ def test_cnn2d_predictions_do_not_depend_on_chunking(small_ds):
     cfg = small_cfg(small_ds, arch="cnn2d")
     result = train_model(small_ds, cfg, **TRAIN_KW)
     ids, _ = small_ds.part_pixels("test")
-    a = predict_pixels(result.model, small_ds, ids, batch=7, graph_k=5,
+    a = predict_pixels(result.model, small_ds.cube, ids, batch=7, graph_k=5,
                        graph_sigma=1.0)
-    b = predict_pixels(result.model, small_ds, ids, batch=ids.size,
+    b = predict_pixels(result.model, small_ds.cube, ids, batch=ids.size,
                        graph_k=5, graph_sigma=1.0)
     assert np.array_equal(a, b)
     assert a.size == ids.size
@@ -119,7 +122,7 @@ def test_predict_pixels_handles_trailing_singleton_chunk(small_ds):
     result = train_model(small_ds, cfg, **TRAIN_KW)
     ids, _ = small_ds.part_pixels("test")
     take = ids[: (ids.size // 16) * 16 + 1]  # leaves a final chunk of one
-    preds = predict_pixels(result.model, small_ds, take, batch=16,
+    preds = predict_pixels(result.model, small_ds.cube, take, batch=16,
                            graph_k=5, graph_sigma=1.0)
     assert preds.size == take.size
     assert preds.min() >= 0 and preds.max() < 3
@@ -161,3 +164,49 @@ def test_format_log_rows_round_trips():
         assert float(cells[1]) == row[1]
         assert float(cells[2]) == row[2]
         assert float(cells[3]) == row[3]
+
+
+@pytest.mark.parametrize("arch", ["minigcn", "cnn2d"])
+def test_trains_when_the_last_batch_would_hold_one_node(arch):
+    cube, grid, split = synth_scene(classes=3, size=12, bands=6,
+                                    noise_sigma=0.02, seed=7,
+                                    train_per_class=11)
+    ds = dataset_from_parts(cube, grid, split)
+    assert ds.part_pixels("train")[0].size == 33
+    result = train_model(ds, small_cfg(ds, arch),
+                         **{**TRAIN_KW, "epochs": 1, "batch": 32})
+    assert len(result.log_rows) == 1
+    assert np.isfinite(result.log_rows[0][2])
+
+
+@given(st.integers(2, 300).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(2, n))),
+       st.integers(0, 2**32 - 1))
+def test_folded_batches_hold_at_least_two_nodes(nm, seed):
+    n, m = nm
+    batches = partition_epoch(n, m, seed).batches
+    folded = fold_singleton_tail(batches)
+    assert all(b.size >= 2 for b in folded)
+    assert np.array_equal(np.sort(np.concatenate(folded)), np.arange(n))
+    if n % m != 1:
+        assert folded is batches
+    else:
+        assert len(folded) == len(batches) - 1
+        assert folded[-1].size == m + 1
+
+
+def test_node_budget_below_two_fails_before_any_work(small_ds, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget was checked")
+
+    monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", no_work)
+    monkeypatch.setattr(mgk.pipeline, "extract_patches", no_work)
+    one = Dataset(cube=small_ds.cube, grid=small_ds.grid,
+                  split=SplitSpec(train={1: small_ds.split.train[1][:1]},
+                                  test=small_ds.split.test))
+    for arch in ("minigcn", "cnn2d", "gcn"):
+        with pytest.raises(ContractError, match="got 1 train pixels"):
+            train_model(one, small_cfg(small_ds, arch), **TRAIN_KW)
+    with pytest.raises(ContractError, match="at batch 1$"):
+        train_model(small_ds, small_cfg(small_ds),
+                    **{**TRAIN_KW, "batch": 1})

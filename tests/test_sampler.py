@@ -124,7 +124,7 @@ def test_node_estimate_full_graph_matches_layer_row():
     sub = induce_subgraph(g, np.arange(7), features=feats)
     full, _ = nn.graph_conv_forward(feats, g.prop, p)
     for v in range(7):
-        est = node_estimate(v, sub, feats, p, e=1.0)
+        est = node_estimate(v, g, sub, feats, p, e=1.0)
         assert np.max(np.abs(est - full[v])) <= 1e-12
 
 
@@ -133,7 +133,7 @@ def test_node_estimate_singleton():
     g, feats = random_graph(rng, 6, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
     sub = induce_subgraph(g, np.array([2]), features=feats[[2]])
-    est = node_estimate(2, sub, feats, p, e=1.0)
+    est = node_estimate(2, g, sub, feats, p, e=1.0)
     prop_vv = g.prop.to_dense()[2, 2]
     want = prop_vv * feats[2] @ p.weights + p.bias
     assert np.max(np.abs(est - want)) <= 1e-14
@@ -145,10 +145,20 @@ def test_node_estimate_contract_errors():
     p = nn.make_graph_conv(rng, 2, 2)
     sub = induce_subgraph(g, np.array([0, 1]), features=feats[:2])
     with pytest.raises(ContractError):
-        node_estimate(4, sub, feats, p, e=1.0)  # vertex not in batch
+        node_estimate(4, g, sub, feats, p, e=1.0)  # vertex not in batch
     e = np.zeros((6, 6))
     with pytest.raises(ContractError):
-        node_estimate(0, sub, feats, p, e=e)  # zero normalization
+        node_estimate(0, g, sub, feats, p, e=e)  # zero normalization
+
+
+def test_node_estimate_rejects_a_batch_beyond_the_graph():
+    rng = np.random.default_rng(5)
+    g, feats = random_graph(rng, 8, d=2)
+    small, _ = random_graph(rng, 4, d=2)
+    p = nn.make_graph_conv(rng, 2, 2)
+    sub = induce_subgraph(g, np.array([1, 6]), features=feats[[1, 6]])
+    with pytest.raises(ContractError, match="order 4"):
+        node_estimate(1, small, sub, feats, p, e=1.0)
 
 
 def exhaustive_two_batch_expectation(g, feats, p, e_mode):
@@ -180,7 +190,7 @@ def exhaustive_two_batch_expectation(g, feats, p, e_mode):
             ids = np.array(sorted(batch))
             sub = induce_subgraph(g, ids, features=feats[ids])
             for v in ids:
-                acc[v] += node_estimate(int(v), sub, feats, p, e=e)
+                acc[v] += node_estimate(int(v), g, sub, feats, p, e=e)
     return acc / len(perms), e
 
 
