@@ -5,6 +5,12 @@ nearest neighbors under squared euclidean distance, symmetrized by union,
 with Gaussian weights exp(-d^2 / sigma^2). Distances are meant to be taken
 on min-max normalized features (see data.normalize_bands); the builder does
 not renormalize its input.
+
+The builder never holds an n x n array: it computes distances for a block
+of rows at a time (at most ``KNN_BLOCK_ENTRIES`` distances, or one row if n
+is larger), keeps each row's k nearest with a partial selection (lower
+vertex index first among equal distances) and weights each edge from the
+distance its block computed.
 """
 
 from __future__ import annotations
@@ -15,6 +21,10 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .linalg import SparseSymMatrix
+
+# Distances held at once by the KNN build: rows are processed in blocks of
+# max(1, KNN_BLOCK_ENTRIES // n), about 8 MiB of float64 per temporary.
+KNN_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -34,20 +44,18 @@ class Graph:
     prop: SparseSymMatrix
 
 
-def pairwise_sq_dists(features: np.ndarray) -> np.ndarray:
-    """All-pairs squared euclidean distances, clamped at zero."""
-    x = np.asarray(features, dtype=np.float64)
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    return np.maximum(d2, 0.0)
-
-
 def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     """Build the union-symmetrized KNN graph with RBF edge weights.
 
-    Each vertex selects its k nearest other vertices (ties broken by lower
-    vertex index, duplicates at distance zero count against the k budget
-    with weight 1); an edge exists if either endpoint selected the other.
+    Each vertex selects its k nearest other vertices; an edge exists if
+    either endpoint selected the other. Among equal distances the lower
+    vertex index wins, and duplicates at distance zero count against the k
+    budget with weight 1: the selection is the first k of each row's stable
+    sort by distance. Rows are processed in blocks of at most
+    ``KNN_BLOCK_ENTRIES`` distances (one row if n is larger), so memory is
+    O(n * k) plus one block, never n x n. An edge's weight comes from the distance in the row of its
+    lower endpoint when that endpoint selected it, and from the other
+    endpoint's row otherwise.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -62,20 +70,38 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     if not np.all(np.isfinite(x)):
         raise ContractError("features must be finite")
 
-    d2 = pairwise_sq_dists(x)
-    np.fill_diagonal(d2, np.inf)
-    # stable sort: equal distances resolve to the lower vertex index
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-
-    src = np.repeat(np.arange(n), k)
-    dst = nearest.ravel()
+    sq = np.sum(x * x, axis=1)
+    rows_per_block = max(1, KNN_BLOCK_ENTRIES // n)
+    src, dst, dist = [], [], []
+    for start in range(0, n, rows_per_block):
+        blk = slice(start, min(start + rows_per_block, n))
+        d2 = sq[blk, None] + sq[None, :] - 2.0 * (x[blk] @ x.T)
+        np.maximum(d2, 0.0, out=d2)
+        local = np.arange(d2.shape[0])
+        d2[local, start + local] = np.inf
+        # every row has at least k candidates at or below its k-th distance;
+        # a stable sort of the candidates by distance keeps the lower index
+        # among ties, as a stable sort of the whole row would
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        r, c = np.nonzero(d2 <= kth[:, None])
+        d = d2[r, c]
+        order = np.lexsort((c, d, r))
+        r, c, d = r[order], c[order], d[order]
+        rank = np.arange(r.size) - np.searchsorted(r, r)
+        keep = rank < k
+        src.append(start + r[keep])
+        dst.append(c[keep])
+        dist.append(d[keep])
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    w = np.exp(-d2[pairs[:, 0], pairs[:, 1]] / (sigma * sigma))
+    # the first occurrence of a pair is in the row of the first endpoint
+    # that selected it, since edges are listed in row order
+    keys, first = np.unique(lo * n + hi, return_index=True)
+    w = np.exp(-np.concatenate(dist)[first] / (sigma * sigma))
 
-    adj = SparseSymMatrix(n, pairs[:, 0], pairs[:, 1], w,
-                          require_nonnegative=True)
+    adj = SparseSymMatrix(n, keys // n, keys % n, w, require_nonnegative=True)
     degree = adj.row_sums()
     return Graph(n=n, adjacency=adj, degree=degree, knn_k=k,
                  rbf_sigma=float(sigma), prop=_renorm_prop(adj))

@@ -75,15 +75,27 @@ class SubgraphBatch:
 def _restrict(matrix: SparseSymMatrix, node_ids: np.ndarray
               ) -> SparseSymMatrix:
     """Entries of a sparse symmetric matrix with both endpoints in node_ids,
-    reindexed to local positions."""
-    local = np.full(matrix.dim, -1, dtype=np.int64)
-    local[node_ids] = np.arange(node_ids.size)
-    keep = (local[matrix.rows] >= 0) & (local[matrix.cols] >= 0)
+    reindexed to local positions.
+
+    Reads only the batch's rows: storage is sorted by row, so each batch
+    vertex's entries are one searchsorted slice, of which the entries whose
+    column is also a batch vertex are kept.
+    """
+    starts = np.searchsorted(matrix.rows, node_ids, side="left")
+    counts = np.searchsorted(matrix.rows, node_ids, side="right") - starts
+    row_local = np.repeat(np.arange(node_ids.size), counts)
+    entry = np.arange(row_local.size) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
+    order = np.argsort(node_ids)
+    sorted_ids = node_ids[order]
+    cols = matrix.cols[entry]
+    pos = np.minimum(np.searchsorted(sorted_ids, cols), node_ids.size - 1)
+    keep = sorted_ids[pos] == cols
     return SparseSymMatrix(
         node_ids.size,
-        local[matrix.rows[keep]],
-        local[matrix.cols[keep]],
-        matrix.vals[keep],
+        row_local[keep],
+        order[pos[keep]],
+        matrix.vals[entry[keep]],
     )
 
 

@@ -1,6 +1,13 @@
 """Shared test helpers: finite-difference machinery and small graph builders."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads OpenBLAS: with more, small
+# products pay thread hand-off costs that swamp the timing tests' slopes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 from hypothesis import settings
 
 from mgk.graph import build_knn_rbf_graph

@@ -1,15 +1,37 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import mgk.graph
 from mgk.errors import ContractError
-from mgk.graph import (build_knn_rbf_graph, chebyshev_scaled, dump_edges,
-                       laplacian, renormalized_propagation,
+from mgk.graph import (_renorm_prop, build_knn_rbf_graph, chebyshev_scaled,
+                       dump_edges, laplacian, renormalized_propagation,
                        sym_normalized_laplacian)
-from mgk.linalg import symmetric_eigendecomposition
+from mgk.linalg import SparseSymMatrix, symmetric_eigendecomposition
+
+
+def argsort_knn_rbf_graph(features, k, sigma):
+    """Reference builder: stable-sorts every row of the dense n x n
+    distance matrix and keeps the first k."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    src = np.repeat(np.arange(n), k)
+    dst = nearest.ravel()
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    w = np.exp(-d2[pairs[:, 0], pairs[:, 1]] / (sigma * sigma))
+    adj = SparseSymMatrix(n, pairs[:, 0], pairs[:, 1], w,
+                          require_nonnegative=True)
+    return adj, _renorm_prop(adj)
 
 
 def two_node_graph(dist=1.0, sigma=1.0):
@@ -44,6 +66,44 @@ def test_knn_matches_brute_force_all_pairs():
     for i, j in want:
         assert g.adjacency.to_dense()[i, j] == pytest.approx(
             math.exp(-d2[i, j]), abs=1e-12)
+
+
+@given(st.data())
+def test_blocked_build_matches_the_argsort_reference(data):
+    # small integer features: exact arithmetic, many equal distances and
+    # duplicate rows at distance zero
+    n = data.draw(st.integers(3, 24))
+    d = data.draw(st.integers(1, 3))
+    feats = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=d, max_size=d),
+        min_size=n, max_size=n)), dtype=np.float64)
+    k = data.draw(st.integers(1, n - 1))
+    sigma = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    # at least two row blocks; unless they hold one row each, the last is
+    # shorter than the rest
+    rows_per_block = data.draw(st.integers(1, n - 1))
+    assume(n % rows_per_block != 0 or rows_per_block == 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", rows_per_block * n)
+        g = build_knn_rbf_graph(feats, k, sigma)
+    adj, prop = argsort_knn_rbf_graph(feats, k, sigma)
+    assert np.array_equal(g.adjacency.rows, adj.rows)
+    assert np.array_equal(g.adjacency.cols, adj.cols)
+    assert np.array_equal(g.adjacency.vals, adj.vals)
+    assert np.array_equal(g.prop.vals, prop.vals)
+
+
+def test_build_memory_stays_far_below_one_dense_matrix():
+    n = 12000
+    dense_bytes = n * n * 8  # one n x n float64 array, 1099 MiB
+    feats = np.random.default_rng(4).random((n, 4))
+    tracemalloc.start()
+    try:
+        build_knn_rbf_graph(feats, 10, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 8
 
 
 def test_build_rejects_bad_k():

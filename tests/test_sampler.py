@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import dense_to_sparse, random_graph
 from mgk.errors import ContractError
 from mgk.graph import build_knn_rbf_graph, renormalized_propagation
+from mgk.linalg import SparseSymMatrix
 from mgk import nn
-from mgk.sampler import (estimator_bias_diagnostic, induce_subgraph,
-                         node_estimate, partition_epoch, write_bias_csv)
+from mgk.sampler import (_restrict, estimator_bias_diagnostic,
+                         induce_subgraph, node_estimate, partition_epoch,
+                         write_bias_csv)
 
 
 def test_partition_single_batch():
@@ -115,6 +117,36 @@ def test_induce_order_insensitive(seed):
     a = induce_subgraph(g, ids).prop_s.to_dense()
     b = induce_subgraph(g, ids[perm]).prop_s.to_dense()
     assert np.allclose(b, a[np.ix_(perm, perm)], atol=1e-15)
+
+
+def scan_restrict(matrix, node_ids):
+    """Reference restriction: scans every stored entry with an n-long map
+    from global to local ids."""
+    local = np.full(matrix.dim, -1, dtype=np.int64)
+    local[node_ids] = np.arange(node_ids.size)
+    keep = (local[matrix.rows] >= 0) & (local[matrix.cols] >= 0)
+    return SparseSymMatrix(
+        node_ids.size,
+        local[matrix.rows[keep]],
+        local[matrix.cols[keep]],
+        matrix.vals[keep],
+    )
+
+
+@given(st.integers(2, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+@example(n=7, size=1, seed=3)
+def test_restrict_matches_the_full_scan(n, size, seed):
+    rng = np.random.default_rng(seed)
+    g, _ = random_graph(rng, n, k=1 + seed % (n - 1))
+    ids = rng.permutation(n)[:min(size, n)]
+    # the adjacency has no diagonal; the propagation operator has one
+    for matrix in (g.adjacency, g.prop):
+        got = _restrict(matrix, ids)
+        want = scan_restrict(matrix, ids)
+        assert got.dim == want.dim == ids.size
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.vals, want.vals)
 
 
 def test_node_estimate_full_graph_matches_layer_row():
