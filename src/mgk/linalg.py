@@ -1,10 +1,16 @@
 """Dense/sparse matrix primitives and a cyclic-Jacobi symmetric eigensolver.
 
 Dense matrices are plain 2-D float64 numpy arrays. ``SparseSymMatrix`` stores
-each entry of a symmetric matrix once (row <= col) as coordinate triplets;
-products against dense operands never materialize the full matrix. The
-eigensolver is a cyclic Jacobi sweep: deterministic, symmetric-input only,
-and accurate enough (reconstruction ~1e-13 relative) to serve as the
+each entry of a symmetric matrix once (row <= col) as read-only coordinate
+triplets; products against dense operands never materialize the full matrix.
+The first product builds a jagged-diagonal plan of the expanded matrix and
+caches it on the instance; every product is then one gather and one
+contiguous add per term rank, summing each row in the order of a scatter over
+the stored entries and then their mirrors, so results are bitwise the same
+whether the plan was just built or cached.
+
+The eigensolver is a cyclic Jacobi sweep: deterministic, symmetric-input
+only, and accurate enough (reconstruction ~1e-13 relative) to serve as the
 reference path for spectral filtering. It is O(n^3) per sweep, so it is
 capped at modest dimensions and meant for verification, not bulk training.
 """
@@ -37,10 +43,11 @@ class SparseSymMatrix:
     Entries with row < col represent the pair of mirror off-diagonal values;
     diagonal entries are stored once. Triplets are kept sorted by (row, col)
     so identical matrices have identical storage, which keeps everything
-    downstream deterministic.
+    downstream deterministic. The triplet arrays are read-only: ``matmul``
+    caches a plan derived from them, which a write would leave stale.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals")
+    __slots__ = ("dim", "rows", "cols", "vals", "_plan")
 
     def __init__(self, dim, rows, cols, vals, *, require_nonnegative=False):
         dim = int(dim)
@@ -74,10 +81,13 @@ class SparseSymMatrix:
                 raise ContractError(
                     f"duplicate entry at ({rows2[i + 1]}, {cols2[i + 1]})"
                 )
+        for a in (rows2, cols2, vals):
+            a.setflags(write=False)
         self.dim = dim
         self.rows = rows2
         self.cols = cols2
         self.vals = vals
+        self._plan = None
 
     @classmethod
     def identity(cls, dim):
@@ -124,8 +134,53 @@ class SparseSymMatrix:
         np.add.at(out, self.cols[off], self.vals[off])
         return out
 
+    def _jagged_plan(self):
+        """The expanded matrix in jagged-diagonal form, built once.
+
+        Every stored entry targets its row and every off-diagonal one also
+        its column. Target t's terms are its stored entries in storage order,
+        then its mirrored entries in storage order. Targets are permuted by
+        term count, descending and stable, so the targets that have an r-th
+        term are a prefix of that order. Returns ``(ranks, inverse)``:
+        ``ranks[r]`` is ``(width, src, val)`` for the r-th terms of the first
+        ``width`` permuted targets, and ``inverse`` maps a row to its
+        permuted position.
+        """
+        off = self.rows != self.cols
+        tgt = np.concatenate([self.rows, self.cols[off]])
+        order = np.argsort(tgt, kind="stable")
+        tgt = tgt[order]
+        count = np.bincount(tgt, minlength=self.dim)
+        perm = np.argsort(-count, kind="stable")
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(self.dim)
+        rank = np.arange(tgt.size) - (np.cumsum(count) - count)[tgt]
+        widths = np.bincount(rank)
+        starts = np.cumsum(widths) - widths
+        # jagged slot of each target-sorted term, composed with the sort
+        jagged = np.empty_like(order)
+        jagged[starts[rank] + inverse[tgt]] = order
+        src = np.concatenate([self.cols, self.rows[off]])[jagged]
+        val = np.concatenate([self.vals, self.vals[off]])[jagged, None]
+        ranks = tuple((int(w), src[s:s + w], val[s:s + w])
+                      for w, s in zip(widths, starts))
+        return ranks, inverse
+
     def matmul(self, b: np.ndarray) -> np.ndarray:
-        """self @ b for a dense vector/matrix b, in O(nnz * b.shape[1])."""
+        """self @ b for a dense vector/matrix b, in O(nnz * b.shape[1]).
+
+        Each output row sums its terms, starting from 0.0, in one fixed
+        order: the row's stored entries in storage order, then its mirrored
+        off-diagonal entries in storage order. The first call builds the
+        jagged-diagonal plan (``_jagged_plan``: one stable sort of the up to
+        2·nnz terms and O(nnz) index work, kept as one int64 and one float64
+        per term) and caches it on the instance; each call then does one
+        gather and one contiguous add per term rank and one row gather at
+        the end, so a cached and a fresh plan give bitwise-identical
+        results. On a 4800-node KNN operator (k = 10) the plan costs less
+        than half of one 64-column product, so an operator used twice, as
+        in a training step's forward and backward pass, pays it once.
+        """
         b = np.asarray(b, dtype=np.float64)
         squeeze = b.ndim == 1
         if squeeze:
@@ -135,10 +190,15 @@ class SparseSymMatrix:
                 f"cannot multiply {self.shape} sparse by operand of shape "
                 f"{np.asarray(b).shape}"
             )
+        if self._plan is None:
+            self._plan = self._jagged_plan()
+        ranks, inverse = self._plan
         out = np.zeros((self.dim, b.shape[1]))
-        np.add.at(out, self.rows, self.vals[:, None] * b[self.cols])
-        off = self.rows != self.cols
-        np.add.at(out, self.cols[off], self.vals[off][:, None] * b[self.rows[off]])
+        for w, src, val in ranks:
+            terms = b[src]
+            terms *= val
+            out[:w] += terms
+        out = out[inverse]
         return out[:, 0] if squeeze else out
 
     def __repr__(self):

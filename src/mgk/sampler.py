@@ -79,24 +79,20 @@ def _restrict(matrix: SparseSymMatrix, node_ids: np.ndarray
 
     Reads only the batch's rows: storage is sorted by row, so each batch
     vertex's entries are one searchsorted slice, of which the entries whose
-    column is also a batch vertex are kept.
+    column maps to a local position (-1 marks a vertex outside the batch)
+    are kept.
     """
+    local = np.full(matrix.dim, -1)
+    local[node_ids] = np.arange(node_ids.size)
     starts = np.searchsorted(matrix.rows, node_ids, side="left")
     counts = np.searchsorted(matrix.rows, node_ids, side="right") - starts
     row_local = np.repeat(np.arange(node_ids.size), counts)
     entry = np.arange(row_local.size) + np.repeat(
         starts - (np.cumsum(counts) - counts), counts)
-    order = np.argsort(node_ids)
-    sorted_ids = node_ids[order]
-    cols = matrix.cols[entry]
-    pos = np.minimum(np.searchsorted(sorted_ids, cols), node_ids.size - 1)
-    keep = sorted_ids[pos] == cols
-    return SparseSymMatrix(
-        node_ids.size,
-        row_local[keep],
-        order[pos[keep]],
-        matrix.vals[entry[keep]],
-    )
+    col_local = local[matrix.cols[entry]]
+    keep = col_local >= 0
+    return SparseSymMatrix(node_ids.size, row_local[keep], col_local[keep],
+                           matrix.vals[entry[keep]])
 
 
 def induce_subgraph(g: Graph, node_ids, features=None, labels=None

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dense_to_sparse
+from mgk.data import normalize_bands, synth_scene
 from mgk.errors import ContractError, NumericError, ShapeError
 from mgk.graph import build_knn_rbf_graph, laplacian
 from mgk.linalg import (SparseSymMatrix, as_dense, multiply,
@@ -29,6 +30,80 @@ def test_sparse_identity_and_diagonal():
     assert np.array_equal(eye.to_dense(), np.eye(4))
     assert np.array_equal(eye.diagonal(), np.ones(4))
     assert np.array_equal(eye.row_sums(), np.ones(4))
+
+
+def addat_matmul(s, b):
+    """The scatter product the jagged-diagonal plan replaced, kept as the
+    bitwise reference: stored entries, then mirrors, in storage order."""
+    b = np.asarray(b, dtype=np.float64)
+    squeeze = b.ndim == 1
+    if squeeze:
+        b = b[:, None]
+    out = np.zeros((s.dim, b.shape[1]))
+    np.add.at(out, s.rows, s.vals[:, None] * b[s.cols])
+    off = s.rows != s.cols
+    np.add.at(out, s.cols[off], s.vals[off][:, None] * b[s.rows[off]])
+    return out[:, 0] if squeeze else out
+
+
+def assert_matches_scatter_product(s, b):
+    want = addat_matmul(s, b)
+    first = s.matmul(b)
+    plan = s._plan
+    assert first.shape == want.shape
+    assert np.array_equal(first, want)
+    again = s.matmul(b)
+    assert s._plan is plan
+    assert np.array_equal(again, want)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+       st.sampled_from(["random", "empty", "diagonal"]),
+       st.sampled_from([None, 0, 1, 3, 8]))
+def test_matmul_is_bitwise_the_scatter_product(seed, n, pattern, width):
+    rng = np.random.default_rng(seed)
+    if pattern == "empty":
+        rr = cc = np.zeros(0, dtype=np.int64)
+    elif pattern == "diagonal":
+        rr = cc = np.arange(n)
+    else:
+        upper = np.triu(rng.random((n, n)) < rng.random())
+        gone = rng.random(n) < 0.2  # rows (and columns) left without terms
+        upper[gone, :] = upper[:, gone] = False
+        rr, cc = np.nonzero(upper)
+    vals = rng.normal(size=rr.size) * 10.0 ** rng.uniform(-3, 3, rr.size)
+    vals[rng.random(rr.size) < 0.1] = -0.0
+    flip = rng.random(rr.size) < 0.5  # hand some entries in as (col, row)
+    shuffle = rng.permutation(rr.size)
+    s = SparseSymMatrix(n, np.where(flip, cc, rr)[shuffle],
+                        np.where(flip, rr, cc)[shuffle], vals[shuffle])
+    shape = (n,) if width is None else (n, width)
+    b = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    assert_matches_scatter_product(s, b)
+
+
+def test_matmul_is_bitwise_the_scatter_product_on_a_scene_graph():
+    cube, _, _ = synth_scene(classes=4, size=24, bands=8, noise_sigma=0.02,
+                             seed=5)
+    feats = normalize_bands(cube).values.reshape(-1, 8).astype(np.float64)
+    prop = build_knn_rbf_graph(feats, 10, 1.0).prop
+    # every row has a self-loop, and hub rows carry many more than k terms,
+    # so the plan has long and short rows and many ranks
+    terms = np.bincount(np.concatenate(
+        [prop.rows, prop.cols[prop.rows != prop.cols]]))
+    assert np.all(prop.diagonal() > 0)
+    assert terms.max() > 3 * 10
+    rng = np.random.default_rng(0)
+    assert_matches_scatter_product(prop, rng.normal(size=(prop.dim, 64)))
+    assert_matches_scatter_product(prop, rng.normal(size=prop.dim))
+
+
+def test_sparse_triplets_are_read_only():
+    s = SparseSymMatrix(3, [0, 1], [1, 2], [1.0, 2.0])
+    for a in (s.rows, s.cols, s.vals):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_multiply_identity_is_identity_map():
