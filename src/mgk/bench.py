@@ -68,10 +68,13 @@ def _random_graph_prop(n: int, rng, k: int = 8) -> SparseSymMatrix:
 
 
 def _autorange(sample, min_sample=0.02):
-    """Calls per timing sample so each sample takes >= min_sample seconds."""
+    """Calls per timing sample so each sample takes >= min_sample seconds.
+
+    Reads the fastest of three samples per step, as one stalled sample would
+    stop the search early."""
     inner = 1
     while True:
-        elapsed = sample(inner)
+        elapsed = min(sample(inner) for _ in range(3))
         if elapsed >= min_sample:
             return inner
         inner *= 2 if elapsed > min_sample / 4 else 10

@@ -107,21 +107,35 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
                  rbf_sigma=float(sigma), prop=_renorm_prop(adj))
 
 
+def _with_diagonal(a: SparseSymMatrix, off_vals, idx, diag_vals
+                   ) -> SparseSymMatrix:
+    """a's pattern with values off_vals, plus diagonal entries diag_vals at
+    the sorted rows idx, none of which may have a stored diagonal entry.
+
+    Each new entry is first in its row, so merging it in at
+    ``searchsorted(a.rows, idx)`` keeps the triplets canonical: the
+    constructor takes them without a sort.
+    """
+    at = np.searchsorted(a.rows, idx) + np.arange(idx.size)
+    stored = np.ones(a.nnz + idx.size, dtype=bool)
+    stored[at] = False
+    merged = []
+    for old, new in ((a.rows, idx), (a.cols, idx), (off_vals, diag_vals)):
+        out = np.empty(stored.size, dtype=old.dtype)
+        out[at] = new
+        out[stored] = old
+        merged.append(out)
+    return SparseSymMatrix(a.dim, *merged)
+
+
 def laplacian(g: Graph) -> SparseSymMatrix:
     """Combinatorial Laplacian L = D - A."""
     a = g.adjacency
-    n = g.n
-    rows = np.concatenate([np.arange(n), a.rows])
-    cols = np.concatenate([np.arange(n), a.cols])
-    vals = np.concatenate([g.degree, -a.vals])
-    return SparseSymMatrix(n, rows, cols, vals)
+    return _with_diagonal(a, -a.vals, np.arange(g.n), g.degree)
 
 
-def sym_normalized_laplacian(g: Graph) -> SparseSymMatrix:
-    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
-
-    Every eigenvalue lands in [0, 2]. Requires strictly positive degrees.
-    """
+def _normalized_adjacency(g: Graph) -> SparseSymMatrix:
+    """D^{-1/2} A D^{-1/2}; requires strictly positive degrees."""
     zero = np.nonzero(g.degree <= 0.0)[0]
     if zero.size:
         raise ContractError(
@@ -129,28 +143,27 @@ def sym_normalized_laplacian(g: Graph) -> SparseSymMatrix:
         )
     a = g.adjacency
     inv_sqrt = 1.0 / np.sqrt(g.degree)
-    n = g.n
-    rows = np.concatenate([np.arange(n), a.rows])
-    cols = np.concatenate([np.arange(n), a.cols])
-    vals = np.concatenate(
-        [np.ones(n), -a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols]]
-    )
-    return SparseSymMatrix(n, rows, cols, vals)
+    return SparseSymMatrix(g.n, a.rows, a.cols,
+                           a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols])
+
+
+def sym_normalized_laplacian(g: Graph) -> SparseSymMatrix:
+    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
+
+    Every eigenvalue lands in [0, 2]. Requires strictly positive degrees.
+    """
+    s = _normalized_adjacency(g)
+    return _with_diagonal(s, -s.vals, np.arange(g.n), np.ones(g.n))
 
 
 def _renorm_prop(adj: SparseSymMatrix) -> SparseSymMatrix:
     """Propagation operator of adj with self-loops: Dt^{-1/2}(A+I)Dt^{-1/2}."""
-    n = adj.dim
     if np.any(adj.diagonal() != 0.0):
         raise ContractError("adjacency must have a zero diagonal")
-    dtil = adj.row_sums() + 1.0
-    inv_sqrt = 1.0 / np.sqrt(dtil)
-    rows = np.concatenate([np.arange(n), adj.rows])
-    cols = np.concatenate([np.arange(n), adj.cols])
-    vals = np.concatenate(
-        [inv_sqrt * inv_sqrt, adj.vals * inv_sqrt[adj.rows] * inv_sqrt[adj.cols]]
-    )
-    return SparseSymMatrix(n, rows, cols, vals)
+    inv_sqrt = 1.0 / np.sqrt(adj.row_sums() + 1.0)
+    return _with_diagonal(
+        adj, adj.vals * inv_sqrt[adj.rows] * inv_sqrt[adj.cols],
+        np.arange(adj.dim), inv_sqrt * inv_sqrt)
 
 
 def renormalized_propagation(g: Graph) -> SparseSymMatrix:
@@ -167,21 +180,10 @@ def chebyshev_scaled(l_sym: SparseSymMatrix, lambda_max: float = 2.0
     """
     if not (lambda_max > 0):
         raise ContractError(f"lambda_max must be positive, got {lambda_max}")
-    scale = 2.0 / lambda_max
-    vals = l_sym.vals * scale
+    vals = l_sym.vals * (2.0 / lambda_max)
     on = l_sym.rows == l_sym.cols
     vals = np.where(on, vals - 1.0, vals)
     present = np.zeros(l_sym.dim, dtype=bool)
     present[l_sym.rows[on]] = True
     missing = np.nonzero(~present)[0]
-    rows = np.concatenate([l_sym.rows, missing])
-    cols = np.concatenate([l_sym.cols, missing])
-    vals = np.concatenate([vals, -np.ones(missing.size)])
-    return SparseSymMatrix(l_sym.dim, rows, cols, vals)
-
-
-def dump_edges(g: Graph, fh) -> None:
-    """Write the adjacency as text lines ``i j w`` (debug helper)."""
-    a = g.adjacency
-    for i, j, w in zip(a.rows, a.cols, a.vals):
-        fh.write(f"{int(i)} {int(j)} {float(w)!r}\n")
+    return _with_diagonal(l_sym, vals, missing, -np.ones(missing.size))

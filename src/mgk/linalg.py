@@ -2,7 +2,9 @@
 
 Dense matrices are plain 2-D float64 numpy arrays. ``SparseSymMatrix`` stores
 each entry of a symmetric matrix once (row <= col) as read-only coordinate
-triplets; products against dense operands never materialize the full matrix.
+triplets in one canonical order, copies of its inputs; triplets already in
+that order are taken without a sort. Products against dense operands never
+materialize the full matrix.
 The first product builds a jagged-diagonal plan of the expanded matrix and
 caches it on the instance; every product is then one gather and one
 contiguous add per term rank, summing each row in the order of a scatter over
@@ -43,8 +45,10 @@ class SparseSymMatrix:
     Entries with row < col represent the pair of mirror off-diagonal values;
     diagonal entries are stored once. Triplets are kept sorted by (row, col)
     so identical matrices have identical storage, which keeps everything
-    downstream deterministic. The triplet arrays are read-only: ``matmul``
-    caches a plan derived from them, which a write would leave stale.
+    downstream deterministic; input whose keys ``min(r, c) * dim + max(r, c)``
+    already increase strictly is in that order and skips the sort. The
+    triplets are read-only copies of the inputs: ``matmul`` caches a plan
+    derived from them, which a write would leave stale.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals", "_plan")
@@ -61,31 +65,33 @@ class SparseSymMatrix:
                 f"triplet arrays disagree: rows {rows.shape}, cols {cols.shape}, "
                 f"vals {vals.shape}"
             )
-        if rows.size and (rows.min() < 0 or cols.min() < 0
-                          or rows.max() >= dim or cols.max() >= dim):
+        lo = np.minimum(rows, cols)
+        hi = np.maximum(rows, cols)
+        if lo.size and (lo.min() < 0 or hi.max() >= dim):
             raise ContractError(f"triplet indices out of range for dim={dim}")
         if not np.all(np.isfinite(vals)):
             raise ContractError("matrix entries must be finite")
         if require_nonnegative and vals.size and vals.min() < 0.0:
             raise ContractError("adjacency weights must be >= 0")
-        # canonicalize: row <= col, sorted lexicographically, no duplicates
-        swap = rows > cols
-        rows2 = np.where(swap, cols, rows)
-        cols2 = np.where(swap, rows, cols)
-        order = np.lexsort((cols2, rows2))
-        rows2, cols2, vals = rows2[order], cols2[order], vals[order]
-        if rows2.size > 1:
-            dup = (rows2[1:] == rows2[:-1]) & (cols2[1:] == cols2[:-1])
+        # equal keys are duplicates and raise, so the sort need not be stable
+        key = lo * dim + hi
+        if np.all(key[1:] > key[:-1]):
+            vals = vals.copy()
+        else:
+            order = np.argsort(key)
+            key = key[order]
+            dup = key[1:] == key[:-1]
             if dup.any():
-                i = int(np.argmax(dup))
+                i = int(np.argmax(dup)) + 1
                 raise ContractError(
-                    f"duplicate entry at ({rows2[i + 1]}, {cols2[i + 1]})"
+                    f"duplicate entry at ({lo[order[i]]}, {hi[order[i]]})"
                 )
-        for a in (rows2, cols2, vals):
+            lo, hi, vals = lo[order], hi[order], vals[order]
+        for a in (lo, hi, vals):
             a.setflags(write=False)
         self.dim = dim
-        self.rows = rows2
-        self.cols = cols2
+        self.rows = lo
+        self.cols = hi
         self.vals = vals
         self._plan = None
 
@@ -93,18 +99,6 @@ class SparseSymMatrix:
     def identity(cls, dim):
         idx = np.arange(dim)
         return cls(dim, idx, idx, np.ones(dim))
-
-    @classmethod
-    def from_dense(cls, a, tol=SYMMETRY_TOL):
-        a = as_dense(a)
-        n, m = a.shape
-        if n != m:
-            raise ShapeError(f"expected a square matrix, got {a.shape}")
-        if np.max(np.abs(a - a.T), initial=0.0) > tol:
-            raise ContractError(f"matrix is not symmetric within {tol}")
-        sym = 0.5 * (a + a.T)
-        rr, cc = np.nonzero(np.triu(sym))
-        return cls(n, rr, cc, sym[rr, cc])
 
     @property
     def nnz(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .graph import Graph
+from .graph import Graph, _normalized_adjacency
 from .linalg import EigenPair, SparseSymMatrix, multiply, \
     symmetric_eigendecomposition
 
@@ -156,16 +156,7 @@ def first_order_filter(f, theta: float, g: Graph) -> np.ndarray:
     theta = float(theta)
     if not np.isfinite(theta):
         raise ContractError("theta must be finite")
-    zero = np.nonzero(g.degree <= 0.0)[0]
-    if zero.size:
-        raise ContractError(
-            f"vertex {int(zero[0])} has zero degree; cannot normalize"
-        )
-    a = g.adjacency
-    inv_sqrt = 1.0 / np.sqrt(g.degree)
-    s = SparseSymMatrix(
-        g.n, a.rows, a.cols, a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols]
-    )
+    s = _normalized_adjacency(g)
     sig, squeeze = _as_signal(f, g.n)
     out = theta * (sig + s.matmul(sig))
     return out[:, 0] if squeeze else out

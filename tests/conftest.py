@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 from hypothesis import settings
 
+from mgk.errors import ContractError
 from mgk.graph import build_knn_rbf_graph
 from mgk.linalg import SparseSymMatrix
 
@@ -67,3 +68,35 @@ def dense_to_sparse(a):
     return SparseSymMatrix(dim=n, rows=np.array(rows, dtype=np.int64),
                            cols=np.array(cols, dtype=np.int64),
                            vals=np.array(vals, dtype=np.float64))
+
+
+def lexsort_canonical(dim, rows, cols, vals):
+    """Triplets in canonical order as the constructor made them with one
+    (row, col) lexsort of any input, kept as the reference for its key
+    check and sort."""
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    cols = np.asarray(cols, dtype=np.int64).ravel()
+    vals = np.asarray(vals, dtype=np.float64).ravel()
+    swap = rows > cols
+    rows2 = np.where(swap, cols, rows)
+    cols2 = np.where(swap, rows, cols)
+    order = np.lexsort((cols2, rows2))
+    rows2, cols2, vals = rows2[order], cols2[order], vals[order]
+    if rows2.size > 1:
+        dup = (rows2[1:] == rows2[:-1]) & (cols2[1:] == cols2[:-1])
+        if dup.any():
+            i = int(np.argmax(dup))
+            raise ContractError(
+                f"duplicate entry at ({rows2[i + 1]}, {cols2[i + 1]})"
+            )
+    return rows2, cols2, vals
+
+
+def assert_same_triplets(s, want):
+    """Bitwise equality of an operator's triplets with (rows, cols, vals)."""
+    rows, cols, vals = want
+    assert s.rows.dtype == np.int64 and s.cols.dtype == np.int64
+    assert np.array_equal(s.rows, rows)
+    assert np.array_equal(s.cols, cols)
+    assert s.vals.dtype == np.float64
+    assert np.array_equal(s.vals.view(np.uint64), vals.view(np.uint64))

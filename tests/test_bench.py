@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from mgk.bench import (BenchRow, DEFAULT_N_GRID, fit_loglog_slope,
-                       run_scaling, slopes_from_rows, write_csv)
+from mgk.bench import (BenchRow, DEFAULT_N_GRID, _autorange,
+                       fit_loglog_slope, run_scaling, slopes_from_rows,
+                       write_csv)
 from mgk.errors import ContractError
 
 
@@ -93,3 +94,15 @@ def test_dense_pass_scales_faster_than_budgeted_pass(small_reports):
 def test_default_grid_is_strictly_increasing():
     assert list(DEFAULT_N_GRID) == sorted(set(DEFAULT_N_GRID))
     assert len(DEFAULT_N_GRID) >= 3
+
+
+def test_autorange_survives_one_stalled_sample():
+    # 0.1 ms per call, but the very first sample is stalled for 0.5 s; read
+    # alone, it would stop the search at one call per sample
+    calls = []
+
+    def sample(inner):
+        calls.append(inner)
+        return 0.5 if len(calls) == 1 else 1e-4 * inner
+
+    assert _autorange(sample, min_sample=0.02) == 200

@@ -1,15 +1,15 @@
-import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mgk.graph
+from conftest import assert_same_triplets, lexsort_canonical
 from mgk.errors import ContractError
-from mgk.graph import (_renorm_prop, build_knn_rbf_graph, chebyshev_scaled,
-                       dump_edges, laplacian, renormalized_propagation,
+from mgk.graph import (Graph, _renorm_prop, build_knn_rbf_graph,
+                       chebyshev_scaled, laplacian, renormalized_propagation,
                        sym_normalized_laplacian)
 from mgk.linalg import SparseSymMatrix, symmetric_eigendecomposition
 
@@ -243,11 +243,109 @@ def test_chebyshev_scaled_rejects_nonpositive_lambda():
         chebyshev_scaled(sym_normalized_laplacian(g), lambda_max=0.0)
 
 
-def test_dump_edges_format():
-    g = two_node_graph(dist=1.0)
-    buf = io.StringIO()
-    dump_edges(g, buf)
-    line = buf.getvalue().strip()
-    i, j, w = line.split()
-    assert (i, j) == ("0", "1")
-    assert float(w) == g.adjacency.vals[0]
+# The builders as they were before the diagonal merge: diagonal and
+# off-diagonal triplets concatenated, then put in canonical order by the
+# constructor's lexsort. Kept as the bitwise reference.
+
+def concat_laplacian(g):
+    a, n = g.adjacency, g.n
+    return lexsort_canonical(n, np.concatenate([np.arange(n), a.rows]),
+                             np.concatenate([np.arange(n), a.cols]),
+                             np.concatenate([g.degree, -a.vals]))
+
+
+def concat_sym_normalized_laplacian(g):
+    zero = np.nonzero(g.degree <= 0.0)[0]
+    if zero.size:
+        raise ContractError(
+            f"vertex {int(zero[0])} has zero degree; cannot normalize"
+        )
+    a, n = g.adjacency, g.n
+    inv_sqrt = 1.0 / np.sqrt(g.degree)
+    return lexsort_canonical(
+        n, np.concatenate([np.arange(n), a.rows]),
+        np.concatenate([np.arange(n), a.cols]),
+        np.concatenate([np.ones(n),
+                        -a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols]]))
+
+
+def concat_renorm_prop(adj):
+    n = adj.dim
+    inv_sqrt = 1.0 / np.sqrt(adj.row_sums() + 1.0)
+    return lexsort_canonical(
+        n, np.concatenate([np.arange(n), adj.rows]),
+        np.concatenate([np.arange(n), adj.cols]),
+        np.concatenate([inv_sqrt * inv_sqrt,
+                        adj.vals * inv_sqrt[adj.rows] * inv_sqrt[adj.cols]]))
+
+
+def concat_chebyshev_scaled(l_sym, lambda_max):
+    vals = l_sym.vals * (2.0 / lambda_max)
+    on = l_sym.rows == l_sym.cols
+    vals = np.where(on, vals - 1.0, vals)
+    present = np.zeros(l_sym.dim, dtype=bool)
+    present[l_sym.rows[on]] = True
+    missing = np.nonzero(~present)[0]
+    return lexsort_canonical(l_sym.dim,
+                             np.concatenate([l_sym.rows, missing]),
+                             np.concatenate([l_sym.cols, missing]),
+                             np.concatenate([vals, -np.ones(missing.size)]))
+
+
+def canonical_only(dim, rows, cols, vals, **kwargs):
+    """The constructor, refusing triplets that would need its sort."""
+    key = np.minimum(rows, cols) * dim + np.maximum(rows, cols)
+    assert np.all(key[1:] > key[:-1]), "builder handed over unsorted triplets"
+    return SparseSymMatrix(dim, rows, cols, vals, **kwargs)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+       st.sampled_from(["knn", "random", "isolated", "empty"]),
+       st.sampled_from([2.0, 1.7]))
+def test_builders_match_the_concatenating_reference(seed, n, pattern,
+                                                    lambda_max):
+    rng = np.random.default_rng(seed)
+    if pattern == "knn" and n >= 2:
+        adj = build_knn_rbf_graph(rng.normal(size=(n, 3)), min(3, n - 1),
+                                  1.0).adjacency
+    else:
+        upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+        if pattern == "isolated":
+            gone = rng.random(n) < 0.3
+            upper[gone, :] = upper[:, gone] = False
+        elif pattern == "empty":
+            upper[:] = False
+        rr, cc = np.nonzero(upper)
+        adj = SparseSymMatrix(n, rr, cc, rng.uniform(0.1, 1.0, rr.size),
+                              require_nonnegative=True)
+    # a diagonal on some rows only: chebyshev_scaled fills in the others
+    on = np.nonzero(rng.random(n) < 0.5)[0]
+    partial = SparseSymMatrix(
+        n, np.concatenate([adj.rows, on]), np.concatenate([adj.cols, on]),
+        np.concatenate([-adj.vals, rng.uniform(0.5, 1.5, on.size)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.graph, "SparseSymMatrix", canonical_only)
+        g = Graph(n=n, adjacency=adj, degree=adj.row_sums(), knn_k=1,
+                  rbf_sigma=1.0, prop=_renorm_prop(adj))
+        assert_same_triplets(g.prop, concat_renorm_prop(adj))
+        assert_same_triplets(laplacian(g), concat_laplacian(g))
+        assert_same_triplets(chebyshev_scaled(partial, lambda_max),
+                             concat_chebyshev_scaled(partial, lambda_max))
+        try:
+            want = concat_sym_normalized_laplacian(g)
+        except ContractError as err:
+            with pytest.raises(ContractError) as got:
+                sym_normalized_laplacian(g)
+            assert str(got.value) == str(err)
+            return
+        lsym = sym_normalized_laplacian(g)
+        assert_same_triplets(lsym, want)
+        assert_same_triplets(chebyshev_scaled(lsym, lambda_max),
+                             concat_chebyshev_scaled(lsym, lambda_max))
+
+
+def test_with_diagonal_onto_a_stored_diagonal_is_a_duplicate():
+    prop = build_knn_rbf_graph(np.arange(4.0)[:, None], 1, 1.0).prop
+    with pytest.raises(ContractError, match=r"^duplicate entry at \(0, 0\)$"):
+        mgk.graph._with_diagonal(prop, prop.vals, np.arange(4), np.ones(4))

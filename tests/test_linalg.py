@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_to_sparse
+from conftest import assert_same_triplets, dense_to_sparse, lexsort_canonical
 from mgk.data import normalize_bands, synth_scene
 from mgk.errors import ContractError, NumericError, ShapeError
 from mgk.graph import build_knn_rbf_graph, laplacian
@@ -15,6 +15,62 @@ def test_sparse_rejects_duplicate_entries():
         SparseSymMatrix(dim=2, rows=np.array([0, 1, 0]),
                         cols=np.array([1, 0, 1]),
                         vals=np.array([1.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([0, 0, 1], [1, 1, 2]),  # canonical order
+    ([1, 0, 0], [2, 1, 1]),  # needs a sort
+    ([0, 1, 0], [1, 0, 1]),  # needs a sort, one entry flipped
+])
+def test_duplicate_error_is_the_same_sorted_or_not(rows, cols):
+    with pytest.raises(ContractError, match=r"^duplicate entry at \(0, 1\)$"):
+        SparseSymMatrix(3, rows, cols, [1.0, 2.0, 3.0])
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+       st.sampled_from(["random", "empty", "diagonal"]),
+       st.sampled_from(["canonical", "shuffled", "flipped"]), st.booleans())
+def test_constructor_matches_the_lexsort_reference(seed, n, pattern, order,
+                                                   duplicate):
+    rng = np.random.default_rng(seed)
+    if pattern == "empty":
+        rr = cc = np.zeros(0, dtype=np.int64)
+    elif pattern == "diagonal":
+        rr = cc = np.arange(n)
+    else:
+        rr, cc = np.nonzero(np.triu(rng.random((n, n)) < rng.random()))
+    vals = rng.normal(size=rr.size)
+    vals[rng.random(rr.size) < 0.1] = -0.0
+    if duplicate and rr.size:
+        j = int(rng.integers(rr.size))
+        rr, cc = np.insert(rr, j, rr[j]), np.insert(cc, j, cc[j])
+        vals = np.insert(vals, j, 1.0)
+    if order == "shuffled":
+        perm = rng.permutation(rr.size)
+        rr, cc, vals = rr[perm], cc[perm], vals[perm]
+    elif order == "flipped":  # canonical order, some entries as (col, row)
+        flip = rng.random(rr.size) < 0.5
+        rr, cc = np.where(flip, cc, rr), np.where(flip, rr, cc)
+    try:
+        want = lexsort_canonical(n, rr, cc, vals)
+    except ContractError as err:
+        with pytest.raises(ContractError) as got:
+            SparseSymMatrix(n, rr, cc, vals)
+        assert str(got.value) == str(err)
+        return
+    assert_same_triplets(SparseSymMatrix(n, rr, cc, vals), want)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]])
+def test_constructor_leaves_the_callers_arrays_alone(order):
+    rows = np.array([0, 0, 1], dtype=np.int64)[order]
+    cols = np.array([0, 2, 1], dtype=np.int64)[order]
+    vals = np.array([1.0, 2.0, 3.0])[order]
+    s = SparseSymMatrix(3, rows, cols, vals)
+    for arg, stored in ((rows, s.rows), (cols, s.cols), (vals, s.vals)):
+        assert arg.flags.writeable
+        assert not np.shares_memory(arg, stored)
 
 
 def test_sparse_canonicalizes_lower_triangle():
