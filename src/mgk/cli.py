@@ -22,11 +22,9 @@ from . import bench as bench_mod
 from . import sampler as sampler_mod
 from .data import (load_cube, load_labels, normalize_bands, save_cube,
                    save_labels, save_split, synth_scene)
-from .errors import (ConfigError, ContractError, FormatError, MgkError,
-                     NumericError, ShapeError)
+from .errors import ConfigError, FormatError, MgkError
 from .graph import build_knn_rbf_graph
-from .metrics import (kappa, overall_accuracy, report_text, write_report_csv,
-                      UndefinedKappaError)
+from .metrics import overall_accuracy, report_text, write_report_csv
 from .model import ModelConfig, load_model, save_model
 from .pipeline import (Dataset, check_labels_match, evaluate_part,
                        format_log_rows, infer_model_config, load_dataset,
@@ -91,36 +89,33 @@ class RunConfig:
     paths: PathsSection = field(default_factory=PathsSection)
 
 
-def _coerce(current, raw: str, key: str):
-    if isinstance(current, bool):
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"{key}: cannot parse {raw!r} as a boolean")
-    if isinstance(current, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r} as an int") \
-                from exc
-    if isinstance(current, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r} as a float") \
-                from exc
+def _coerce(current, raw, key: str):
+    """Parse a flag's text or a config file's JSON value as ``current``'s type.
+
+    A JSON number for a numeric field and a JSON list for a tuple field are
+    read through their text, so a file and a flag parse alike. Any other
+    value that is not a string, such as a bool or null, is refused.
+    """
     if isinstance(current, tuple):
+        kind = "comma-separated ints"
+        text = ",".join(map(str, raw)) if isinstance(raw, list) else raw
+    elif isinstance(current, (int, float)):
+        kind = "an int" if isinstance(current, int) else "a float"
+        number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        text = str(raw) if number else raw
+    else:
+        kind, text = "a string", raw
+    if isinstance(text, str):
         try:
-            return tuple(int(v) for v in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                f"{key}: cannot parse {raw!r} as comma-separated ints"
-            ) from exc
-    return raw
+            if isinstance(current, tuple):
+                return tuple(int(v) for v in text.split(","))
+            return type(current)(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}")
 
 
-def _apply_value(cfg: RunConfig, key: str, value, *, from_file: bool):
+def _apply_value(cfg: RunConfig, key: str, value):
     parts = key.split(".")
     if len(parts) != 2:
         raise ConfigError(f"config key {key!r} must look like section.field")
@@ -134,15 +129,7 @@ def _apply_value(cfg: RunConfig, key: str, value, *, from_file: bool):
             f"{section_name!r}"
         )
     current = getattr(section, field_name)
-    if from_file:
-        if isinstance(current, tuple):
-            value = tuple(int(v) for v in value)
-        elif isinstance(current, (int, float)) and not isinstance(value,
-                                                                  bool):
-            value = type(current)(value)
-        setattr(section, field_name, value)
-    else:
-        setattr(section, field_name, _coerce(current, value, key))
+    setattr(section, field_name, _coerce(current, value, key))
 
 
 def load_run_config(config_path, overrides: dict) -> RunConfig:
@@ -163,10 +150,9 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
                     f"config section {section_name!r} must be an object"
                 )
             for field_name, value in body.items():
-                _apply_value(cfg, f"{section_name}.{field_name}", value,
-                             from_file=True)
+                _apply_value(cfg, f"{section_name}.{field_name}", value)
     for key, raw in overrides.items():
-        _apply_value(cfg, key, raw, from_file=False)
+        _apply_value(cfg, key, raw)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -525,10 +511,6 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
-    except (ConfigError, ContractError, ShapeError, NumericError,
-            UndefinedKappaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
     except MgkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

@@ -14,7 +14,7 @@ class ContractError(MgkError):
 
 
 class NumericError(MgkError):
-    """An iterative routine failed to converge or produced non-finite values."""
+    """A computation produced non-finite values or an unusable measurement."""
 
 
 class ConfigError(MgkError):

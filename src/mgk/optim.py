@@ -23,9 +23,6 @@ ADAM_EPS = 1e-8
 class AdamState:
     """First/second moment accumulators keyed by (layer name, field)."""
 
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -42,8 +39,8 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         raise ContractError(f"learning rate must be finite and >= 0, got {lr}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, layer in params:
         layer_grads = grads.get(name)
         if layer_grads is None:
@@ -64,14 +61,14 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
                 state.m[key] = m
                 state.v[key] = np.zeros_like(g)
             v = state.v[key]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             mhat = m / bc1
             vhat = v / bc2
             arr = getattr(layer, fieldname)
-            arr -= lr * mhat / (np.sqrt(vhat) + state.eps)
+            arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass

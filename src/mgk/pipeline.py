@@ -3,9 +3,11 @@
 This is the glue between the file formats and the math modules. The
 training graph is built on training pixels only, so inference is inductive:
 ``predict_pixels`` reads only the normalized cube, and each inference chunk
-builds its own small KNN graph among the chunk's pixels using the training
-(k, sigma). Everything downstream of a seed is deterministic, including the
-training log and checkpoint bytes.
+builds its own small KNN graph among the chunk's pixels from the (k, sigma)
+its caller passes. The checkpoint does not record the training graph's
+(k, sigma), so inference must be given the values used in training.
+Everything downstream of a seed is deterministic, including the training
+log and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ class Dataset:
 
     @property
     def num_classes(self) -> int:
-        return max(max(self.split.train), max(self.split.test))
+        """The largest class id in either section of the split."""
+        ids = [*self.split.train, *self.split.test]
+        if not ids:
+            raise ContractError("the split has no classes")
+        return max(ids)
 
     def part_pixels(self, part: str):
         """(pixel_ids, zero_based_classes) for 'train' or 'test', sorted by
@@ -111,8 +117,7 @@ class TrainResult:
 
 def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
                 batch: int, base_lr: float, l2: float, bn_momentum: float,
-                seed: int, graph_k: int, graph_sigma: float,
-                lr_interval: int = 50) -> TrainResult:
+                seed: int, graph_k: int, graph_sigma: float) -> TrainResult:
     """Seeded end-to-end training on the dataset's train pixels.
 
     gcn trains full batch (one batch per epoch covering every train pixel);
@@ -141,8 +146,8 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     seeds = np.random.SeedSequence(seed).spawn(epochs + 1)
     mdl = build(model_cfg, seed=seeds[0])
     state = AdamState()
-    policy = LrPolicy(base_lr=base_lr, max_iter=max(epochs, 1),
-                      interval=lr_interval) if epochs > 0 else None
+    policy = LrPolicy(base_lr=base_lr, max_iter=max(epochs, 1)) \
+        if epochs > 0 else None
 
     log_rows = []
     for epoch in range(epochs):
@@ -195,7 +200,8 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     cube, chunked.
 
     Chunks follow the given pixel order; graph architectures get a fresh
-    within-chunk KNN graph per chunk (training k and sigma).
+    within-chunk KNN graph per chunk, built with ``graph_k`` and
+    ``graph_sigma``, which must be the values the model was trained with.
     """
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
     cfg = mdl.cfg

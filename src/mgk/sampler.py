@@ -227,7 +227,7 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
 
     # trial partitions come from spawned child seeds so the stream is
     # reproducible without storing every permutation twice
-    children = np.random.SeedSequence(_entropy_for(seed)).spawn(trials)
+    children = _trial_seed(seed).spawn(trials)
     assign = np.empty((trials, n), dtype=np.int32)
     for t in range(trials):
         part = partition_epoch(n, m, children[t])
@@ -281,11 +281,14 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
     )
 
 
-def _entropy_for(seed):
+def _trial_seed(seed) -> np.random.SeedSequence:
+    """A fresh SeedSequence for the trial stream; a SeedSequence seed keeps
+    its spawn key, so its siblings draw different streams, and is rebuilt
+    rather than spawned from, so the caller's one is left as it was."""
     if isinstance(seed, (int, np.integer)):
-        return int(seed)
+        return np.random.SeedSequence(int(seed))
     if isinstance(seed, np.random.SeedSequence):
-        return seed.entropy
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
     raise ContractError(f"diagnostic seed must be an int or SeedSequence, "
                         f"got {type(seed).__name__}")
 

@@ -132,6 +132,65 @@ def test_config_error_exits_1(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_config_file_and_flags_parse_alike(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"cnn_channels": [4, 6, 12]},
+                                "train": {"epochs": 7, "base_lr": 1},
+                                "graph": {"sigma": 0.5}}))
+    flags = {"model.cnn_channels": "4,6,12", "train.epochs": "7",
+             "train.base_lr": "1", "graph.sigma": "0.5"}
+    assert load_run_config(str(path), {}) == load_run_config(None, flags)
+
+
+@pytest.mark.parametrize("doc, key, shown", [
+    ({"train": {"epochs": "ten"}}, "train.epochs", "'ten'"),
+    ({"train": {"epochs": True}}, "train.epochs", "True"),
+    ({"model": {"cnn_channels": 5}}, "model.cnn_channels", "5"),
+    ({"paths": {"output": 5}}, "paths.output", "5"),
+])
+def test_config_file_value_of_the_wrong_type_exits_1(scene_dir, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     doc, key, shown):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", "--config", str(path), *data_flags(scene_dir),
+                 f"--paths.checkpoint={ckpt}", *FAST_MODEL,
+                 *FAST_TRAIN]) == 1
+    assert f"error: {key}: cannot parse {shown} as " in \
+        capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def split_flags(scene, tmp_path, train, test):
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": train, "test": test}))
+    return [f"--paths.cube={scene / 'cube.hsc'}",
+            f"--paths.labels={scene / 'labels.hsl'}",
+            f"--paths.split={split}",
+            f"--paths.checkpoint={tmp_path / 'm.mgkp'}"]
+
+
+def test_train_only_split_trains(scene_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    train = json.loads((scene_dir / "split.json").read_text())["train"]
+    assert main(["train", *split_flags(scene_dir, tmp_path, train, {}),
+                 *FAST_MODEL, *FAST_TRAIN, "--train.epochs=2"]) == 0
+    capsys.readouterr()
+    assert load_model(tmp_path / "m.mgkp").cfg.classes == 3
+
+
+def test_split_without_classes_exits_1(scene_dir, tmp_path, capsys,
+                                       monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["train", *split_flags(scene_dir, tmp_path, {}, {}),
+                 *FAST_MODEL, *FAST_TRAIN]) == 1
+    assert "the split has no classes" in capsys.readouterr().err
+    assert not (tmp_path / "m.mgkp").exists()
+
+
 def test_synth_writes_loadable_dataset(scene_dir):
     ds = load_dataset(scene_dir / "cube.hsc", scene_dir / "labels.hsl",
                       scene_dir / "split.json")

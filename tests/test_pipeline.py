@@ -43,6 +43,24 @@ def test_num_classes_comes_from_split(small_ds):
     assert small_ds.num_classes == 3
 
 
+def test_num_classes_reads_both_sections_together(small_ds):
+    train, test = small_ds.split.train, small_ds.split.test
+    assert {3} <= set(train) and {3} <= set(test)
+    for split in (SplitSpec(train=train, test={}),
+                  SplitSpec(train={}, test=test),
+                  SplitSpec(train={c: train[c] for c in (1, 2)},
+                            test={3: test[3]})):
+        ds = Dataset(cube=small_ds.cube, grid=small_ds.grid, split=split)
+        assert ds.num_classes == 3
+
+
+def test_split_without_classes_is_rejected(small_ds):
+    ds = Dataset(cube=small_ds.cube, grid=small_ds.grid,
+                 split=SplitSpec(train={}, test={}))
+    with pytest.raises(ContractError, match="no classes"):
+        ds.num_classes
+
+
 def test_part_pixels_sorted_and_zero_based(small_ds):
     ids, classes = small_ds.part_pixels("train")
     assert ids.size == 24

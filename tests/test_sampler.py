@@ -263,6 +263,23 @@ def test_diagnostic_deterministic():
         assert np.array_equal(a.modes[mode].stderr, b.modes[mode].stderr)
 
 
+def test_diagnostic_seed_sequence_keeps_its_spawn_key():
+    rng = np.random.default_rng(8)
+    g, feats = random_graph(rng, 8, d=3)
+    weight = rng.normal(size=(3, 1))
+
+    def mc_mean(seed):
+        report = estimator_bias_diagnostic(g, 3, trials=50, seed=seed,
+                                           features=feats, weight=weight)
+        return report.modes["uniform"].mc_mean
+
+    first, second = np.random.SeedSequence(5).spawn(2)
+    a = mc_mean(first)
+    assert not np.array_equal(a, mc_mean(second))
+    assert not np.array_equal(a, mc_mean(5))
+    assert np.array_equal(a, mc_mean(first))
+
+
 def test_diagnostic_matches_brute_force_mc():
     # re-run the Monte Carlo by hand from the same spawned seeds
     rng = np.random.default_rng(10)
