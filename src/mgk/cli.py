@@ -3,13 +3,14 @@
 Subcommands: train, eval, predict-map, sweep, bias, bench, synth. Every
 command reads an optional JSON config file plus flat dotted overrides
 (``--train.epochs=10``); precedence is flags > file > defaults, and the
-MGK_SEED environment variable overrides the seed from either. Exit codes:
-0 success, 1 contract/config error, 2 I/O error.
+MGK_SEED environment variable overrides the seed from either, and synth's
+``--seed``. Exit codes: 0 success, 1 contract/config error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -153,15 +154,20 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
                 _apply_value(cfg, f"{section_name}.{field_name}", value)
     for key, raw in overrides.items():
         _apply_value(cfg, key, raw)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            cfg.train.seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{SEED_ENV_VAR}={env_seed!r} is not an integer"
-            ) from exc
+    cfg.train.seed = _env_seed(cfg.train.seed)
     return cfg
+
+
+def _env_seed(default: int) -> int:
+    """MGK_SEED as an int when it is set, else ``default``."""
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
 
 
 def parse_overrides(extras) -> dict:
@@ -205,13 +211,7 @@ def _load_ds(cfg: RunConfig) -> Dataset:
 
 
 def _model_cfg(cfg: RunConfig, ds: Dataset) -> ModelConfig:
-    m = cfg.model
-    return infer_model_config(
-        ds, m.architecture, gcn_hidden=m.gcn_hidden,
-        cnn_channels=m.cnn_channels, fusion_fc=m.fusion_fc,
-        patch_size=m.patch_size, input_bands=m.input_bands,
-        classes=m.classes,
-    )
+    return infer_model_config(ds, **dataclasses.asdict(cfg.model))
 
 
 def _train(cfg: RunConfig, ds: Dataset, seed=None):
@@ -348,10 +348,7 @@ def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
     rows = []
     for ki, k in enumerate(k_grid):
         for si, sigma in enumerate(sigma_grid):
-            cell = load_run_config(None, {})
-            for section in ("model", "train", "graph", "paths"):
-                setattr(cell, section, dataclasses.replace(
-                    getattr(cfg, section)))
+            cell = copy.deepcopy(cfg)
             cell.graph.k = int(k)
             cell.graph.sigma = float(sigma)
             result = _train(cell, ds, seed=[cfg.train.seed, ki, si])
@@ -372,9 +369,8 @@ def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
 
 def cmd_bias(cfg: RunConfig, budget, trials: int) -> int:
     ds = _load_ds(cfg)
-    x_all = ds.cube.pixels()
     train_ids, _ = ds.part_pixels("train")
-    feats = x_all[train_ids]
+    feats = ds.cube.pixels(train_ids)
     g = build_knn_rbf_graph(feats, cfg.graph.k, cfg.graph.sigma)
     m = budget if budget else min(cfg.train.batch, g.n)
     report = sampler_mod.estimator_bias_diagnostic(
@@ -484,8 +480,7 @@ def run(argv) -> int:
     if args.command == "synth":
         if extras:
             raise ConfigError(f"unrecognized arguments: {extras}")
-        if os.environ.get(SEED_ENV_VAR):
-            args.seed = int(os.environ[SEED_ENV_VAR])
+        args.seed = _env_seed(args.seed)
         return cmd_synth(args)
     cfg = load_run_config(args.config, parse_overrides(extras))
     if args.command == "train":

@@ -10,8 +10,10 @@ File formats (all little-endian, bit-exact round-trips):
 * split:  plain JSON {"train": {"<class>": [pixel indices]}, "test": ...}
           with linear row-major pixel indices (index = row * width + col).
 
-Cubes store float32; everything handed to the learning path is converted
-to float64 on the way out.
+Cubes store float32. The learning path reads them through two gathers,
+``SpectralCube.pixels`` (spectra) and ``extract_patches`` (edge-replicated
+windows), each of which converts only the pixels it is asked for to
+float64; no whole-cube float64 copy outlives ``normalize_bands``.
 """
 
 from __future__ import annotations
@@ -53,9 +55,20 @@ class SpectralCube:
     def bands(self) -> int:
         return self.values.shape[2]
 
-    def pixels(self) -> np.ndarray:
-        """All spectra as a float64 (height*width, bands) matrix."""
-        return self.values.reshape(-1, self.bands).astype(np.float64)
+    def pixels(self, ids) -> np.ndarray:
+        """float64 (len(ids), bands) spectra of linear row-major pixel ids."""
+        ids = _pixel_ids(self, ids)
+        return self.values.reshape(-1, self.bands)[ids].astype(np.float64)
+
+
+def _pixel_ids(cube: SpectralCube, ids) -> np.ndarray:
+    """ids as int64; a ContractError names the first one off the image."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= cube.height * cube.width)]
+    if bad.size:
+        raise ContractError(f"pixel id {bad[0]} outside image "
+                            f"{cube.height}x{cube.width}")
+    return ids
 
 
 @dataclass
@@ -267,16 +280,16 @@ def load_split(path) -> SplitSpec:
 def normalize_bands(cube: SpectralCube) -> SpectralCube:
     """Min-max scale each band to [0, 1]; constant bands go to 0.
 
-    Idempotent: applying it twice returns the same bytes.
+    Works in place on one float64 copy. A constant band is exactly 0 once
+    its minimum is subtracted and is then divided by 1, not by its zero
+    span. Idempotent: applying it twice returns the same bytes.
     """
     v = cube.values.astype(np.float64)
     lo = v.min(axis=(0, 1))
-    hi = v.max(axis=(0, 1))
-    span = hi - lo
-    out = np.zeros_like(v)
-    live = span > 0.0
-    out[:, :, live] = (v[:, :, live] - lo[live]) / span[live]
-    return SpectralCube(values=out.astype(np.float32))
+    span = v.max(axis=(0, 1)) - lo
+    v -= lo
+    v /= np.where(span > 0.0, span, 1.0)
+    return SpectralCube(values=v.astype(np.float32))
 
 
 # ----------------------------------------------------------------- patching
@@ -285,31 +298,31 @@ def extract_patch(cube: SpectralCube, row: int, col: int, size: int = 7
                   ) -> np.ndarray:
     """(size, size, bands) float64 patch centered at (row, col).
 
-    Coordinates outside the image replicate the nearest edge pixel. size
-    must be odd.
+    The one-pixel case of ``extract_patches``.
     """
-    if size < 1 or size % 2 == 0:
-        raise ContractError(f"patch size must be odd and >= 1, got {size}")
     if not (0 <= row < cube.height and 0 <= col < cube.width):
         raise ContractError(
             f"center ({row}, {col}) outside image "
             f"{cube.height}x{cube.width}"
         )
-    half = size // 2
-    rr = np.clip(np.arange(row - half, row + half + 1), 0, cube.height - 1)
-    cc = np.clip(np.arange(col - half, col + half + 1), 0, cube.width - 1)
-    return cube.values[np.ix_(rr, cc)].astype(np.float64)
+    return extract_patches(cube, [row * cube.width + col], size)[0]
 
 
 def extract_patches(cube: SpectralCube, pixel_ids, size: int = 7
                     ) -> np.ndarray:
-    """Stack of patches for linear pixel indices (row-major)."""
-    pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
-    out = np.empty((pixel_ids.size, size, size, cube.bands))
-    for i, pid in enumerate(pixel_ids):
-        out[i] = extract_patch(cube, int(pid) // cube.width,
-                               int(pid) % cube.width, size)
-    return out
+    """(len(pixel_ids), size, size, bands) float64 patches centered at
+    linear row-major pixel ids, in one gather.
+
+    Coordinates outside the image replicate the nearest edge pixel, so an
+    image smaller than the patch repeats its edges. size must be odd.
+    """
+    if size < 1 or size % 2 == 0:
+        raise ContractError(f"patch size must be odd and >= 1, got {size}")
+    rows, cols = np.divmod(_pixel_ids(cube, pixel_ids), cube.width)
+    offsets = np.arange(size) - size // 2
+    rr = np.clip(rows[:, None] + offsets, 0, cube.height - 1)
+    cc = np.clip(cols[:, None] + offsets, 0, cube.width - 1)
+    return cube.values[rr[:, :, None], cc[:, None, :]].astype(np.float64)
 
 
 # ----------------------------------------------------------- synthetic data

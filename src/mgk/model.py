@@ -21,7 +21,7 @@ both branches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,17 +93,6 @@ class ModelConfig:
         if self.architecture == "funet-c":
             return self.cnn_flat_width() + self.gcn_hidden
         return self.gcn_hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "input_bands": self.input_bands,
-            "classes": self.classes,
-            "gcn_hidden": self.gcn_hidden,
-            "cnn_channels": list(self.cnn_channels),
-            "fusion_fc": self.fusion_fc,
-            "patch_size": self.patch_size,
-        }
 
 
 class Model:
@@ -387,7 +376,7 @@ def save_model(path, model: Model) -> None:
     """Binary parameter checkpoint plus a JSON sidecar at path + '.json'."""
     with open(path, "wb") as fh:
         nn.save_params(fh, [model.layers[name] for name in model.order])
-    sidecar = {"config": model.cfg.to_dict(), "layer_order": model.order}
+    sidecar = {"config": asdict(model.cfg), "layer_order": model.order}
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -396,9 +385,7 @@ def save_model(path, model: Model) -> None:
 def load_model(path) -> Model:
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    cfg = ModelConfig(**{**sidecar["config"],
-                         "cnn_channels": tuple(sidecar["config"]
-                                               ["cnn_channels"])})
+    cfg = ModelConfig(**sidecar["config"])
     with open(path, "rb") as fh:
         params = nn.load_params(fh)
     order = sidecar["layer_order"]

@@ -186,14 +186,11 @@ def relu_backward(dout, tape: TapeEntry):
 
 # -------------------------------------------------------------------- conv2d
 
-def _im2col(xp, kh, kw, h, w):
-    cols = np.empty(xp.shape[:1] + (h, w, kh * kw * xp.shape[3]))
-    c = xp.shape[3]
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., (i * kw + j) * c:(i * kw + j + 1) * c] = \
-                xp[:, i:i + h, j:j + w, :]
-    return cols
+def _im2col(xp, kh, kw):
+    """(b, h, w, kh*kw*c) columns of a padded input, in (i, j, c) order."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    b, h, w, c = win.shape[:4]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, kh * kw * c)
 
 
 def conv2d_forward(x, p: LayerParams):
@@ -211,7 +208,7 @@ def conv2d_forward(x, p: LayerParams):
     b, h, w, _ = x.shape
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    cols = _im2col(xp, kh, kw, h, w)
+    cols = _im2col(xp, kh, kw)
     wmat = p.weights.reshape(kh * kw * c_in, c_out)
     out = cols.reshape(-1, kh * kw * c_in) @ wmat + p.bias
     out = out.reshape(b, h, w, c_out)

@@ -123,8 +123,16 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     gcn trains full batch (one batch per epoch covering every train pixel);
     every other architecture partitions the train pixels into node-budget
     batches, re-drawn each epoch; a one-node last batch joins the one before
-    it. Bitwise reproducible for a fixed seed.
+    it. Bitwise reproducible for a fixed seed. Values that cannot train
+    are refused before any work.
     """
+    if epochs < 0:
+        raise ContractError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 <= bn_momentum <= 1.0:
+        raise ContractError(
+            f"bn_momentum must be in [0, 1], got {bn_momentum}")
+    if not l2 >= 0.0:
+        raise ContractError(f"l2 must be >= 0, got {l2}")
     train_ids, train_classes = ds.part_pixels("train")
     n_train = train_ids.size
     budget = n_train if model_cfg.architecture == "gcn" \
@@ -136,7 +144,7 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
 
     x_train = graph = None
     if model_cfg.uses_graph:
-        x_train = ds.cube.pixels()[train_ids]
+        x_train = ds.cube.pixels(train_ids)
         graph = build_knn_rbf_graph(x_train, graph_k, graph_sigma)
     patches_train = None
     if model_cfg.uses_patches:
@@ -178,19 +186,13 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     return TrainResult(model=mdl, log_rows=log_rows, graph=graph)
 
 
-def infer_model_config(ds: Dataset, architecture: str, *, gcn_hidden=128,
-                       cnn_channels=(32, 64, 128), fusion_fc=128,
-                       patch_size=7, input_bands=0, classes=0) -> ModelConfig:
-    """Fill input_bands/classes from the dataset when left at 0."""
-    return ModelConfig(
-        architecture=architecture,
-        input_bands=input_bands or ds.cube.bands,
-        classes=classes or ds.num_classes,
-        gcn_hidden=gcn_hidden,
-        cnn_channels=tuple(cnn_channels),
-        fusion_fc=fusion_fc,
-        patch_size=patch_size,
-    )
+def infer_model_config(ds: Dataset, architecture: str, *, input_bands=0,
+                       classes=0, **fields) -> ModelConfig:
+    """Fill input_bands/classes from the dataset when left at 0; the other
+    fields pass through to ModelConfig, whose defaults they keep."""
+    return ModelConfig(architecture=architecture,
+                       input_bands=input_bands or ds.cube.bands,
+                       classes=classes or ds.num_classes, **fields)
 
 
 def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
@@ -203,15 +205,16 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     within-chunk KNN graph per chunk, built with ``graph_k`` and
     ``graph_sigma``, which must be the values the model was trained with.
     """
+    if batch < 1:
+        raise ContractError(f"inference batch must be >= 1, got {batch}")
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
     cfg = mdl.cfg
-    x_all = cube.pixels() if cfg.uses_graph else None
     out = np.empty(pixel_ids.size, dtype=np.int64)
     for start in range(0, pixel_ids.size, batch):
         ids = pixel_ids[start:start + batch]
         prop = feats = None
         if cfg.uses_graph:
-            feats = x_all[ids]
+            feats = cube.pixels(ids)
             prop = chunk_prop(feats, graph_k, graph_sigma)
         sub = SubgraphBatch(node_ids=np.arange(ids.size), prop_s=prop,
                             features=feats)

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import mgk.pipeline
 from mgk.cli import (PALETTE, RunConfig, SEED_ENV_VAR, class_map_rgb,
-                     load_run_config, main, parse_overrides, write_ppm)
+                     load_run_config, main, parse_overrides, run, write_ppm)
 from mgk.data import LabelGrid, load_labels, save_labels
-from mgk.errors import ConfigError
+from mgk.errors import ConfigError, ContractError
 from mgk.model import load_model, save_model
 from mgk.pipeline import load_dataset
 
@@ -191,6 +192,69 @@ def test_split_without_classes_exits_1(scene_dir, tmp_path, capsys,
     assert not (tmp_path / "m.mgkp").exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--train.epochs=-1", "epochs must be >= 0, got -1"),
+    ("--train.bn_momentum=nan", "bn_momentum must be in [0, 1], got nan"),
+    ("--train.bn_momentum=inf", "bn_momentum must be in [0, 1], got inf"),
+    ("--train.bn_momentum=1.5", "bn_momentum must be in [0, 1], got 1.5"),
+    ("--train.bn_momentum=-0.1", "bn_momentum must be in [0, 1], got -0.1"),
+    ("--train.l2=-0.001", "l2 must be >= 0, got -0.001"),
+    ("--train.l2=nan", "l2 must be >= 0, got nan"),
+])
+def test_values_that_cannot_train_exit_1_before_any_work(
+        scene_dir, tmp_path, capsys, monkeypatch, flag, message):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the values were checked")
+
+    monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", no_work)
+    monkeypatch.setattr(mgk.pipeline, "extract_patches", no_work)
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                 *FAST_MODEL, *FAST_TRAIN, "--model.architecture=funet-a",
+                 flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("momentum", ["0", "1"])
+def test_bn_momentum_bounds_train(scene_dir, tmp_path, capsys, monkeypatch,
+                                  momentum):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                 *FAST_MODEL, *FAST_TRAIN, "--train.epochs=1",
+                 f"--train.bn_momentum={momentum}"]) == 0
+    capsys.readouterr()
+    assert ckpt.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_synth_rejects_an_env_seed_that_is_not_an_integer(
+        tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    out = tmp_path / "scene"
+    assert main(["synth", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {SEED_ENV_VAR}={value!r} is not an integer\n"
+    assert not out.exists()
+
+
+def test_synth_env_seed_is_equivalent_to_the_flag(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["synth", "--out-dir", str(tmp_path / "flag"),
+                 "--seed", "8"]) == 0
+    monkeypatch.setenv(SEED_ENV_VAR, "8")
+    assert main(["synth", "--out-dir", str(tmp_path / "env"),
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    for name in ("cube.hsc", "labels.hsl", "split.json"):
+        assert (tmp_path / "env" / name).read_bytes() == \
+            (tmp_path / "flag" / name).read_bytes()
+
+
 def test_synth_writes_loadable_dataset(scene_dir):
     ds = load_dataset(scene_dir / "cube.hsc", scene_dir / "labels.hsl",
                       scene_dir / "split.json")
@@ -325,6 +389,25 @@ def test_predict_map_rejects_labels_of_another_shape(scene_dir, trained,
     assert "labels 9x12 do not match cube 12x12" in capsys.readouterr().err
     assert not (out / "map.ppm").exists()
     assert not (out / "truth.ppm").exists()
+
+
+@pytest.mark.parametrize("batch", [0, -5])
+@pytest.mark.parametrize("command", ["predict-map", "eval"])
+def test_inference_batch_below_one_is_refused(scene_dir, trained, tmp_path,
+                                              capsys, monkeypatch, command,
+                                              batch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, ckpt = trained
+    out = tmp_path / "refused"
+    argv = [command, *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+            f"--paths.output={out}", f"--train.batch={batch}", "--graph.k=5"]
+    with pytest.raises(ContractError,
+                       match=f"^inference batch must be >= 1, got {batch}$"):
+        run(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: inference batch must be >= 1, got {batch}\n"
+    assert not out.exists()
 
 
 def test_constant_prediction_gives_single_color_map(scene_dir, trained,

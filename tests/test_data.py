@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,57 @@ from mgk.errors import ConfigError, ContractError, FormatError
 
 def random_cube(rng, h=4, w=5, d=3):
     values = rng.random(size=(h, w, d)).astype(np.float32)
+    return SpectralCube(values=values)
+
+
+def ref_normalize_bands(cube):
+    """normalize_bands as it was before it worked in place: live bands
+    scaled into a zeroed buffer, kept as the reference for its bytes."""
+    v = cube.values.astype(np.float64)
+    lo = v.min(axis=(0, 1))
+    hi = v.max(axis=(0, 1))
+    span = hi - lo
+    out = np.zeros_like(v)
+    live = span > 0.0
+    out[:, :, live] = (v[:, :, live] - lo[live]) / span[live]
+    return out.astype(np.float32)
+
+
+def ref_extract_patches(cube, pixel_ids, size):
+    """The per-pixel extract_patch loop that the one gather replaced, kept
+    as the reference for its bytes."""
+    pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
+    out = np.empty((pixel_ids.size, size, size, cube.bands))
+    half = size // 2
+    for i, pid in enumerate(pixel_ids):
+        row, col = int(pid) // cube.width, int(pid) % cube.width
+        rr = np.clip(np.arange(row - half, row + half + 1), 0,
+                     cube.height - 1)
+        cc = np.clip(np.arange(col - half, col + half + 1), 0,
+                     cube.width - 1)
+        out[i] = cube.values[np.ix_(rr, cc)].astype(np.float64)
+    return out
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes; +0.0 and -0.0 differ, as do NaNs."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    uint = np.dtype(f"u{a.dtype.itemsize}")
+    return np.array_equal(a.view(uint), b.view(uint))
+
+
+@st.composite
+def cubes(draw, max_side=9):
+    """Small cubes of either sign and any scale, some bands constant."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    values = (rng.normal(size=(h, w, d)) * scale).astype(np.float32)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d,
+                                      max_size=d)))
+    values[:, :, constant] = draw(st.floats(-100, 100, width=32))
     return SpectralCube(values=values)
 
 
@@ -119,6 +171,32 @@ def test_normalize_bands_identity_on_unit_range():
     assert np.array_equal(out.values, values)
 
 
+@given(cubes())
+def test_normalize_bands_matches_reference_bitwise(cube):
+    assert same_bits(normalize_bands(cube).values, ref_normalize_bands(cube))
+
+
+def test_normalize_bands_single_pixel_and_constant_cubes():
+    for values in (np.array([[[-3.5, 0.0, 2.0]]], dtype=np.float32),
+                   np.full((3, 2, 2), -7.25, dtype=np.float32)):
+        cube = SpectralCube(values=values)
+        out = normalize_bands(cube).values
+        assert same_bits(out, ref_normalize_bands(cube))
+        assert same_bits(out, np.zeros_like(values))
+
+
+def test_normalize_bands_peak_memory_below_three_float64_cubes():
+    rng = np.random.default_rng(9)
+    cube = SpectralCube(values=rng.random((128, 128, 32), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        normalize_bands(cube)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * cube.values.size * 8
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_normalize_bands_idempotent(seed):
     rng = np.random.default_rng(seed)
@@ -169,6 +247,57 @@ def test_patch_centers_reassemble_cube():
     patches = extract_patches(cube, ids, size=5)
     centers = patches[:, 2, 2, :].reshape(3, 4, 2)
     assert np.allclose(centers, cube.values.astype(np.float64))
+
+
+@given(cubes(), st.sampled_from([1, 3, 5, 7]), st.data())
+def test_patch_gather_matches_per_pixel_loop(cube, size, data):
+    ids = data.draw(st.lists(st.integers(0, cube.height * cube.width - 1),
+                             max_size=12))
+    assert same_bits(extract_patches(cube, ids, size),
+                     ref_extract_patches(cube, ids, size))
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (3, 2), (5, 8)])
+@pytest.mark.parametrize("size", [1, 3, 5, 7])
+def test_patch_gather_covers_corners_edges_and_small_images(h, w, size):
+    rng = np.random.default_rng(h * 10 + w)
+    cube = SpectralCube(values=(rng.normal(size=(h, w, 2)) * 5
+                                ).astype(np.float32))
+    every = np.arange(h * w)  # corners, edges and the interior
+    assert same_bits(extract_patches(cube, every, size),
+                     ref_extract_patches(cube, every, size))
+    for pid in every:
+        assert same_bits(extract_patch(cube, pid // w, pid % w, size),
+                         ref_extract_patches(cube, [pid], size)[0])
+    empty = extract_patches(cube, [], size)
+    assert same_bits(empty, ref_extract_patches(cube, [], size))
+    assert empty.shape == (0, size, size, 2)
+
+
+@pytest.mark.parametrize("size", [0, 2, 4, 6, -1])
+def test_patch_size_must_be_odd_and_positive(size):
+    cube = random_cube(np.random.default_rng(6))
+    for ids in ([0, 3], []):
+        with pytest.raises(ContractError, match=f"got {size}$"):
+            extract_patches(cube, ids, size)
+
+
+@pytest.mark.parametrize("bad", [-1, -20, 20, 10**9])
+def test_pixel_id_off_the_image_is_named(bad):
+    cube = random_cube(np.random.default_rng(7), h=4, w=5)
+    for gather in (cube.pixels, lambda ids: extract_patches(cube, ids, 3)):
+        with pytest.raises(ContractError,
+                           match=f"pixel id {bad} outside image 4x5$"):
+            gather([0, 19, bad, 3])
+
+
+@given(cubes(), st.data())
+def test_pixels_gathers_rows_of_the_whole_cube_matrix(cube, data):
+    ids = data.draw(st.lists(st.integers(0, cube.height * cube.width - 1),
+                             max_size=12))
+    whole = cube.values.reshape(-1, cube.bands).astype(np.float64)
+    assert same_bits(cube.pixels(ids),
+                     whole[np.asarray(ids, dtype=np.int64)])
 
 
 def test_synth_scene_shapes_and_split():

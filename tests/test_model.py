@@ -326,6 +326,20 @@ def test_checkpoint_round_trip_is_bit_exact(arch, tmp_path):
         == (tmp_path / "again.mgkp.json").read_bytes()
 
 
+def test_sidecar_text_is_pinned(tmp_path):
+    cfg = ModelConfig("gcn", 5, 3, gcn_hidden=4, cnn_channels=(2, 3, 4),
+                      fusion_fc=6, patch_size=3)
+    save_model(tmp_path / "m.mgkp", build(cfg, seed=0))
+    assert (tmp_path / "m.mgkp.json").read_text() == (
+        '{\n "config": {\n  "architecture": "gcn",\n  "classes": 3,\n'
+        '  "cnn_channels": [\n   2,\n   3,\n   4\n  ],\n'
+        '  "fusion_fc": 6,\n  "gcn_hidden": 4,\n  "input_bands": 5,\n'
+        '  "patch_size": 3\n },\n "layer_order": [\n  "gcn.bn_in",\n'
+        '  "gcn.conv",\n  "gcn.bn_out",\n  "head.fc1",\n  "head.bn",\n'
+        '  "head.fc2"\n ]\n}\n')
+    assert load_model(tmp_path / "m.mgkp").cfg.cnn_channels == (2, 3, 4)
+
+
 def test_checkpoint_rejects_sidecar_mismatch(tmp_path):
     model = build(toy_cfg("gcn"), seed=18)
     path = tmp_path / "model.mgkp"

@@ -74,6 +74,32 @@ def test_conv2d_3x3_ones_kernel_zero_padding():
     assert out[0, 0, 1, 0] == 6.0
 
 
+def ref_im2col(xp, kh, kw, h, w):
+    """The (i, j) slice-copy loop that the windowed _im2col replaced, kept
+    as the reference for its bytes."""
+    cols = np.empty(xp.shape[:1] + (h, w, kh * kw * xp.shape[3]))
+    c = xp.shape[3]
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., (i * kw + j) * c:(i * kw + j + 1) * c] = \
+                xp[:, i:i + h, j:j + w, :]
+    return cols
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.sampled_from([1, 3]),
+       st.sampled_from([1, 3]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_im2col_matches_slice_loop_bitwise(h, w, kh, kw, b, c, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, h, w, c))
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    want = ref_im2col(xp, kh, kw, h, w).view(np.uint64)
+    assert np.array_equal(nn._im2col(xp, kh, kw).view(np.uint64), want)
+    p = nn.make_conv2d(rng, kh, kw, c, 2)
+    _, tape = nn.conv2d_forward(x, p)
+    assert np.array_equal(tape.cache[0].view(np.uint64), want)
+
+
 def test_conv2d_rejects_even_kernel():
     p = nn.LayerParams(kind="conv2d", weights=np.ones((2, 2, 1, 1)),
                        bias=np.zeros(1))
