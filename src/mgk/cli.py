@@ -154,20 +154,23 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
                 _apply_value(cfg, f"{section_name}.{field_name}", value)
     for key, raw in overrides.items():
         _apply_value(cfg, key, raw)
-    cfg.train.seed = _env_seed(cfg.train.seed)
+    cfg.train.seed = _env_seed(cfg.train.seed, "train.seed")
     return cfg
 
 
-def _env_seed(default: int) -> int:
-    """MGK_SEED as an int when it is set, else ``default``."""
+def _env_seed(seed: int, name: str) -> int:
+    """MGK_SEED as an int when it is set, else ``seed`` (named ``name``);
+    numpy cannot seed from a negative one, so that is refused by name."""
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
+    if raw is not None:
+        try:
+            seed, name = int(raw), SEED_ENV_VAR
+        except ValueError as exc:
+            raise ConfigError(
+                f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def parse_overrides(extras) -> dict:
@@ -480,7 +483,7 @@ def run(argv) -> int:
     if args.command == "synth":
         if extras:
             raise ConfigError(f"unrecognized arguments: {extras}")
-        args.seed = _env_seed(args.seed)
+        args.seed = _env_seed(args.seed, "--seed")
         return cmd_synth(args)
     cfg = load_run_config(args.config, parse_overrides(extras))
     if args.command == "train":

@@ -93,10 +93,6 @@ class LabelGrid:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    def class_ids(self) -> np.ndarray:
-        ids = np.unique(self.labels)
-        return ids[ids > 0]
-
 
 @dataclass
 class SplitSpec:
@@ -110,26 +106,29 @@ class SplitSpec:
                       for c, v in self.train.items()}
         self.test = {int(c): np.asarray(v, dtype=np.int64)
                      for c, v in self.test.items()}
-        seen = {}
-        for part_name, part in (("train", self.train), ("test", self.test)):
-            for c, idx in part.items():
-                if c < 1:
-                    raise ContractError(f"split class ids must be >= 1, got {c}")
-                uniq = np.unique(idx)
-                if uniq.size != idx.size:
-                    dup = idx[np.argmax(np.bincount(idx - idx.min()) > 1)]
-                    raise ContractError(
-                        f"pixel index {int(dup)} repeated inside {part_name} "
-                        f"class {c}"
-                    )
-                for i in idx:
-                    i = int(i)
-                    if i in seen:
-                        raise ContractError(
-                            f"pixel index {i} appears in both "
-                            f"{seen[i]} and {part_name}/{c}"
-                        )
-                    seen[i] = f"{part_name}/{c}"
+        for c in [*self.train, *self.test]:
+            if c < 1:
+                raise ContractError(f"split class ids must be >= 1, got {c}")
+        owners = [(name, c) for name, part in (("train", self.train),
+                                               ("test", self.test))
+                  for c in part]
+        parts = [*self.train.values(), *self.test.values()]
+        # one stable sort puts each repeat after its pixel's first listing;
+        # the first repeat in listing order is named with that first owner
+        ids = np.concatenate([np.zeros(0, np.int64), *parts])
+        owner = np.repeat(np.arange(len(parts)), [v.size for v in parts])
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if repeats.size:
+            i = int(repeats.min())
+            first = order[np.searchsorted(ranked, ids[i])]
+            (a, ca), (b, cb) = owners[owner[first]], owners[owner[i]]
+            if owner[first] == owner[i]:
+                raise ContractError(f"pixel index {ids[i]} repeated inside "
+                                    f"{a} class {ca}")
+            raise ContractError(f"pixel index {ids[i]} appears in both "
+                                f"{a}/{ca} and {b}/{cb}")
 
     def counts(self) -> dict:
         return {

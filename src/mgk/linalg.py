@@ -3,13 +3,13 @@
 Dense matrices are plain 2-D float64 numpy arrays. ``SparseSymMatrix`` stores
 each entry of a symmetric matrix once (row <= col) as read-only coordinate
 triplets in one canonical order, copies of its inputs; triplets already in
-that order are taken without a sort. Products against dense operands never
-materialize the full matrix.
+that order are taken without a sort; ``terms`` expands them into the full
+matrix, the stored entries then their mirrors, for every method that reads
+it. Products against dense operands never materialize the full matrix.
 The first product builds a jagged-diagonal plan of the expanded matrix and
 caches it on the instance; every product is then one gather and one
-contiguous add per term rank, summing each row in the order of a scatter over
-the stored entries and then their mirrors, so results are bitwise the same
-whether the plan was just built or cached.
+contiguous add per term rank, summing each row in ``terms`` order, so results
+are bitwise the same whether the plan was just built or cached.
 
 The eigendecomposition is LAPACK's ``eigh`` (through numpy) plus a fixed
 eigenvector sign rule. It is the exact reference that spectral filtering is
@@ -108,11 +108,21 @@ class SparseSymMatrix:
     def shape(self):
         return (self.dim, self.dim)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        out[self.rows, self.cols] = self.vals
+    def terms(self):
+        """The full matrix as ``(tgt, src, val)``: entry (tgt, src) is val.
+
+        Every stored entry, then the mirror of every off-diagonal one, each
+        in storage order: the order in which ``matmul`` sums a row.
+        """
         off = self.rows != self.cols
-        out[self.cols[off], self.rows[off]] = self.vals[off]
+        return (np.concatenate([self.rows, self.cols[off]]),
+                np.concatenate([self.cols, self.rows[off]]),
+                np.concatenate([self.vals, self.vals[off]]))
+
+    def to_dense(self) -> np.ndarray:
+        tgt, src, val = self.terms()
+        out = np.zeros((self.dim, self.dim))
+        out[tgt, src] = val
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -122,26 +132,21 @@ class SparseSymMatrix:
         return out
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        np.add.at(out, self.rows, self.vals)
-        off = self.rows != self.cols
-        np.add.at(out, self.cols[off], self.vals[off])
-        return out
+        tgt, _, val = self.terms()
+        # float64 also when there are no terms, where bincount gives ints
+        return np.bincount(tgt, val, self.dim).astype(np.float64, copy=False)
 
     def _jagged_plan(self):
         """The expanded matrix in jagged-diagonal form, built once.
 
-        Every stored entry targets its row and every off-diagonal one also
-        its column. Target t's terms are its stored entries in storage order,
-        then its mirrored entries in storage order. Targets are permuted by
-        term count, descending and stable, so the targets that have an r-th
-        term are a prefix of that order. Returns ``(ranks, inverse)``:
-        ``ranks[r]`` is ``(width, src, val)`` for the r-th terms of the first
-        ``width`` permuted targets, and ``inverse`` maps a row to its
-        permuted position.
+        Each target keeps its terms in ``terms`` order. Targets are
+        permuted by term count, descending and stable, so the targets that
+        have an r-th term are a prefix of that order. Returns
+        ``(ranks, inverse)``: ``ranks[r]`` is ``(width, src, val)`` for the
+        r-th terms of the first ``width`` permuted targets, and ``inverse``
+        maps a row to its permuted position.
         """
-        off = self.rows != self.cols
-        tgt = np.concatenate([self.rows, self.cols[off]])
+        tgt, src, val = self.terms()
         order = np.argsort(tgt, kind="stable")
         tgt = tgt[order]
         count = np.bincount(tgt, minlength=self.dim)
@@ -154,8 +159,7 @@ class SparseSymMatrix:
         # jagged slot of each target-sorted term, composed with the sort
         jagged = np.empty_like(order)
         jagged[starts[rank] + inverse[tgt]] = order
-        src = np.concatenate([self.cols, self.rows[off]])[jagged]
-        val = np.concatenate([self.vals, self.vals[off]])[jagged, None]
+        src, val = src[jagged], val[jagged, None]
         ranks = tuple((int(w), src[s:s + w], val[s:s + w])
                       for w, s in zip(widths, starts))
         return ranks, inverse
@@ -163,17 +167,15 @@ class SparseSymMatrix:
     def matmul(self, b: np.ndarray) -> np.ndarray:
         """self @ b for a dense vector/matrix b, in O(nnz * b.shape[1]).
 
-        Each output row sums its terms, starting from 0.0, in one fixed
-        order: the row's stored entries in storage order, then its mirrored
-        off-diagonal entries in storage order. The first call builds the
-        jagged-diagonal plan (``_jagged_plan``: one stable sort of the up to
-        2·nnz terms and O(nnz) index work, kept as one int64 and one float64
-        per term) and caches it on the instance; each call then does one
-        gather and one contiguous add per term rank and one row gather at
-        the end, so a cached and a fresh plan give bitwise-identical
-        results. On a 4800-node KNN operator (k = 10) the plan costs less
-        than half of one 64-column product, so an operator used twice, as
-        in a training step's forward and backward pass, pays it once.
+        Each output row sums its terms, starting from 0.0, in ``terms`` order.
+        The first call builds the jagged-diagonal plan (``_jagged_plan``: one
+        stable sort of the up to 2·nnz terms and O(nnz) index work, kept as one
+        int64 and one float64 per term) and caches it on the instance; each
+        call then does one gather and one contiguous add per term rank and one
+        row gather at the end, so a cached and a fresh plan give
+        bitwise-identical results. On a 4800-node KNN operator (k = 10) the
+        plan costs less than half of one 64-column product, so an operator used
+        twice, as in a training step's forward and backward pass, pays it once.
         """
         b = np.asarray(b, dtype=np.float64)
         squeeze = b.ndim == 1

@@ -123,8 +123,8 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     gcn trains full batch (one batch per epoch covering every train pixel);
     every other architecture partitions the train pixels into node-budget
     batches, re-drawn each epoch; a one-node last batch joins the one before
-    it. Bitwise reproducible for a fixed seed. Values that cannot train
-    are refused before any work.
+    it. Bitwise reproducible for a fixed seed. Values that cannot train, and
+    a model that does not fit the data, are refused before any work.
     """
     if epochs < 0:
         raise ContractError(f"epochs must be >= 0, got {epochs}")
@@ -133,6 +133,12 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
             f"bn_momentum must be in [0, 1], got {bn_momentum}")
     if not l2 >= 0.0:
         raise ContractError(f"l2 must be >= 0, got {l2}")
+    if model_cfg.classes < ds.num_classes:
+        raise ContractError(f"model.classes={model_cfg.classes} is below "
+                            f"the split's {ds.num_classes} classes")
+    if model_cfg.input_bands != ds.cube.bands:
+        raise ContractError(f"model.input_bands={model_cfg.input_bands} is "
+                            f"not the cube's {ds.cube.bands} bands")
     train_ids, train_classes = ds.part_pixels("train")
     n_train = train_ids.size
     budget = n_train if model_cfg.architecture == "gcn" \

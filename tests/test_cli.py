@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import mgk.cli
 import mgk.pipeline
 from mgk.cli import (PALETTE, RunConfig, SEED_ENV_VAR, class_map_rgb,
                      load_run_config, main, parse_overrides, run, write_ppm)
@@ -216,6 +217,80 @@ def test_values_that_cannot_train_exit_1_before_any_work(
                  flag]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--model.classes=2", "model.classes=2 is below the split's 3 classes"),
+    ("--model.input_bands=5", "model.input_bands=5 is not the cube's 6 bands"),
+    ("--model.input_bands=7", "model.input_bands=7 is not the cube's 6 bands"),
+])
+@pytest.mark.parametrize("arch", ["minigcn", "cnn2d", "funet-c"])
+def test_model_that_does_not_fit_the_data_exits_1_before_any_work(
+        scene_dir, tmp_path, capsys, monkeypatch, flag, message, arch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the model was checked")
+
+    monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", no_work)
+    monkeypatch.setattr(mgk.pipeline, "extract_patches", no_work)
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                 *FAST_MODEL, *FAST_TRAIN, f"--model.architecture={arch}",
+                 flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ckpt.exists()
+
+
+def test_model_with_spare_classes_trains(scene_dir, tmp_path, capsys,
+                                         monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                 *FAST_MODEL, *FAST_TRAIN, "--train.epochs=1",
+                 "--model.classes=4", "--model.input_bands=6"]) == 0
+    capsys.readouterr()
+    assert load_model(ckpt).cfg.classes == 4
+
+
+@pytest.mark.parametrize("env, flag, message", [
+    (None, "--train.seed=-1", "train.seed must be >= 0, got -1"),
+    ("-1", "--train.seed=3", "MGK_SEED must be >= 0, got -1"),
+    ("-7", None, "MGK_SEED must be >= 0, got -7"),
+])
+def test_negative_seed_exits_1_before_any_work(
+        scene_dir, tmp_path, capsys, monkeypatch, env, flag, message):
+    if env is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(mgk.cli, "load_dataset", no_work)
+    ckpt = tmp_path / "m.mgkp"
+    argv = ["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+            *FAST_MODEL, *FAST_TRAIN]
+    assert main(argv + ([flag] if flag else [])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("env, flag, message", [
+    (None, "-1", "--seed must be >= 0, got -1"),
+    ("-1", "3", "MGK_SEED must be >= 0, got -1"),
+])
+def test_synth_refuses_a_negative_seed(tmp_path, capsys, monkeypatch, env,
+                                       flag, message):
+    if env is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    out = tmp_path / "scene"
+    assert main(["synth", "--out-dir", str(out), "--seed", flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("momentum", ["0", "1"])

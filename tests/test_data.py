@@ -142,6 +142,37 @@ def test_split_overlap_names_the_pixel():
         SplitSpec(train={1: [3], 2: [3]}, test={})
 
 
+@pytest.mark.parametrize("train, test, message", [
+    ({1: [0, 5]}, {1: [5]},
+     "pixel index 5 appears in both train/1 and test/1"),
+    ({1: [3], 2: [3]}, {},
+     "pixel index 3 appears in both train/1 and train/2"),
+    # the first repeat in listing order, named with its first owner
+    ({1: [1, 2], 2: [4]}, {2: [7, 2, 1], 3: [4]},
+     "pixel index 2 appears in both train/1 and test/2"),
+    ({1: [10, 3, 3]}, {}, "pixel index 3 repeated inside train class 1"),
+    ({1: [100, 200, 200]}, {}, "pixel index 200 repeated inside train "
+                               "class 1"),
+    ({1: [0]}, {2: [6, 9, 6]}, "pixel index 6 repeated inside test class 2"),
+])
+def test_split_repeat_names_the_pixel_and_its_owners(train, test, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        SplitSpec(train=train, test=test)
+
+
+def test_split_disjointness_check_on_a_benchmark_sized_split():
+    ids = np.random.default_rng(3).permutation(256 * 256)
+    per_class = np.split(ids, 16)
+    train = {c + 1: v[:300] for c, v in enumerate(per_class)}
+    test = {c + 1: v[300:] for c, v in enumerate(per_class)}
+    assert SplitSpec(train=train, test=test).counts()["test"][16] == 3796
+    train[1] = np.append(train[1], ids[-1])
+    with pytest.raises(ContractError, match=f"^pixel index {ids[-1]} "
+                                            "appears in both train/1 and "
+                                            "test/16$"):
+        SplitSpec(train=train, test=test)
+
+
 def test_split_validate_against_grid():
     labels = np.array([[1, 2], [0, 2]], dtype=np.uint16)
     grid = LabelGrid(labels=labels)

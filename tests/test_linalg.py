@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_same_triplets, dense_to_sparse, lexsort_canonical
 from mgk.data import normalize_bands, synth_scene
@@ -153,6 +153,79 @@ def test_matmul_is_bitwise_the_scatter_product_on_a_scene_graph():
     rng = np.random.default_rng(0)
     assert_matches_scatter_product(prop, rng.normal(size=(prop.dim, 64)))
     assert_matches_scatter_product(prop, rng.normal(size=prop.dim))
+
+
+def addat_row_sums(s):
+    """Row sums as two scatters, stored entries and then mirrors, kept as
+    the bitwise reference for the bincount over ``terms``."""
+    out = np.zeros(s.dim)
+    np.add.at(out, s.rows, s.vals)
+    off = s.rows != s.cols
+    np.add.at(out, s.cols[off], s.vals[off])
+    return out
+
+
+def mirror_to_dense(s):
+    """The dense fill from stored entries and then their mirrors, kept as
+    the reference for the fill from ``terms``."""
+    out = np.zeros((s.dim, s.dim))
+    out[s.rows, s.cols] = s.vals
+    off = s.rows != s.cols
+    out[s.cols[off], s.rows[off]] = s.vals[off]
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+       st.sampled_from(["random", "empty", "diagonal"]))
+@example(0, 1, "random")
+@example(0, 1, "diagonal")
+@example(0, 1, "empty")
+@example(3, 12, "diagonal")
+def test_terms_readers_match_the_mirror_references_bitwise(seed, n, pattern):
+    rng = np.random.default_rng(seed)
+    if pattern == "empty":
+        rr = cc = np.zeros(0, dtype=np.int64)
+    elif pattern == "diagonal":
+        rr = cc = np.arange(n)
+    else:
+        rr, cc = np.nonzero(np.triu(rng.random((n, n)) < rng.random()))
+    vals = rng.normal(size=rr.size) * 10.0 ** rng.uniform(-3, 3, rr.size)
+    vals[rng.random(rr.size) < 0.1] = -0.0
+    shuffle = rng.permutation(rr.size)
+    s = SparseSymMatrix(n, cc[shuffle], rr[shuffle], vals[shuffle])
+
+    tgt, src, val = s.terms()
+    off = s.rows != s.cols
+    # the stored entries, then the mirror of each off-diagonal one
+    assert np.array_equal(tgt, np.concatenate([s.rows, s.cols[off]]))
+    assert np.array_equal(src, np.concatenate([s.cols, s.rows[off]]))
+    assert same_bits(val, np.concatenate([s.vals, s.vals[off]]))
+    assert same_bits(s.row_sums(), addat_row_sums(s))
+    assert same_bits(s.to_dense(), mirror_to_dense(s))
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    summed = np.bincount(tgt, val * x[src], minlength=n).astype(np.float64)
+    assert same_bits(summed, s.matmul(x))
+
+
+def test_terms_readers_match_the_mirror_references_on_a_scene_graph():
+    cube, _, _ = synth_scene(classes=4, size=24, bands=8, noise_sigma=0.02,
+                             seed=5)
+    feats = normalize_bands(cube).values.reshape(-1, 8).astype(np.float64)
+    g = build_knn_rbf_graph(feats, 10, 1.0)
+    for s in (g.adjacency, g.prop):
+        tgt, src, val = s.terms()
+        assert same_bits(s.row_sums(), addat_row_sums(s))
+        assert same_bits(s.to_dense(), mirror_to_dense(s))
+        x = np.random.default_rng(1).normal(size=s.dim)
+        assert same_bits(np.bincount(tgt, val * x[src], minlength=s.dim),
+                         s.matmul(x))
 
 
 def test_sparse_triplets_are_read_only():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mgk.errors import ContractError
 from mgk.graph import build_knn_rbf_graph, renormalized_propagation
 from mgk.linalg import SparseSymMatrix
 from mgk import nn
+import mgk.sampler
 from mgk.sampler import (_restrict, estimator_bias_diagnostic,
                          induce_subgraph, node_estimate, partition_epoch,
                          write_bias_csv)
@@ -303,6 +305,81 @@ def test_diagnostic_matches_brute_force_mc():
     mc = sums / trials
     assert np.max(np.abs(report.modes["uniform"].mc_mean - mc)) <= 1e-12
     assert np.max(np.abs(report.target - target[:, 0])) <= 1e-12
+
+
+def test_diagnostic_holds_no_n_by_n_array():
+    rng = np.random.default_rng(20)
+    n = 2000
+    g = build_knn_rbf_graph(rng.random((n, 4)), 10, 1.0)
+    tracemalloc.start()
+    try:
+        estimator_bias_diagnostic(g, 32, trials=20, seed=21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (40, 5), (300, 10)])
+def test_diagnostic_full_budget_target_is_the_operator_product(n, k):
+    rng = np.random.default_rng(22)
+    g, feats = random_graph(rng, n, d=3, k=k)
+    weight = rng.normal(size=(3, 1))
+    report = estimator_bias_diagnostic(g, n, trials=4, seed=23,
+                                       features=feats, weight=weight,
+                                       bias=0.3)
+    want = g.prop.matmul((feats @ weight).ravel()) + 0.3
+    assert np.array_equal(report.target.view(np.uint64),
+                          want.view(np.uint64))
+    for stats in report.modes.values():
+        assert np.all(stats.bias == 0.0)
+        assert np.all(stats.variance == 0.0)
+        assert np.array_equal(stats.mc_mean, want)
+
+
+@pytest.mark.parametrize("block_terms", [1, 50, 1000])
+def test_diagnostic_block_size_changes_no_bit(monkeypatch, block_terms):
+    rng = np.random.default_rng(24)
+    g, feats = random_graph(rng, 30, d=3, k=4)
+
+    def run():
+        report = estimator_bias_diagnostic(g, 7, trials=60, seed=25,
+                                           features=feats)
+        return [getattr(s, f).view(np.uint64) for s in report.modes.values()
+                for f in ("mc_mean", "bias", "variance", "stderr")]
+
+    whole = run()
+    monkeypatch.setattr(mgk.sampler, "BIAS_BLOCK_TERMS", block_terms)
+    for a, b in zip(whole, run()):
+        assert np.array_equal(a, b)
+
+
+def test_diagnostic_frequency_mode_matches_brute_force_mc():
+    # few trials, so some edges never share a batch: their C_uv is 0
+    rng = np.random.default_rng(26)
+    g, feats = random_graph(rng, 9, d=2, k=3)
+    weight = rng.normal(size=(2, 1))
+    trials = 6
+    report = estimator_bias_diagnostic(g, 2, trials=trials, seed=27,
+                                       features=feats, weight=weight)
+    z = (feats @ weight)[:, 0]
+    prop = g.prop.to_dense()
+    parts = [partition_epoch(9, 2, s).batches
+             for s in np.random.SeedSequence(27).spawn(trials)]
+    counts = np.zeros((9, 9))
+    for batches in parts:
+        for batch in batches:
+            counts[np.ix_(batch, batch)] += 1
+    assert np.any((prop != 0.0) & (counts == 0.0))
+    sums = np.zeros(9)
+    for batches in parts:
+        for batch in batches:
+            ids = np.sort(batch)
+            sub = prop[np.ix_(ids, ids)] / (counts[np.ix_(ids, ids)] / trials)
+            sums[ids] += sub.T @ z[ids]
+    stats = report.modes["frequency"]
+    assert np.all(np.isfinite(stats.stderr))
+    assert np.max(np.abs(stats.mc_mean - sums / trials)) <= 1e-12
 
 
 def test_diagnostic_stderr_scaling():

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -16,3 +17,21 @@ def test_script_help_runs(script):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def test_bias_study_writes_a_table_per_budget(tmp_path):
+    done = subprocess.run([sys.executable,
+                           os.path.join(SCRIPTS, "sampler_bias_study.py"),
+                           "--n", "12", "--budgets", "4,12", "--trials",
+                           "50", "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for budget in (4, 12):
+        with open(tmp_path / f"bias_m{budget}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for mode in ("uniform", "frequency"):
+            mine = [r for r in rows if r["mode"] == mode]
+            assert sorted(int(r["vertex_id"]) for r in mine) == \
+                list(range(12))
+            if budget == 12:  # one batch holds every vertex: exact
+                assert all(float(r["bias"]) == 0.0 for r in mine)
