@@ -242,7 +242,7 @@ def class_map_rgb(class_ids: np.ndarray) -> np.ndarray:
     top = int(class_ids.max(initial=0))
     if top > len(PALETTE):
         raise ConfigError(
-            f"{top} classes exceed the {len(PALETTE)}-color palette"
+            f"class id {top} exceeds the {len(PALETTE)}-color palette"
         )
     lut = np.zeros((len(PALETTE) + 1, 3), dtype=np.uint8)
     lut[1:] = np.array(PALETTE, dtype=np.uint8)
@@ -250,11 +250,10 @@ def class_map_rgb(class_ids: np.ndarray) -> np.ndarray:
 
 
 def write_legend(path, num_classes: int) -> None:
+    rgb = class_map_rgb(np.arange(num_classes + 1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("class_id r g b\n")
-        fh.write("0 0 0 0\n")
-        for c in range(1, num_classes + 1):
-            r, g, b = PALETTE[c - 1]
+        for c, (r, g, b) in enumerate(rgb):
             fh.write(f"{c} {r} {g} {b}\n")
 
 
@@ -321,10 +320,15 @@ def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
 def cmd_predict_map(cfg: RunConfig) -> int:
     _require(cfg, "cube", "checkpoint")
     mdl = load_model(cfg.paths.checkpoint)
-    cube = normalize_bands(load_cube(cfg.paths.cube))
-    truth = None
+    if mdl.cfg.classes > len(PALETTE):
+        raise ConfigError(f"model.classes={mdl.cfg.classes} exceeds the "
+                          f"{len(PALETTE)}-color palette")
+    truth = truth_rgb = None
     if cfg.paths.labels:
         truth = load_labels(cfg.paths.labels)
+        truth_rgb = class_map_rgb(truth.labels)
+    cube = normalize_bands(load_cube(cfg.paths.cube))
+    if truth is not None:
         check_labels_match(cube, truth)
     h, w = cube.height, cube.width
     preds = predict_pixels(mdl, cube, np.arange(h * w),
@@ -340,13 +344,22 @@ def cmd_predict_map(cfg: RunConfig) -> int:
     print(f"wrote {legend_path}")
     if truth is not None:
         truth_path = os.path.join(out, "truth.ppm")
-        write_ppm(truth_path, class_map_rgb(truth.labels))
+        write_ppm(truth_path, truth_rgb)
         print(f"wrote {truth_path}")
     return 0
 
 
 def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
     ds = _load_ds(cfg)
+    if _model_cfg(cfg, ds).uses_graph:  # the whole grid, before any cell
+        n_train = ds.part_pixels("train")[0].size
+        for k in k_grid:
+            if not 1 <= k < n_train:
+                raise ConfigError(f"--k-grid value {k} is outside "
+                                  f"1 <= k < {n_train} (train pixels)")
+        for sigma in sigma_grid:
+            if not sigma > 0:
+                raise ConfigError(f"--sigma-grid value {sigma} must be > 0")
     out = _out_dir(cfg)
     rows = []
     for ki, k in enumerate(k_grid):

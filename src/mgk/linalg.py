@@ -132,9 +132,11 @@ class SparseSymMatrix:
         return out
 
     def row_sums(self) -> np.ndarray:
-        tgt, _, val = self.terms()
-        # float64 also when there are no terms, where bincount gives ints
-        return np.bincount(tgt, val, self.dim).astype(np.float64, copy=False)
+        # terms()' tgt and val; float64 also where bincount gives ints
+        off = self.rows != self.cols
+        return np.bincount(np.concatenate([self.rows, self.cols[off]]),
+                           np.concatenate([self.vals, self.vals[off]]),
+                           self.dim).astype(np.float64, copy=False)
 
     def _jagged_plan(self):
         """The expanded matrix in jagged-diagonal form, built once.

@@ -11,7 +11,9 @@ full-graph propagation entry by a normalization constant e_uv; it restricts
 the graph's operator to the batch when called, so a training batch carries
 no full-graph entries. With e == 1 it reduces to plain restriction, and
 ``estimator_bias_diagnostic`` measures (rather than assumes) the bias of
-both choices against the full-batch aggregation.
+both choices against the full-batch aggregation, over trial partitions
+drawn in one call with ``partition_epoch``'s law; a constant estimate gets
+a stderr of exactly 0.
 """
 
 from __future__ import annotations
@@ -204,14 +206,23 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
     Draws ``trials`` independent epoch partitions with budget ``m``, runs
     the per-vertex estimator on every batch under both normalization modes,
     and reports mean/bias/variance/stderr per vertex against the exact
-    full-batch aggregation. Deterministic for a fixed seed. A term of
-    ``g.prop.terms()`` counts in a trial when its two vertices share a
+    full-batch aggregation. Deterministic for a fixed seed. One draw
+    shuffles every trial's slot labels ``j // m``, which puts vertex v in
+    batch ``tau(v) // m`` for a uniform permutation tau: the law of
+    ``partition_epoch``, up to batch numbering, which is never read. A term
+    of ``g.prop.terms()`` counts in a trial when its two vertices share a
     batch; one bincount per mode sums a block of trials. Cost is
-    O(trials * nnz), and no n x n array is formed.
+    O(trials * nnz), and no n x n array is formed. A constant estimate has
+    a variance and stderr of exactly 0.
     """
     if trials < 2:
         raise ContractError(f"trials must be >= 2, got {trials}")
+    if not isinstance(seed, (int, np.integer, np.random.SeedSequence)):
+        raise ContractError(f"diagnostic seed must be an int or SeedSequence, "
+                            f"got {type(seed).__name__}")
     n = g.n
+    if not (1 <= m <= n):
+        raise ContractError(f"budget must satisfy 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     if features is None:
         features = rng.standard_normal((n, 4))
@@ -225,14 +236,10 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
     b = float(bias)
     target = g.prop.matmul(z) + b
 
-    # trial partitions come from spawned child seeds so the stream is
-    # reproducible without storing every permutation twice
-    children = _trial_seed(seed).spawn(trials)
-    assign = np.empty((trials, n), dtype=np.int32)
-    for t in range(trials):
-        part = partition_epoch(n, m, children[t])
-        for bi, batch in enumerate(part.batches):
-            assign[t, batch] = bi
+    # assign[t, v] is vertex v's batch in trial t
+    assign = rng.permuted(
+        np.broadcast_to(np.arange(n, dtype=np.int32) // m, (trials, n)),
+        axis=1)
 
     tgt, src, val = g.prop.terms()
     per_block = max(1, BIAS_BLOCK_TERMS // tgt.size)
@@ -246,9 +253,10 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
     freq = np.maximum(counts, 1) / float(trials)
     coef = {"uniform": val * z[src], "frequency": val / freq * z[src]}
 
-    # accumulate deviations from the target rather than raw estimates:
-    # the shifted one-pass variance keeps its precision even when the
-    # spread is tiny next to the level (full-budget runs are exact)
+    # accumulate deviations from each vertex's first estimate: the shifted
+    # one-pass variance keeps its precision even when the spread is tiny
+    # next to the level, and is exactly 0 for a constant estimate
+    first = {}
     sums = {mode: np.zeros(n) for mode in coef}
     sqs = {mode: np.zeros(n) for mode in coef}
     for blk in blocks:
@@ -257,7 +265,7 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
         slot = (np.arange(k)[:, None] * n + tgt).ravel()
         for mode, c in coef.items():
             est = np.bincount(slot, (same * c).ravel(), minlength=k * n)
-            dev = est.reshape(k, n) + b - target
+            dev = est.reshape(k, n) - first.setdefault(mode, est[:n].copy())
             sq = dev ** 2
             # sum trial after trial, so the block size never changes a bit
             dev[0] += sums[mode]
@@ -266,25 +274,14 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
 
     modes = {}
     for mode in coef:
-        dev_mean = sums[mode] / trials
+        shift = sums[mode] / trials
         var = np.maximum(
-            (sqs[mode] - trials * dev_mean ** 2) / (trials - 1), 0.0)
-        modes[mode] = BiasStats(mc_mean=target + dev_mean, bias=dev_mean,
+            (sqs[mode] - trials * shift ** 2) / (trials - 1), 0.0)
+        mc_mean = first[mode] + shift + b
+        modes[mode] = BiasStats(mc_mean=mc_mean, bias=mc_mean - target,
                                 variance=var, stderr=np.sqrt(var / trials))
     return BiasReport(vertex_ids=np.arange(n), target=target, modes=modes,
                       budget=m, trials=trials, seed=seed)
-
-
-def _trial_seed(seed) -> np.random.SeedSequence:
-    """A fresh SeedSequence for the trial stream; a SeedSequence seed keeps
-    its spawn key, so its siblings draw different streams, and is rebuilt
-    rather than spawned from, so the caller's one is left as it was."""
-    if isinstance(seed, (int, np.integer)):
-        return np.random.SeedSequence(int(seed))
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
-    raise ContractError(f"diagnostic seed must be an int or SeedSequence, "
-                        f"got {type(seed).__name__}")
 
 
 BIAS_CSV_FIELDS = ("vertex_id", "target", "mc_mean", "bias", "stderr", "mode")

@@ -7,10 +7,11 @@ import pytest
 import mgk.cli
 import mgk.pipeline
 from mgk.cli import (PALETTE, RunConfig, SEED_ENV_VAR, class_map_rgb,
-                     load_run_config, main, parse_overrides, run, write_ppm)
+                     load_run_config, main, parse_overrides, run,
+                     write_legend, write_ppm)
 from mgk.data import LabelGrid, load_labels, save_labels
 from mgk.errors import ConfigError, ContractError
-from mgk.model import load_model, save_model
+from mgk.model import ModelConfig, build, load_model, save_model
 from mgk.pipeline import load_dataset
 
 FAST_MODEL = ["--model.gcn_hidden=12", "--model.patch_size=3",
@@ -503,6 +504,67 @@ def test_constant_prediction_gives_single_color_map(scene_dir, trained,
     rgb = read_ppm(out / "map.ppm")
     colors = {tuple(px) for px in rgb.reshape(-1, 3)}
     assert colors == {PALETTE[1]}  # class id 2 everywhere
+
+
+@pytest.mark.parametrize("too_many", ["model", "labels"])
+def test_predict_map_refuses_classes_beyond_the_palette(scene_dir, trained,
+                                                       tmp_path, capsys,
+                                                       monkeypatch,
+                                                       too_many):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, ckpt = trained
+    labels = scene_dir / "labels.hsl"
+    if too_many == "model":
+        ckpt = tmp_path / "wide.mgkp"
+        save_model(ckpt, build(ModelConfig(architecture="minigcn",
+                                           input_bands=6, classes=25,
+                                           gcn_hidden=12)))
+        want = "model.classes=25 exceeds the 24-color palette"
+    else:
+        grid = load_labels(labels).labels.copy()
+        grid[0, 0] = 25
+        labels = tmp_path / "wide.hsl"
+        save_labels(labels, LabelGrid(labels=grid))
+        want = "class id 25 exceeds the 24-color palette"
+
+    def no_cube(path):
+        raise AssertionError("the cube was read")
+
+    monkeypatch.setattr(mgk.cli, "load_cube", no_cube)
+    out = tmp_path / "wide"
+    assert main(["predict-map", f"--paths.cube={scene_dir / 'cube.hsc'}",
+                 f"--paths.labels={labels}", f"--paths.checkpoint={ckpt}",
+                 f"--paths.output={out}", "--train.batch=16",
+                 "--graph.k=5"]) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
+def test_write_legend_refuses_classes_beyond_the_palette(tmp_path):
+    path = tmp_path / "legend.txt"
+    with pytest.raises(ConfigError, match="class id 25 exceeds"):
+        write_legend(path, 25)
+    assert not path.exists()
+    write_legend(path, 24)
+    assert len(path.read_text().splitlines()) == 2 + 24
+
+
+@pytest.mark.parametrize("grid_flag, grid, bad", [
+    ("--k-grid", "5,0", "0"),
+    ("--k-grid", "5,24", "24"),
+    ("--sigma-grid", "1.0,-1", "-1.0"),
+])
+def test_sweep_checks_the_whole_grid_before_the_first_cell(
+        scene_dir, tmp_path, capsys, monkeypatch, grid_flag, grid, bad):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out = tmp_path / "sweep"
+    assert main(["sweep", grid_flag, grid, *data_flags(scene_dir),
+                 f"--paths.output={out}", *FAST_MODEL, *FAST_TRAIN,
+                 "--train.epochs=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {grid_flag} value {bad} ")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_emits_one_row_per_grid_cell(scene_dir, tmp_path, capsys,

@@ -282,8 +282,23 @@ def test_diagnostic_seed_sequence_keeps_its_spawn_key():
     assert np.array_equal(a, mc_mean(first))
 
 
+def _diagnostic_trial_batches(n, m, trials, seed):
+    """Each trial's batches, rebuilt from the diagnostic's one draw; every
+    trial has the batch sizes that partition_epoch gives."""
+    assign = np.random.default_rng(seed).permuted(
+        np.broadcast_to(np.arange(n, dtype=np.int32) // m, (trials, n)),
+        axis=1)
+    sizes = [b.size for b in partition_epoch(n, m, 0).batches]
+    parts = []
+    for row in assign:
+        batches = [np.nonzero(row == b)[0] for b in range(len(sizes))]
+        assert [b.size for b in batches] == sizes
+        parts.append(batches)
+    return parts
+
+
 def test_diagnostic_matches_brute_force_mc():
-    # re-run the Monte Carlo by hand from the same spawned seeds
+    # re-run the Monte Carlo by hand from the same drawn partitions
     rng = np.random.default_rng(10)
     g, feats = random_graph(rng, 5, d=2)
     weight = rng.normal(size=(2, 1))
@@ -293,11 +308,9 @@ def test_diagnostic_matches_brute_force_mc():
     z = feats @ weight
     prop = g.prop.to_dense()
     target = prop @ z
-    seeds = np.random.SeedSequence(11).spawn(trials)
     sums = np.zeros(5)
-    for t in range(trials):
-        part = partition_epoch(5, 2, seeds[t])
-        for batch in part.batches:
+    for batches in _diagnostic_trial_batches(5, 2, trials, 11):
+        for batch in batches:
             ids = np.sort(batch)
             sub = prop[np.ix_(ids, ids)]
             est = sub.T @ z[ids]
@@ -337,6 +350,32 @@ def test_diagnostic_full_budget_target_is_the_operator_product(n, k):
         assert np.array_equal(stats.mc_mean, want)
 
 
+def test_diagnostic_constant_estimate_has_zero_stderr():
+    # at budget 1 every vertex is alone, so every trial gives it the same
+    # estimate: its variance is 0, not rounding noise
+    rng = np.random.default_rng(28)
+    g, feats = random_graph(rng, 300, d=3, k=5)
+    report = estimator_bias_diagnostic(g, 1, trials=200, seed=29,
+                                       features=feats)
+    for stats in report.modes.values():
+        assert np.all(stats.variance == 0.0)
+        assert np.all(stats.stderr == 0.0)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "3"])
+def test_diagnostic_refuses_a_seed_that_is_not_an_int(seed):
+    g, _ = random_graph(np.random.default_rng(30), 6)
+    with pytest.raises(ContractError, match="int or SeedSequence"):
+        estimator_bias_diagnostic(g, 2, trials=4, seed=seed)
+
+
+@pytest.mark.parametrize("m", [0, 7])
+def test_diagnostic_refuses_a_budget_outside_the_graph(m):
+    g, _ = random_graph(np.random.default_rng(31), 6)
+    with pytest.raises(ContractError, match=f"got m={m}, n=6"):
+        estimator_bias_diagnostic(g, m, trials=4, seed=0)
+
+
 @pytest.mark.parametrize("block_terms", [1, 50, 1000])
 def test_diagnostic_block_size_changes_no_bit(monkeypatch, block_terms):
     rng = np.random.default_rng(24)
@@ -364,8 +403,7 @@ def test_diagnostic_frequency_mode_matches_brute_force_mc():
                                        features=feats, weight=weight)
     z = (feats @ weight)[:, 0]
     prop = g.prop.to_dense()
-    parts = [partition_epoch(9, 2, s).batches
-             for s in np.random.SeedSequence(27).spawn(trials)]
+    parts = _diagnostic_trial_batches(9, 2, trials, 27)
     counts = np.zeros((9, 9))
     for batches in parts:
         for batch in batches:

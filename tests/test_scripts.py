@@ -35,3 +35,15 @@ def test_bias_study_writes_a_table_per_budget(tmp_path):
                 list(range(12))
             if budget == 12:  # one batch holds every vertex: exact
                 assert all(float(r["bias"]) == 0.0 for r in mine)
+
+
+def test_quickstart_trains_and_writes_its_maps(tmp_path):
+    done = subprocess.run([sys.executable,
+                           os.path.join(SCRIPTS, "synth_quickstart.py"),
+                           "--size", "16", "--bands", "8", "--epochs", "2",
+                           "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("map_minigcn.ppm", "map_funet-c.ppm", "truth.ppm",
+                 "legend.txt"):
+        assert (tmp_path / name).stat().st_size > 0
