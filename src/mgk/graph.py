@@ -6,11 +6,15 @@ with Gaussian weights exp(-d^2 / sigma^2). Distances are meant to be taken
 on min-max normalized features (see data.normalize_bands); the builder does
 not renormalize its input.
 
-The builder never holds an n x n array: it computes distances for a block
-of rows at a time (at most ``KNN_BLOCK_ENTRIES`` distances, or one row if n
-is larger), keeps each row's k nearest with a partial selection (lower
-vertex index first among equal distances) and weights each edge from the
-distance its block computed.
+One builder takes ``(n, bands)`` features for one graph, or
+``(C, c, bands)`` for C chunk graphs built at once as one block-diagonal
+graph, vertex ``q*c + i`` being row i of chunk q; inference builds its
+chunk graphs that way. The builder never holds an n x n array: it computes
+distances for whole chunks, or rows of one chunk, at a time (at most
+``KNN_BLOCK_ENTRIES`` distances, or one row if c is larger), keeps each
+row's k nearest with a partial selection (lower vertex index first among
+equal distances) and weights each edge from the distance its block
+computed.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .linalg import SparseSymMatrix
 
-# Distances held at once by the KNN build: rows are processed in blocks of
-# max(1, KNN_BLOCK_ENTRIES // n), about 8 MiB of float64 per temporary.
+# Distances held at once by the KNN build (one row if a chunk is larger),
+# about 8 MiB of float64 per temporary.
 KNN_BLOCK_ENTRIES = 1 << 20
 
 
@@ -47,50 +51,78 @@ class Graph:
 def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     """Build the union-symmetrized KNN graph with RBF edge weights.
 
+    ``features`` is one graph's ``(n, bands)`` vertices, or ``(C, c, bands)``
+    for C graphs of c vertices each, built as one: vertex ``q*c + i`` is row
+    i of chunk q, neighbours are chosen within each chunk only, and the
+    result is one ``Graph`` of ``C*c`` vertices whose adjacency and ``prop``
+    are block-diagonal, block q bitwise the graph of chunk q built alone.
+
     Each vertex selects its k nearest other vertices; an edge exists if
     either endpoint selected the other. Among equal distances the lower
     vertex index wins, and duplicates at distance zero count against the k
     budget with weight 1: the selection is the first k of each row's stable
-    sort by distance. Rows are processed in blocks of at most
-    ``KNN_BLOCK_ENTRIES`` distances (one row if n is larger), so memory is
-    O(n * k) plus one block, never n x n. An edge's weight comes from the distance in the row of its
-    lower endpoint when that endpoint selected it, and from the other
-    endpoint's row otherwise.
+    sort by distance. Distances are computed in blocks of at most
+    ``KNN_BLOCK_ENTRIES``: whole chunks while one chunk's c x c fits, row
+    ranges of one chunk (one row if c is larger) otherwise, so memory is
+    O(n * k) plus one block, never n x n. An edge's weight comes from the
+    distance in the row of its lower endpoint when that endpoint selected
+    it, and from the other endpoint's row otherwise.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"features must be 2-D, got shape {x.shape}")
-    n = x.shape[0]
-    if n < 2:
-        raise ContractError(f"need at least 2 vertices, got {n}")
-    if not (1 <= k < n):
-        raise ContractError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    if x.ndim not in (2, 3):
+        raise ShapeError("features must be (n, bands) or (C, c, bands), "
+                         f"got shape {x.shape}")
+    size = "n" if x.ndim == 2 else "c"
+    if x.ndim == 2:
+        x = x[None]
+    chunks, c = x.shape[:2]
+    if chunks < 1:
+        raise ShapeError(f"features hold no chunks, got shape {x.shape}")
+    if c < 2:
+        raise ContractError(f"need at least 2 vertices, got {size}={c}")
+    if not (1 <= k < c):
+        raise ContractError(
+            f"k must satisfy 1 <= k < {size}, got k={k}, {size}={c}")
     if not (sigma > 0):
         raise ContractError(f"sigma must be positive, got {sigma}")
     if not np.all(np.isfinite(x)):
         raise ContractError("features must be finite")
 
-    sq = np.sum(x * x, axis=1)
-    rows_per_block = max(1, KNN_BLOCK_ENTRIES // n)
+    n = chunks * c
+    sq = np.sum(x * x, axis=2)
+    if c * c <= KNN_BLOCK_ENTRIES:
+        per_block = KNN_BLOCK_ENTRIES // (c * c)
+        blocks = [(q, q + per_block, 0, c)
+                  for q in range(0, chunks, per_block)]
+    else:
+        rows_per_block = max(1, KNN_BLOCK_ENTRIES // c)
+        blocks = [(q, q + 1, start, min(start + rows_per_block, c))
+                  for q in range(chunks)
+                  for start in range(0, c, rows_per_block)]
     src, dst, dist = [], [], []
-    for start in range(0, n, rows_per_block):
-        blk = slice(start, min(start + rows_per_block, n))
-        d2 = sq[blk, None] + sq[None, :] - 2.0 * (x[blk] @ x.T)
+    for q0, q1, start, stop in blocks:
+        xb = x[q0:q1]
+        # one row per vertex of the block, one column per vertex of its chunk
+        d2 = (sq[q0:q1, start:stop, None] + sq[q0:q1, None, :]
+              - 2.0 * (xb[:, start:stop] @ xb.transpose(0, 2, 1))
+              ).reshape(-1, c)
         np.maximum(d2, 0.0, out=d2)
         local = np.arange(d2.shape[0])
-        d2[local, start + local] = np.inf
+        d2[local, (start + local) % c] = np.inf
         # every row has at least k candidates at or below its k-th distance;
         # a stable sort of the candidates by distance keeps the lower index
         # among ties, as a stable sort of the whole row would
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        r, c = np.nonzero(d2 <= kth[:, None])
-        d = d2[r, c]
-        order = np.lexsort((c, d, r))
-        r, c, d = r[order], c[order], d[order]
+        r, col = np.nonzero(d2 <= kth[:, None])
+        d = d2[r, col]
+        r = q0 * c + start + r
+        col = col + r - r % c
+        order = np.lexsort((col, d, r))
+        r, col, d = r[order], col[order], d[order]
         rank = np.arange(r.size) - np.searchsorted(r, r)
         keep = rank < k
-        src.append(start + r[keep])
-        dst.append(c[keep])
+        src.append(r[keep])
+        dst.append(col[keep])
         dist.append(d[keep])
     src = np.concatenate(src)
     dst = np.concatenate(dst)

@@ -4,8 +4,11 @@ This is the glue between the file formats and the math modules. The
 training graph is built on training pixels only, so inference is inductive:
 ``predict_pixels`` reads only the normalized cube, and each inference chunk
 builds its own small KNN graph among the chunk's pixels from the (k, sigma)
-its caller passes. The checkpoint does not record the training graph's
-(k, sigma), so inference must be given the values used in training.
+its caller passes. For graph-only models, up to ``PREDICT_GROUP_ROWS`` rows
+of full chunks are built as one stacked, block-diagonal graph and run
+through one forward; the logits are bitwise those of one chunk at a time.
+The checkpoint does not record the training graph's (k, sigma), so
+inference must be given the values used in training.
 Everything downstream of a seed is deterministic, including the training
 log and checkpoint bytes.
 """
@@ -26,6 +29,10 @@ from .metrics import ConfusionMatrix, accumulate, overall_accuracy
 from .model import Model, ModelConfig, build, loss_and_grads, predict
 from .optim import AdamState, LrPolicy, adam_step, schedule_lr
 from .sampler import SubgraphBatch, induce_subgraph, partition_epoch
+
+# Rows per inference group of a graph-only model's full chunks; at least
+# one chunk.
+PREDICT_GROUP_ROWS = 1024
 
 
 def check_labels_match(cube: SpectralCube, grid: LabelGrid) -> None:
@@ -89,15 +96,16 @@ def _one_hot(classes: np.ndarray, width: int) -> np.ndarray:
 
 
 def chunk_prop(features: np.ndarray, k: int, sigma: float) -> SparseSymMatrix:
-    """Within-chunk propagation operator for inference.
+    """Block-diagonal propagation operator of C inference chunks.
 
-    k is clamped to chunk_size - 1 for undersized trailing chunks; a
+    ``features`` is ``(C, c, bands)``; block q is the operator of chunk q's
+    own KNN graph. k is clamped to c - 1 for undersized trailing chunks; a
     singleton chunk propagates through its self-loop alone.
     """
-    n = features.shape[0]
-    if n == 1:
-        return SparseSymMatrix.identity(1)
-    return build_knn_rbf_graph(features, min(k, n - 1), sigma).prop
+    chunks, c = features.shape[:2]
+    if c == 1:
+        return SparseSymMatrix.identity(chunks)
+    return build_knn_rbf_graph(features, min(k, c - 1), sigma).prop
 
 
 def fold_singleton_tail(batches: tuple) -> tuple:
@@ -207,26 +215,44 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     """Zero-based predicted classes for arbitrary pixels of a normalized
     cube, chunked.
 
-    Chunks follow the given pixel order; graph architectures get a fresh
-    within-chunk KNN graph per chunk, built with ``graph_k`` and
-    ``graph_sigma``, which must be the values the model was trained with.
+    Chunks of ``batch`` pixels follow the given pixel order; graph
+    architectures get a fresh within-chunk KNN graph per chunk, built with
+    ``graph_k`` and ``graph_sigma``, which must be the values the model was
+    trained with. Full chunks run in groups of up to ``PREDICT_GROUP_ROWS``
+    rows (at least one chunk): one stacked KNN build and one eval-mode
+    forward per group, over the block-diagonal operator of its chunks. A
+    short trailing chunk is a group of its own. Patch architectures keep
+    one chunk per group, since their conv temporaries grow with the rows,
+    and so do one-pixel chunks: numpy multiplies a single row as a vector,
+    whose sums may differ in the last bit from a matrix product's. Each
+    chunk keeps its own graph and eval mode acts row by row, so the logits
+    do not depend on the grouping.
     """
     if batch < 1:
         raise ContractError(f"inference batch must be >= 1, got {batch}")
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
     cfg = mdl.cfg
-    out = np.empty(pixel_ids.size, dtype=np.int64)
-    for start in range(0, pixel_ids.size, batch):
-        ids = pixel_ids[start:start + batch]
+    size = pixel_ids.size
+    full = size - size % batch
+    step = batch if cfg.uses_patches or batch == 1 \
+        else max(1, PREDICT_GROUP_ROWS // batch) * batch
+    groups = [(start, min(start + step, full), batch)
+              for start in range(0, full, step)]
+    if full < size:
+        groups.append((full, size, size - full))
+    out = np.empty(size, dtype=np.int64)
+    for start, stop, c in groups:
+        ids = pixel_ids[start:stop]
         prop = feats = None
         if cfg.uses_graph:
             feats = cube.pixels(ids)
-            prop = chunk_prop(feats, graph_k, graph_sigma)
+            prop = chunk_prop(feats.reshape(-1, c, feats.shape[1]), graph_k,
+                              graph_sigma)
         sub = SubgraphBatch(node_ids=np.arange(ids.size), prop_s=prop,
                             features=feats)
         p = extract_patches(cube, ids, cfg.patch_size) \
             if cfg.uses_patches else None
-        out[start:start + batch] = predict(mdl, sub, patches=p)
+        out[start:stop] = predict(mdl, sub, patches=p)
     return out
 
 

@@ -38,8 +38,6 @@ class EpochPartition:
     """One epoch's disjoint batches covering all n vertices."""
 
     batches: tuple
-    budget: int
-    seed: object
 
 
 def partition_epoch(n: int, m: int, seed) -> EpochPartition:
@@ -56,7 +54,7 @@ def partition_epoch(n: int, m: int, seed) -> EpochPartition:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     batches = tuple(perm[i:i + m] for i in range(0, n, m))
-    return EpochPartition(batches=batches, budget=m, seed=seed)
+    return EpochPartition(batches=batches)
 
 
 @dataclass
@@ -193,9 +191,6 @@ class BiasReport:
     vertex_ids: np.ndarray
     target: np.ndarray
     modes: dict
-    budget: int
-    trials: int
-    seed: object
 
 
 def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
@@ -280,8 +275,7 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
         mc_mean = first[mode] + shift + b
         modes[mode] = BiasStats(mc_mean=mc_mean, bias=mc_mean - target,
                                 variance=var, stderr=np.sqrt(var / trials))
-    return BiasReport(vertex_ids=np.arange(n), target=target, modes=modes,
-                      budget=m, trials=trials, seed=seed)
+    return BiasReport(vertex_ids=np.arange(n), target=target, modes=modes)
 
 
 BIAS_CSV_FIELDS = ("vertex_id", "target", "mc_mean", "bias", "stderr", "mode")

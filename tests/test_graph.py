@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mgk.graph
 from conftest import assert_same_triplets, lexsort_canonical
-from mgk.errors import ContractError
+from mgk.errors import ContractError, ShapeError
 from mgk.graph import (Graph, _renorm_prop, build_knn_rbf_graph,
                        chebyshev_scaled, laplacian, renormalized_propagation,
                        sym_normalized_laplacian)
@@ -91,6 +91,63 @@ def test_blocked_build_matches_the_argsort_reference(data):
     assert np.array_equal(g.adjacency.cols, adj.cols)
     assert np.array_equal(g.adjacency.vals, adj.vals)
     assert np.array_equal(g.prop.vals, prop.vals)
+
+
+def _diagonal_block(s, q, c):
+    """Triplets of block q of a block-diagonal operator with c-vertex
+    blocks, shifted to local indices."""
+    at = (s.rows >= q * c) & (s.rows < (q + 1) * c)
+    return s.rows[at] - q * c, s.cols[at] - q * c, s.vals[at]
+
+
+@given(st.data())
+def test_stacked_build_is_the_per_chunk_builds_on_the_diagonal(data):
+    chunks = data.draw(st.integers(1, 4))
+    c = data.draw(st.integers(2, 20))
+    d = data.draw(st.integers(1, 5))
+    shape = (chunks, c, d)
+    if data.draw(st.booleans()):
+        # float32 values, as spectra read from a cube are
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        feats = np.random.default_rng(seed).random(shape) \
+            .astype(np.float32).astype(np.float64)
+    else:
+        # small integers: ties, and duplicate rows at distance zero
+        feats = np.array(data.draw(st.lists(
+            st.integers(0, 2), min_size=chunks * c * d,
+            max_size=chunks * c * d)), dtype=np.float64).reshape(shape)
+    k = data.draw(st.integers(1, c - 1))
+    sigma = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    # several whole chunks per block, or row ranges of one chunk
+    if data.draw(st.booleans()):
+        entries = data.draw(st.integers(1, chunks)) * c * c
+    else:
+        entries = data.draw(st.integers(1, c - 1)) * c
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries)
+        g = build_knn_rbf_graph(feats, k, sigma)
+        alone = [build_knn_rbf_graph(f, k, sigma) for f in feats]
+    assert g.n == chunks * c
+    for name in ("adjacency", "prop"):
+        s = getattr(g, name)
+        # no entry leaves its chunk's block
+        assert np.array_equal(s.rows // c, s.cols // c)
+        for q, one in enumerate(alone):
+            assert_same_triplets(getattr(one, name),
+                                 _diagonal_block(s, q, c))
+
+
+def test_build_names_the_bad_shape_or_chunk_size():
+    for feats in (np.zeros(4), np.zeros((2, 2, 3, 1))):
+        with pytest.raises(ShapeError, match="features must be"):
+            build_knn_rbf_graph(feats, 1, 1.0)
+    with pytest.raises(ContractError, match="c=1"):
+        build_knn_rbf_graph(np.zeros((3, 1, 2)), 1, 1.0)
+    for k in (4, 0):
+        with pytest.raises(ContractError, match=f"k={k}, c=4"):
+            build_knn_rbf_graph(np.zeros((2, 4, 2)), k, 1.0)
+    with pytest.raises(ContractError, match="k=3, n=3"):
+        build_knn_rbf_graph(np.zeros((3, 2)), 3, 1.0)
 
 
 def test_build_memory_stays_far_below_one_dense_matrix():

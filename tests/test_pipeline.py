@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mgk.model
 import mgk.pipeline
 from mgk.data import LabelGrid, SplitSpec, synth_scene
 from mgk.errors import ConfigError, ContractError, NumericError
 from mgk.metrics import overall_accuracy
-from mgk.model import build, save_model
-from mgk.pipeline import (Dataset, dataset_from_parts, evaluate_part,
+from mgk.graph import build_knn_rbf_graph
+from mgk.model import ARCHITECTURES, build, save_model
+from mgk.pipeline import (Dataset, chunk_prop, dataset_from_parts,
+                          evaluate_part,
                           fold_singleton_tail, format_log_rows,
                           infer_model_config, predict_pixels, train_model)
 from mgk.sampler import partition_epoch
@@ -144,6 +149,104 @@ def test_predict_pixels_handles_trailing_singleton_chunk(small_ds):
                            graph_k=5, graph_sigma=1.0)
     assert preds.size == take.size
     assert preds.min() >= 0 and preds.max() < 3
+
+
+@pytest.fixture(scope="module")
+def map_ds():
+    # more than two groups of PREDICT_GROUP_ROWS pixels
+    cube, grid, split = synth_scene(classes=3, size=46, bands=6,
+                                    noise_sigma=0.02, seed=7,
+                                    train_per_class=8)
+    return dataset_from_parts(cube, grid, split)
+
+
+def _logged_prediction(mdl, cube, ids, batch):
+    """Predictions, the logits of every forward in call order, and the
+    number of predict calls."""
+    logits, calls = [], []
+    forward, predict = mgk.model.forward, mgk.pipeline.predict
+
+    def logged_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits.append(out[0])
+        return out
+
+    def counted_predict(*args, **kwargs):
+        calls.append(args)
+        return predict(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.model, "forward", logged_forward)
+        mp.setattr(mgk.pipeline, "predict", counted_predict)
+        preds = predict_pixels(mdl, cube, ids, batch=batch,
+                               graph_k=TRAIN_KW["graph_k"], graph_sigma=1.0)
+    return preds, np.concatenate(logits), len(calls)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_grouped_inference_matches_one_chunk_groups(map_ds, arch):
+    mdl = train_model(map_ds, small_cfg(map_ds, arch),
+                      **{**TRAIN_KW, "epochs": 1}).model
+    full = 2048  # two groups at every batch below
+    for batch in (16, 32, 1024):
+        for tail in (1, 2, TRAIN_KW["graph_k"]):
+            ids = np.arange(full + tail)
+            preds, logits, calls = _logged_prediction(mdl, map_ds.cube,
+                                                      ids, batch)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mgk.pipeline, "PREDICT_GROUP_ROWS", 1)
+                want_preds, want_logits, chunks = _logged_prediction(
+                    mdl, map_ds.cube, ids, batch)
+            assert np.array_equal(preds, want_preds)
+            assert np.array_equal(logits.view(np.uint64),
+                                  want_logits.view(np.uint64))
+            assert chunks == full // batch + 1
+            # a graph-only model: one call per group plus one for the tail
+            assert calls == (chunks if mdl.cfg.uses_patches else 3)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "minigcn"])
+def test_one_pixel_chunks_stay_one_per_forward(map_ds, arch):
+    # a one-row forward multiplies a vector, whose sums may differ in the
+    # last bit from the same row's in a matrix product
+    mdl = train_model(map_ds, small_cfg(map_ds, arch),
+                      **{**TRAIN_KW, "epochs": 1}).model
+    ids = np.arange(300)
+    preds, logits, calls = _logged_prediction(mdl, map_ds.cube, ids, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.pipeline, "PREDICT_GROUP_ROWS", 1)
+        want_preds, want_logits, _ = _logged_prediction(mdl, map_ds.cube,
+                                                        ids, 1)
+    assert np.array_equal(logits.view(np.uint64),
+                          want_logits.view(np.uint64))
+    assert np.array_equal(preds, want_preds)
+    assert calls == ids.size
+
+
+def test_grouped_inference_peaks_no_higher_than_one_wide_chunk(map_ds):
+    mdl = train_model(map_ds, small_cfg(map_ds),
+                      **{**TRAIN_KW, "epochs": 1}).model
+    ids = np.arange(2048)
+    peaks = []
+    for batch in (32, 1024):
+        tracemalloc.start()
+        try:
+            predict_pixels(mdl, map_ds.cube, ids, batch=batch, graph_k=5,
+                           graph_sigma=1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+def test_chunk_prop_clamps_k_and_gives_singletons_the_identity():
+    feats = np.random.default_rng(3).random((3, 4, 2))
+    got = chunk_prop(feats, 10, 1.0)
+    want = build_knn_rbf_graph(feats, 3, 1.0).prop
+    for field in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    one = chunk_prop(feats[:, :1], 5, 1.0)
+    assert np.array_equal(one.to_dense(), np.eye(3))
 
 
 def test_evaluate_part_counts_every_pixel(small_ds):
