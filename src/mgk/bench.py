@@ -1,15 +1,16 @@
 """Wall-time scaling measurement for the two training regimes.
 
-For each graph size N the harness builds a random sparse graph, then times
-one forward+backward graph-conv pass per repeat:
+For each graph size N the harness builds a KNN graph on seeded random
+points with ``build_knn_rbf_graph`` (untimed), then times one graph-conv
+layer forward+backward as training runs it:
 
-* ``full-gcn``  -- the whole graph at once through a dense propagation
-  matrix (exposes the N^2 D term); a sparse-operator timing is recorded
-  alongside under mode ``full-gcn-sparse`` for honesty. Each sparse pass
-  runs on its own copy of the operator, so it pays for one product plan,
-  as a training epoch on a freshly induced operator does.
-* ``minigcn``   -- an epoch's worth of node-budget batches, each a small
-  dense subgraph operator (linear in N for fixed budget).
+* ``full-gcn``  -- the whole graph through the dense propagation matrix,
+  the N^2 D reference; under mode ``full-gcn-sparse``, what ``gcn``
+  training runs every epoch: ``induce_subgraph`` on every vertex, then one
+  pass, which builds the new operator's product plan.
+* ``minigcn``   -- one training epoch: a ``partition_epoch`` draw, then
+  each batch's ``induce_subgraph(...).prop_s`` and one pass on the batch
+  (linear in N for a fixed budget).
 
 Per-pass seconds come from timeit-style autoranged inner loops so the
 measurements stay above clock resolution; the least-squares slope of
@@ -26,14 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .graph import _renorm_prop
-from .linalg import SparseSymMatrix
+from .graph import build_knn_rbf_graph
 from . import nn
-from .sampler import partition_epoch
+from .sampler import induce_subgraph, partition_epoch
 
 BENCH_MODES = ("full-gcn", "minigcn")
 CSV_FIELDS = ("mode", "n", "d", "p", "m", "repeat", "seconds")
 DEFAULT_N_GRID = (256, 512, 1024, 2048)
+# neighbours each vertex selects in the bench graphs
+GRAPH_K = 8
 
 
 @dataclass
@@ -54,19 +56,6 @@ class ScalingReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _random_graph_prop(n: int, rng, k: int = 8) -> SparseSymMatrix:
-    """Propagation operator of a random ~k-neighbor graph on n vertices."""
-    src = np.repeat(np.arange(n), k)
-    dst = rng.integers(0, n, size=src.size)
-    keep = src != dst
-    lo = np.minimum(src[keep], dst[keep])
-    hi = np.maximum(src[keep], dst[keep])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    w = rng.uniform(0.1, 1.0, size=pairs.shape[0])
-    adj = SparseSymMatrix(n, pairs[:, 0], pairs[:, 1], w)
-    return _renorm_prop(adj)
-
-
 def _autorange(sample, min_sample=0.02):
     """Calls per timing sample so each sample takes >= min_sample seconds.
 
@@ -80,18 +69,12 @@ def _autorange(sample, min_sample=0.02):
         inner *= 2 if elapsed > min_sample / 4 else 10
 
 
-def _time_pass(fn, repeats: int, fresh=lambda: None) -> list:
-    """Per-call seconds of ``fn(fresh())``, one value per repeat.
-
-    Every call gets its own ``fresh()`` result, made before the sample's
-    timer starts, so what one call caches on its argument (a sparse
-    operator's product plan) is never reused by another timed call.
-    """
+def _time_pass(fn, repeats: int) -> list:
+    """Per-call seconds of ``fn()``, one value per repeat."""
     def sample(inner):
-        args = [fresh() for _ in range(inner)]
         t0 = time.perf_counter()
-        for arg in args:
-            fn(arg)
+        for _ in range(inner):
+            fn()
         return time.perf_counter() - t0
 
     inner = _autorange(sample)
@@ -124,19 +107,35 @@ def _layer_pass(prop, h, params, dout):
     return out
 
 
+def check_scaling_args(modes, n_grid, d: int, p: int, m: int,
+                       repeats: int) -> tuple:
+    """Refuse, naming the value, any argument that one of ``modes`` could
+    not run with; returns the grid as a tuple of ints."""
+    for mode in modes:
+        if mode not in BENCH_MODES:
+            raise ContractError(
+                f"mode must be one of {BENCH_MODES}, got {mode!r}")
+    n_grid = tuple(int(n) for n in n_grid)
+    if len(n_grid) < 2 or sorted(set(n_grid)) != list(n_grid):
+        raise ContractError(f"n_grid must be strictly increasing, length "
+                            f">= 2, got {n_grid}")
+    if n_grid[0] <= GRAPH_K:
+        raise ContractError(f"n_grid's smallest n={n_grid[0]} must exceed "
+                            f"the bench graph's k={GRAPH_K}")
+    if d < 1 or p < 1:
+        raise ContractError(f"d and p must be >= 1, got d={d}, p={p}")
+    if repeats < 3:
+        raise ContractError(f"need >= 3 repeats for medians, got {repeats}")
+    if "minigcn" in modes and not (1 <= m <= n_grid[0]):
+        raise ContractError(f"budget m={m} must satisfy 1 <= m <= "
+                            f"{n_grid[0]}, the smallest n")
+    return n_grid
+
+
 def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
                 m: int = 32, repeats: int = 5, seed=0) -> ScalingReport:
     """Time forward+backward passes across the size grid for one mode."""
-    if mode not in BENCH_MODES:
-        raise ContractError(f"mode must be one of {BENCH_MODES}, got {mode!r}")
-    n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 2 or sorted(set(n_grid)) != list(n_grid):
-        raise ContractError("n_grid must be strictly increasing, length >= 2")
-    if repeats < 3:
-        raise ContractError(f"need >= 3 repeats for medians, got {repeats}")
-    if mode == "minigcn" and not (1 <= m <= min(n_grid)):
-        raise ContractError(f"budget m={m} must fit the smallest n")
-
+    n_grid = check_scaling_args((mode,), n_grid, d, p, m, repeats)
     report = ScalingReport(metadata={
         "platform": platform.platform(),
         "python": platform.python_version(),
@@ -144,52 +143,36 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
         "d": d, "p": p, "m": m, "repeats": repeats, "seed": seed,
     })
     rng = np.random.default_rng(seed)
-    medians = {}
     for n in n_grid:
-        prop = _random_graph_prop(n, rng)
+        g = build_knn_rbf_graph(rng.random((n, 3)), GRAPH_K, 1.0)
         h = rng.standard_normal((n, d))
         params = nn.make_graph_conv(rng, d, p)
         dout = rng.standard_normal((n, p))
         if mode == "full-gcn":
-            dense = prop.to_dense()
-            samples = _time_pass(lambda _: _layer_pass(dense, h, params, dout),
+            dense = g.prop.to_dense()
+            samples = _time_pass(lambda: _layer_pass(dense, h, params, dout),
                                  repeats)
-            # training builds a new operator every epoch, so every timed
-            # pass gets its own copy and pays for one product plan
+            every = np.arange(n)
             sparse_samples = _time_pass(
-                lambda op: _layer_pass(op, h, params, dout), repeats,
-                fresh=lambda: SparseSymMatrix(prop.dim, prop.rows, prop.cols,
-                                              prop.vals),
-            )
+                lambda: _layer_pass(induce_subgraph(g, every).prop_s, h,
+                                    params, dout), repeats)
             for r, s in enumerate(sparse_samples):
                 report.rows.append(BenchRow("full-gcn-sparse", n, d, p, 0,
                                             r, s))
         else:
-            part = partition_epoch(n, m, rng.integers(2 ** 63))
-            batches = []
-            for ids in part.batches:
-                sub = prop.to_dense()[np.ix_(ids, ids)]
-                batches.append((sub, h[ids], dout[ids]))
+            part_seed = rng.integers(2 ** 63)
 
-            def epoch_pass(_):
-                for sub, hb, db in batches:
-                    _layer_pass(sub, hb, params, db)
+            def epoch_pass():
+                for ids in partition_epoch(n, m, part_seed).batches:
+                    _layer_pass(induce_subgraph(g, ids).prop_s, h[ids],
+                                params, dout[ids])
 
             samples = _time_pass(epoch_pass, repeats)
         for r, s in enumerate(samples):
             report.rows.append(
                 BenchRow(mode, n, d, p, m if mode == "minigcn" else 0, r, s)
             )
-        medians.setdefault(mode, []).append(float(np.median(samples)))
-    report.slopes[mode] = fit_loglog_slope(n_grid, medians[mode])
-    if mode == "full-gcn":
-        sparse_meds = [
-            float(np.median([row.seconds for row in report.rows
-                             if row.mode == "full-gcn-sparse" and row.n == n]))
-            for n in n_grid
-        ]
-        report.slopes["full-gcn-sparse"] = fit_loglog_slope(n_grid,
-                                                            sparse_meds)
+    report.slopes = slopes_from_rows(report.rows)
     return report
 
 

@@ -384,11 +384,17 @@ def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
 
 
 def cmd_bias(cfg: RunConfig, budget, trials: int) -> int:
+    if trials < 2:
+        raise ConfigError(f"--trials must be >= 2, got {trials}")
     ds = _load_ds(cfg)
     train_ids, _ = ds.part_pixels("train")
+    m = budget if budget else min(cfg.train.batch, train_ids.size)
+    if not 1 <= m <= train_ids.size:
+        flag = "--budget" if budget else "train.batch"
+        raise ConfigError(f"{flag} must satisfy 1 <= m <= "
+                          f"{train_ids.size} train pixels, got {m}")
     feats = ds.cube.pixels(train_ids)
     g = build_knn_rbf_graph(feats, cfg.graph.k, cfg.graph.sigma)
-    m = budget if budget else min(cfg.train.batch, g.n)
     report = sampler_mod.estimator_bias_diagnostic(
         g, m, trials, cfg.train.seed, features=feats
     )
@@ -404,6 +410,8 @@ def cmd_bias(cfg: RunConfig, budget, trials: int) -> int:
 
 
 def cmd_bench(cfg: RunConfig, modes, n_grid, d, p, m, repeats) -> int:
+    # every mode's arguments are checked before the first one is timed
+    bench_mod.check_scaling_args(modes, n_grid, d, p, m, repeats)
     out = _out_dir(cfg) if (cfg.paths.output or cfg.paths.checkpoint) else "."
     all_rows = []
     slopes = {}

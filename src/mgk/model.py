@@ -334,6 +334,8 @@ def loss_and_grads(model: Model, batch: SubgraphBatch, patches=None,
     """
     if batch.labels is None:
         raise ContractError("training batch has no labels")
+    if l2 < 0:
+        raise ContractError(f"l2 must be >= 0, got {l2}")
     logits, tapes = forward(model, batch, patches, mode="train",
                             bn_momentum=bn_momentum)
     loss, _, ce_tape = nn.softmax_cross_entropy(logits, batch.labels)
@@ -350,8 +352,6 @@ def loss_and_grads(model: Model, batch: SubgraphBatch, patches=None,
         _gcn_branch_backward(dfused, tapes, grads)
     else:
         _cnn_branch_backward(dfused, tapes, grads)
-    if l2 < 0:
-        raise ContractError(f"l2 must be >= 0, got {l2}")
     if l2 > 0:
         for name, layer in model.named_params():
             if layer.kind == "batch_norm":

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import mgk.bench
 from mgk.bench import (BenchRow, DEFAULT_N_GRID, _autorange,
                        fit_loglog_slope, run_scaling, slopes_from_rows,
                        write_csv)
@@ -89,6 +90,35 @@ def test_dense_pass_scales_faster_than_budgeted_pass(small_reports):
     # faster than the constant-budget pass
     full, mini = small_reports
     assert full.slopes["full-gcn"] > mini.slopes["minigcn"] + 0.2
+
+
+def test_timed_passes_induce_what_training_induces(monkeypatch):
+    # each minigcn pass is one epoch: one induce_subgraph per batch of its
+    # partition; each full-gcn-sparse pass induces the whole graph once
+    induced = []
+    real_induce = mgk.bench.induce_subgraph
+
+    def counting_induce(g, ids):
+        induced.append(len(ids))
+        return real_induce(g, ids)
+
+    per_pass = []
+
+    def one_pass(fn, repeats):
+        start = len(induced)
+        fn()
+        per_pass.append(induced[start:])
+        return [1.0] * repeats
+
+    monkeypatch.setattr(mgk.bench, "induce_subgraph", counting_induce)
+    monkeypatch.setattr(mgk.bench, "_time_pass", one_pass)
+    run_scaling("minigcn", n_grid=(64, 100, 256), d=4, p=2, m=16,
+                repeats=3)
+    assert [len(sizes) for sizes in per_pass] == [4, 7, 16]
+    assert [sum(sizes) for sizes in per_pass] == [64, 100, 256]
+    per_pass.clear()
+    run_scaling("full-gcn", n_grid=(64, 100), d=4, p=2, repeats=3)
+    assert per_pass == [[], [64], [], [100]]
 
 
 def test_default_grid_is_strictly_increasing():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import mgk.bench
 import mgk.cli
 import mgk.pipeline
 from mgk.cli import (PALETTE, RunConfig, SEED_ENV_VAR, class_map_rgb,
@@ -604,6 +605,65 @@ def test_bias_with_full_budget_is_exact(scene_dir, tmp_path, capsys,
         assert float(stderr) <= 1e-12
     assert len(lines) == 1 + 24 * len(modes)
     assert len(modes) == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--trials", "1"], "--trials"),
+    (["--budget", "-3"], "--budget"),
+    (["--budget", "100000"], "--budget"),
+])
+def test_bias_checks_its_flags_before_the_graph(scene_dir, tmp_path, capsys,
+                                                monkeypatch, flags, named):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the KNN graph was built")
+
+    monkeypatch.setattr(mgk.cli, "build_knn_rbf_graph", no_graph)
+    out = tmp_path / "bias"
+    assert main(["bias", *flags, *data_flags(scene_dir),
+                 f"--paths.output={out}", "--graph.k=5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named} must ")
+    assert not out.exists()
+
+
+def test_bench_times_every_mode_into_one_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["bench", "--n-grid", "64,128", "--d", "8", "--p", "4",
+                "--m", "16", "--repeats", "3"]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
+    assert lines[0] == "mode,n,d,p,m,repeat,seconds"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert {row[0] for row in rows} == {"full-gcn", "full-gcn-sparse",
+                                        "minigcn"}
+    assert len(rows) == 3 * 2 * 3
+    for mode, n, d, p, m, repeat, seconds in rows:
+        assert (d, p, m) == ("8", "4", "16" if mode == "minigcn" else "0")
+        assert float(seconds) > 0
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--modes", "full-gcn,dense"], "'dense'"),
+    (["--m", "0"], "m=0"),
+    (["--m", "65"], "m=65"),
+    (["--n-grid", "8,64"], "n=8"),
+    (["--d", "0"], "d=0"),
+    (["--repeats", "2"], "got 2"),
+])
+def test_bench_checks_every_mode_before_the_first_timing(
+        tmp_path, capsys, monkeypatch, flags, named):
+    def no_timing(*args, **kwargs):
+        raise AssertionError("a pass was timed")
+
+    monkeypatch.setattr(mgk.bench, "_time_pass", no_timing)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--n-grid", "64,128", "--repeats", "3",
+                 *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_class_map_rgb_palette_rules():

@@ -232,6 +232,24 @@ def test_l2_rejects_negative():
         loss_and_grads(model, batch, l2=-0.5)
 
 
+def test_l2_is_refused_before_the_running_statistics_move():
+    rng = np.random.default_rng(8)
+    model = build(toy_cfg("minigcn"), seed=4)
+    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    norms = [layer for _, layer in model.named_params()
+             if layer.kind == "batch_norm"]
+    before = [(layer.bn_running_mean.copy(), layer.bn_running_var.copy())
+              for layer in norms]
+    with pytest.raises(ContractError, match="l2"):
+        loss_and_grads(model, batch, l2=-1.0)
+    assert norms
+    for layer, (mean, var) in zip(norms, before):
+        assert np.array_equal(layer.bn_running_mean.view(np.uint64),
+                              mean.view(np.uint64))
+        assert np.array_equal(layer.bn_running_var.view(np.uint64),
+                              var.view(np.uint64))
+
+
 def test_loss_requires_labels():
     rng = np.random.default_rng(8)
     model = build(toy_cfg("gcn"))
