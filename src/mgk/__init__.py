@@ -10,12 +10,12 @@ from .errors import (ConfigError, ContractError, FormatError, MgkError,
 from .linalg import SparseSymMatrix, multiply, symmetric_eigendecomposition
 from .graph import (Graph, build_knn_rbf_graph, chebyshev_scaled, laplacian,
                     renormalized_propagation, sym_normalized_laplacian)
-from .spectral import (SpectralFilter, chebyshev_filter, first_order_filter,
-                       first_order_as_chebyshev, graph_fourier,
+from .spectral import (chebyshev_filter, first_order_as_chebyshev,
+                       first_order_filter, graph_fourier,
                        inverse_graph_fourier, spectral_filter)
-from .sampler import (EpochPartition, SubgraphBatch, estimator_bias_diagnostic,
+from .sampler import (SubgraphBatch, estimator_bias_diagnostic,
                       induce_subgraph, node_estimate, partition_epoch)
-from .optim import AdamState, LrPolicy, adam_step, schedule_lr
+from .optim import AdamState, adam_step, schedule_lr
 from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patch,
                    extract_patches, load_cube, load_labels, load_split,
                    normalize_bands, save_cube, save_labels, save_split,
@@ -37,12 +37,11 @@ __all__ = [
     "SparseSymMatrix", "multiply", "symmetric_eigendecomposition",
     "Graph", "build_knn_rbf_graph", "laplacian", "sym_normalized_laplacian",
     "renormalized_propagation", "chebyshev_scaled",
-    "SpectralFilter", "spectral_filter", "chebyshev_filter",
-    "first_order_filter", "first_order_as_chebyshev", "graph_fourier",
-    "inverse_graph_fourier",
-    "EpochPartition", "SubgraphBatch", "partition_epoch", "induce_subgraph",
-    "node_estimate", "estimator_bias_diagnostic",
-    "AdamState", "LrPolicy", "adam_step", "schedule_lr",
+    "spectral_filter", "chebyshev_filter", "first_order_filter",
+    "first_order_as_chebyshev", "graph_fourier", "inverse_graph_fourier",
+    "SubgraphBatch", "partition_epoch", "induce_subgraph", "node_estimate",
+    "estimator_bias_diagnostic",
+    "AdamState", "adam_step", "schedule_lr",
     "SpectralCube", "LabelGrid", "SplitSpec", "load_cube", "save_cube",
     "load_labels", "save_labels", "load_split", "save_split",
     "normalize_bands", "extract_patch", "extract_patches", "synth_scene",

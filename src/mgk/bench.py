@@ -20,7 +20,6 @@ log(time) against log(N) is the headline number.
 from __future__ import annotations
 
 import csv
-import platform
 import time
 from dataclasses import dataclass, field
 
@@ -53,7 +52,6 @@ class BenchRow:
 class ScalingReport:
     rows: list = field(default_factory=list)
     slopes: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
 
 def _autorange(sample, min_sample=0.02):
@@ -136,12 +134,7 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
                 m: int = 32, repeats: int = 5, seed=0) -> ScalingReport:
     """Time forward+backward passes across the size grid for one mode."""
     n_grid = check_scaling_args((mode,), n_grid, d, p, m, repeats)
-    report = ScalingReport(metadata={
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "d": d, "p": p, "m": m, "repeats": repeats, "seed": seed,
-    })
+    report = ScalingReport()
     rng = np.random.default_rng(seed)
     for n in n_grid:
         g = build_knn_rbf_graph(rng.random((n, 3)), GRAPH_K, 1.0)
@@ -163,7 +156,7 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
             part_seed = rng.integers(2 ** 63)
 
             def epoch_pass():
-                for ids in partition_epoch(n, m, part_seed).batches:
+                for ids in partition_epoch(n, m, part_seed):
                     _layer_pass(induce_subgraph(g, ids).prop_s, h[ids],
                                 params, dout[ids])
 

@@ -171,7 +171,28 @@ def _read_header(data: bytes, magic: bytes, what: str):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unparseable {what} header: {exc}",
                           offset=len(magic)) from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{what} header must be a JSON object",
+                          offset=len(magic))
     return header, nl + 1
+
+
+def _is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer in int64 range; a bool,
+    a float such as 3.0 and a string such as "3" are not."""
+    return type(value) is int and -2 ** 63 <= value < 2 ** 63
+
+
+def _header_dims(header: dict, keys, what: str) -> tuple:
+    """The header's named dims; a FormatError names one that is missing or
+    is not a positive integer."""
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"{what} header is missing {key!r}", offset=4)
+        if not (_is_json_int(header[key]) and header[key] >= 1):
+            raise FormatError(f"{what} header {key!r} must be a positive "
+                              f"integer, got {header[key]!r}", offset=4)
+    return tuple(header[key] for key in keys)
 
 
 def save_cube(path, cube: SpectralCube) -> None:
@@ -196,7 +217,8 @@ def load_cube(path) -> SpectralCube:
     with open(path, "rb") as fh:
         data = fh.read()
     header, start = _read_header(data, CUBE_MAGIC, "cube")
-    for key in ("height", "width", "bands", "dtype", "order"):
+    h, w, d = _header_dims(header, ("height", "width", "bands"), "cube")
+    for key in ("dtype", "order"):
         if key not in header:
             raise FormatError(f"cube header is missing {key!r}", offset=4)
     if header["dtype"] != "f32le" or header["order"] != "band-sequential":
@@ -204,10 +226,6 @@ def load_cube(path) -> SpectralCube:
             f"unsupported cube encoding {header['dtype']}/{header['order']}",
             offset=4,
         )
-    h, w, d = (int(header[k]) for k in ("height", "width", "bands"))
-    if min(h, w, d) < 1:
-        raise FormatError(f"cube dims must be positive, got {h}x{w}x{d}",
-                          offset=4)
     expected = h * w * d * 4
     if len(data) - start != expected:
         raise FormatError(
@@ -231,12 +249,7 @@ def load_labels(path) -> LabelGrid:
     with open(path, "rb") as fh:
         data = fh.read()
     header, start = _read_header(data, LABEL_MAGIC, "labels")
-    for key in ("height", "width"):
-        if key not in header:
-            raise FormatError(f"label header is missing {key!r}", offset=4)
-    h, w = int(header["height"]), int(header["width"])
-    if min(h, w) < 1:
-        raise FormatError(f"label dims must be positive, got {h}x{w}", offset=4)
+    h, w = _header_dims(header, ("height", "width"), "label")
     expected = h * w * 2
     if len(data) - start != expected:
         raise FormatError(
@@ -268,6 +281,17 @@ def load_split(path) -> SplitSpec:
     if not isinstance(doc, dict) or set(doc) != {"train", "test"}:
         raise FormatError("split JSON must have exactly 'train' and 'test' "
                           "sections")
+    for part, section in doc.items():
+        if not isinstance(section, dict):
+            raise FormatError(f"split section {part!r} must be an object")
+        for c, ids in section.items():
+            if not isinstance(ids, list):
+                raise FormatError(f"split {part} class {c} must be a list of "
+                                  f"pixel ids")
+            bad = [i for i in ids if not _is_json_int(i)]
+            if bad:
+                raise FormatError(f"split {part} class {c}: pixel id "
+                                  f"{bad[0]!r} is not an integer")
     try:
         return SplitSpec(train=doc["train"], test=doc["test"])
     except (TypeError, ValueError) as exc:

@@ -43,8 +43,6 @@ class Graph:
     n: int
     adjacency: SparseSymMatrix
     degree: np.ndarray
-    knn_k: int
-    rbf_sigma: float
     prop: SparseSymMatrix
 
 
@@ -135,8 +133,7 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
 
     adj = SparseSymMatrix(n, keys // n, keys % n, w, require_nonnegative=True)
     degree = adj.row_sums()
-    return Graph(n=n, adjacency=adj, degree=degree, knn_k=k,
-                 rbf_sigma=float(sigma), prop=_renorm_prop(adj))
+    return Graph(n=n, adjacency=adj, degree=degree, prop=_renorm_prop(adj))
 
 
 def _with_diagonal(a: SparseSymMatrix, off_vals, idx, diag_vals

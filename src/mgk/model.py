@@ -30,7 +30,6 @@ from . import nn
 from .sampler import SubgraphBatch
 
 ARCHITECTURES = ("gcn", "minigcn", "cnn2d", "funet-a", "funet-m", "funet-c")
-FUSION_KINDS = ("additive", "multiplicative", "concatenation")
 _ARCH_FUSION = {"funet-a": "additive", "funet-m": "multiplicative",
                 "funet-c": "concatenation"}
 
@@ -66,6 +65,12 @@ class ModelConfig:
             )
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
+        if self.fusion_kind in ("additive", "multiplicative") \
+                and self.cnn_flat_width() != self.gcn_hidden:
+            raise ConfigError(
+                f"{self.architecture} needs matching branch widths; spatial "
+                f"branch emits {self.cnn_flat_width()}, spectral emits "
+                f"{self.gcn_hidden}")
 
     @property
     def fusion_kind(self):
@@ -121,13 +126,6 @@ class Model:
 
 def build(cfg: ModelConfig, seed=0) -> Model:
     """Initialize a model; weights are Glorot-uniform draws from the seed."""
-    if cfg.architecture in ("funet-a", "funet-m") \
-            and cfg.cnn_flat_width() != cfg.gcn_hidden:
-        raise ConfigError(
-            f"{cfg.architecture} needs matching branch widths; spatial "
-            f"branch emits {cfg.cnn_flat_width()}, spectral emits "
-            f"{cfg.gcn_hidden}"
-        )
     rng = np.random.default_rng(seed)
     layers = {}
     order = []

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError
-from .linalg import SparseSymMatrix, multiply
+from .linalg import multiply
 
 BN_EPS = 1e-5
 LAYER_KINDS = ("graph_conv", "conv2d", "fc", "batch_norm")

@@ -1,7 +1,7 @@
 """Adam with bias correction and the stepped square-root LR decay.
 
-The schedule holds the learning rate constant over 50-epoch intervals:
-lr(epoch) = base_lr * (1 - floor(epoch / interval) * interval / max_iter)^0.5,
+``schedule_lr`` holds the learning rate constant over ``LR_INTERVAL`` = 50
+epochs: lr(epoch) = base_lr * (1 - floor(epoch / 50) * 50 / max_iter)^0.5,
 clamped to exactly 0 at epoch == max_iter.
 """
 
@@ -17,6 +17,8 @@ from .nn import TRAINABLE_FIELDS
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# epochs over which schedule_lr holds the learning rate constant
+LR_INTERVAL = 50
 
 
 @dataclass
@@ -71,32 +73,16 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
             arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-@dataclass
-class LrPolicy:
-    """Stepped square-root decay; current_lr tracks the last value served."""
-
-    base_lr: float = 0.001
-    max_iter: int = 200
-    interval: int = 50
-    current_lr: float = 0.0
-
-    def __post_init__(self):
-        if not (self.base_lr > 0):
-            raise ContractError(f"base_lr must be positive, got {self.base_lr}")
-        if self.max_iter < 1 or self.interval < 1:
-            raise ContractError("max_iter and interval must be >= 1")
-
-
-def schedule_lr(policy: LrPolicy, epoch: int) -> float:
-    """Learning rate for an epoch; constant within each interval."""
-    if not (0 <= epoch <= policy.max_iter):
+def schedule_lr(base_lr: float, epoch: int, max_iter: int) -> float:
+    """Learning rate for an epoch, a pure function of the arguments."""
+    if not 0.0 < base_lr < np.inf:
         raise ContractError(
-            f"epoch must lie in [0, {policy.max_iter}], got {epoch}"
-        )
-    if epoch == policy.max_iter:
-        lr = 0.0
-    else:
-        frac = (epoch // policy.interval) * policy.interval / policy.max_iter
-        lr = policy.base_lr * np.sqrt(max(0.0, 1.0 - frac))
-    policy.current_lr = float(lr)
-    return policy.current_lr
+            f"base_lr must be positive and finite, got {base_lr}")
+    if max_iter < 1:
+        raise ContractError(f"max_iter must be >= 1, got {max_iter}")
+    if not (0 <= epoch <= max_iter):
+        raise ContractError(f"epoch must lie in [0, {max_iter}], got {epoch}")
+    if epoch == max_iter:
+        return 0.0
+    frac = (epoch // LR_INTERVAL) * LR_INTERVAL / max_iter
+    return float(base_lr * np.sqrt(max(0.0, 1.0 - frac)))

@@ -16,18 +16,17 @@ log and checkpoint bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
                    load_cube, load_labels, load_split, normalize_bands)
 from .errors import ConfigError, ContractError, NumericError
-from .graph import Graph, build_knn_rbf_graph
+from .graph import build_knn_rbf_graph
 from .linalg import SparseSymMatrix
 from .metrics import ConfusionMatrix, accumulate, overall_accuracy
 from .model import Model, ModelConfig, build, loss_and_grads, predict
-from .optim import AdamState, LrPolicy, adam_step, schedule_lr
+from .optim import AdamState, adam_step, schedule_lr
 from .sampler import SubgraphBatch, induce_subgraph, partition_epoch
 
 # Rows per inference group of a graph-only model's full chunks; at least
@@ -120,7 +119,6 @@ def fold_singleton_tail(batches: tuple) -> tuple:
 class TrainResult:
     model: Model
     log_rows: list  # (epoch, lr, loss, train_oa)
-    graph: Optional[Graph]
 
 
 def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
@@ -141,6 +139,9 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
             f"bn_momentum must be in [0, 1], got {bn_momentum}")
     if not l2 >= 0.0:
         raise ContractError(f"l2 must be >= 0, got {l2}")
+    if l2 == np.inf:
+        raise ContractError(f"l2 must be finite, got {l2}")
+    lrs = [schedule_lr(base_lr, e, epochs) for e in range(epochs)]
     if model_cfg.classes < ds.num_classes:
         raise ContractError(f"model.classes={model_cfg.classes} is below "
                             f"the split's {ds.num_classes} classes")
@@ -168,16 +169,13 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     seeds = np.random.SeedSequence(seed).spawn(epochs + 1)
     mdl = build(model_cfg, seed=seeds[0])
     state = AdamState()
-    policy = LrPolicy(base_lr=base_lr, max_iter=max(epochs, 1)) \
-        if epochs > 0 else None
 
     log_rows = []
-    for epoch in range(epochs):
-        lr = schedule_lr(policy, epoch)
-        part = partition_epoch(n_train, budget, seeds[1 + epoch])
+    for epoch, lr in enumerate(lrs):
+        batches = partition_epoch(n_train, budget, seeds[1 + epoch])
         epoch_loss = 0.0
         preds = np.empty(n_train, dtype=np.int64)
-        for ids in fold_singleton_tail(part.batches):
+        for ids in fold_singleton_tail(batches):
             prop = feats = None
             if graph is not None:
                 prop = induce_subgraph(graph, ids).prop_s
@@ -197,7 +195,7 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
         cm = accumulate(train_classes, preds, model_cfg.classes)
         log_rows.append((epoch, lr, epoch_loss / n_train,
                          overall_accuracy(cm)))
-    return TrainResult(model=mdl, log_rows=log_rows, graph=graph)
+    return TrainResult(model=mdl, log_rows=log_rows)
 
 
 def infer_model_config(ds: Dataset, architecture: str, *, input_bands=0,

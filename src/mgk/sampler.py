@@ -2,7 +2,8 @@
 
 Each epoch draws a fresh uniformly random permutation of the vertices and
 chunks it into batches of at most ``m`` nodes (partition without
-replacement: every vertex appears in exactly one batch per epoch). A batch
+replacement: every vertex appears in exactly one batch per epoch);
+``partition_epoch`` returns them as a tuple of vertex id arrays. A batch
 trains on the subgraph induced by its vertices, whose propagation operator
 is recomputed from the induced adjacency plus self-loops.
 
@@ -33,19 +34,12 @@ from .nn import LayerParams
 BIAS_BLOCK_TERMS = 1 << 20
 
 
-@dataclass(frozen=True)
-class EpochPartition:
-    """One epoch's disjoint batches covering all n vertices."""
-
-    batches: tuple
-
-
-def partition_epoch(n: int, m: int, seed) -> EpochPartition:
+def partition_epoch(n: int, m: int, seed) -> tuple:
     """Chunk a fresh uniform permutation of range(n) into ceil(n/m) batches.
 
-    All batches have m nodes except possibly the last. ``seed`` is anything
-    ``numpy.random.default_rng`` accepts; a fixed seed gives a fixed
-    partition.
+    The batches are a tuple of vertex id arrays; all have m nodes except
+    possibly the last. ``seed`` is anything ``numpy.random.default_rng``
+    accepts; a fixed seed gives a fixed partition.
     """
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
@@ -53,8 +47,7 @@ def partition_epoch(n: int, m: int, seed) -> EpochPartition:
         raise ContractError(f"budget must satisfy 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    batches = tuple(perm[i:i + m] for i in range(0, n, m))
-    return EpochPartition(batches=batches)
+    return tuple(perm[i:i + m] for i in range(0, n, m))
 
 
 @dataclass
@@ -194,8 +187,7 @@ class BiasReport:
 
 
 def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
-                              features=None, weight=None, bias=0.0
-                              ) -> BiasReport:
+                              features=None, weight=None) -> BiasReport:
     """Monte-Carlo bias measurement of the aggregation estimator.
 
     Draws ``trials`` independent epoch partitions with budget ``m``, runs
@@ -228,8 +220,7 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
         weight = rng.standard_normal((features.shape[1], 1))
     weight = np.asarray(weight, dtype=np.float64)
     z = (features @ weight).ravel()
-    b = float(bias)
-    target = g.prop.matmul(z) + b
+    target = g.prop.matmul(z)
 
     # assign[t, v] is vertex v's batch in trial t
     assign = rng.permuted(
@@ -272,7 +263,7 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
         shift = sums[mode] / trials
         var = np.maximum(
             (sqs[mode] - trials * shift ** 2) / (trials - 1), 0.0)
-        mc_mean = first[mode] + shift + b
+        mc_mean = first[mode] + shift
         modes[mode] = BiasStats(mc_mean=mc_mean, bias=mc_mean - target,
                                 variance=var, stderr=np.sqrt(var / trials))
     return BiasReport(vertex_ids=np.arange(n), target=target, modes=modes)

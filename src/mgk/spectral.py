@@ -10,50 +10,29 @@ Three routes from slowest/exact to cheapest/approximate:
 * ``first_order_filter``  -- the single-parameter linear filter
                              theta (I + D^{-1/2} A D^{-1/2}).
 
+A filter is its coefficient array theta; each route reads it its own way.
 The exact route is the oracle the cheaper routes are tested against.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 from .graph import Graph, _normalized_adjacency
-from .linalg import EigenPair, SparseSymMatrix, multiply, \
-    symmetric_eigendecomposition
-
-FILTER_KINDS = ("exact-diagonal", "chebyshev", "first-order")
+from .linalg import EigenPair, SparseSymMatrix, symmetric_eigendecomposition
 
 
-@dataclass(frozen=True)
-class SpectralFilter:
-    """Filter coefficients plus the kind that fixes their interpretation.
-
-    exact-diagonal: theta[i] multiplies the i-th transform coefficient
-    (length must equal the graph order). chebyshev: theta[k] weights the
-    k-th Chebyshev term (length K+1). first-order: a single scalar.
-    """
-
-    theta: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ContractError(
-                f"unknown filter kind {self.kind!r}; expected one of "
-                f"{FILTER_KINDS}"
-            )
-        theta = np.asarray(self.theta, dtype=np.float64).ravel()
-        if theta.size == 0:
-            raise ContractError("filter needs at least one coefficient")
-        if not np.all(np.isfinite(theta)):
-            raise ContractError("filter coefficients must be finite")
-        if self.kind == "first-order" and theta.size != 1:
-            raise ContractError("first-order filter takes a single theta")
-        object.__setattr__(self, "theta", theta)
+def _coefficients(theta) -> np.ndarray:
+    """Filter coefficients as a flat float64 array: non-empty and finite."""
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    if theta.size == 0:
+        raise ContractError("filter needs at least one coefficient")
+    if not np.all(np.isfinite(theta)):
+        raise ContractError("filter coefficients must be finite")
+    return theta
 
 
 def _as_signal(f, n: int) -> tuple[np.ndarray, bool]:
@@ -80,20 +59,17 @@ def inverse_graph_fourier(fhat, eig: EigenPair) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def spectral_filter(f, filt: SpectralFilter, l) -> np.ndarray:
-    """Exact filtering U diag(theta) U^T f via full eigendecomposition."""
-    if filt.kind != "exact-diagonal":
-        raise ContractError(f"spectral_filter needs kind exact-diagonal, "
-                            f"got {filt.kind!r}")
+def spectral_filter(f, theta, l) -> np.ndarray:
+    """Exact filtering U diag(theta) U^T f via full eigendecomposition;
+    theta holds one coefficient per eigenvalue."""
+    theta = _coefficients(theta)
     eig = symmetric_eigendecomposition(l)
     n = eig.values.size
-    if filt.theta.size != n:
-        raise ShapeError(
-            f"exact-diagonal filter has {filt.theta.size} coefficients "
-            f"for a graph of order {n}"
-        )
+    if theta.size != n:
+        raise ShapeError(f"exact-diagonal filter has {theta.size} "
+                         f"coefficients for a graph of order {n}")
     sig, squeeze = _as_signal(f, n)
-    out = eig.vectors @ (filt.theta[:, None] * (eig.vectors.T @ sig))
+    out = eig.vectors @ (theta[:, None] * (eig.vectors.T @ sig))
     return out[:, 0] if squeeze else out
 
 
@@ -113,18 +89,15 @@ def _spectral_radius_estimate(op: SparseSymMatrix, iters=50) -> float:
     return float(lam)
 
 
-def chebyshev_filter(f, filt: SpectralFilter, l_tilde: SparseSymMatrix
-                     ) -> np.ndarray:
+def chebyshev_filter(f, theta, l_tilde: SparseSymMatrix) -> np.ndarray:
     """Polynomial filtering sum_k theta_k T_k(L~) f by vector recurrence.
 
     T_0 f = f, T_1 f = L~ f, T_k f = 2 L~ T_{k-1} f - T_{k-2} f; cost is
     O(K nnz) and no dense power of L~ is ever formed. L~ is expected to
     have spectrum inside [-1, 1]; a violation only degrades approximation
-    quality, so it warns instead of failing.
+    quality, so it warns instead of failing. theta[k] weights T_k.
     """
-    if filt.kind != "chebyshev":
-        raise ContractError(f"chebyshev_filter needs kind chebyshev, "
-                            f"got {filt.kind!r}")
+    theta = _coefficients(theta)
     radius = _spectral_radius_estimate(l_tilde)
     if radius > 1.0 + 1e-6:
         warnings.warn(
@@ -135,13 +108,13 @@ def chebyshev_filter(f, filt: SpectralFilter, l_tilde: SparseSymMatrix
         )
     sig, squeeze = _as_signal(f, l_tilde.dim)
     t_prev = sig
-    out = filt.theta[0] * t_prev
-    if filt.theta.size > 1:
+    out = theta[0] * t_prev
+    if theta.size > 1:
         t_cur = l_tilde.matmul(sig)
-        out = out + filt.theta[1] * t_cur
-        for k in range(2, filt.theta.size):
+        out = out + theta[1] * t_cur
+        for k in range(2, theta.size):
             t_next = 2.0 * l_tilde.matmul(t_cur) - t_prev
-            out = out + filt.theta[k] * t_next
+            out = out + theta[k] * t_next
             t_prev, t_cur = t_cur, t_next
     return out[:, 0] if squeeze else out
 
@@ -162,7 +135,7 @@ def first_order_filter(f, theta: float, g: Graph) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def first_order_as_chebyshev(theta: float) -> SpectralFilter:
+def first_order_as_chebyshev(theta: float) -> np.ndarray:
     """The (theta, -theta) coefficient pair that reproduces the
     first-order filter through the K=1 Chebyshev route at lambda_max=2."""
-    return SpectralFilter(theta=np.array([theta, -theta]), kind="chebyshev")
+    return np.array([theta, -theta])

@@ -1,6 +1,5 @@
 import io
 
-import numpy as np
 import pytest
 
 import mgk.bench
@@ -58,7 +57,6 @@ def test_report_row_counts_and_fields(small_reports):
         assert row.repeat in (0, 1, 2)
     assert set(full.slopes) == {"full-gcn", "full-gcn-sparse"}
     assert set(mini.slopes) == {"minigcn"}
-    assert full.metadata["numpy"] == np.__version__
 
 
 def test_slopes_from_rows_matches_report(small_reports):

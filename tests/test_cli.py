@@ -203,6 +203,12 @@ def test_split_without_classes_exits_1(scene_dir, tmp_path, capsys,
     ("--train.bn_momentum=-0.1", "bn_momentum must be in [0, 1], got -0.1"),
     ("--train.l2=-0.001", "l2 must be >= 0, got -0.001"),
     ("--train.l2=nan", "l2 must be >= 0, got nan"),
+    ("--train.l2=inf", "l2 must be finite, got inf"),
+    ("--train.base_lr=0", "base_lr must be positive and finite, got 0.0"),
+    ("--train.base_lr=inf", "base_lr must be positive and finite, got inf"),
+    ("--train.base_lr=nan", "base_lr must be positive and finite, got nan"),
+    ("--model.cnn_channels=8,16,32", "funet-a needs matching branch widths; "
+     "spatial branch emits 32, spectral emits 12"),
 ])
 def test_values_that_cannot_train_exit_1_before_any_work(
         scene_dir, tmp_path, capsys, monkeypatch, flag, message):

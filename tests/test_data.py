@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -397,3 +398,57 @@ def test_split_file_bad_json_is_format_error(tmp_path):
         json.dump({"train": {}}, fh)  # missing test section
     with pytest.raises(FormatError):
         load_split(path)
+
+
+CUBE_HEADER = {"height": 2, "width": 2, "bands": 1, "dtype": "f32le",
+               "order": "band-sequential"}
+
+
+@pytest.mark.parametrize("value", ["abc", None, [8], 2.5, True, 0])
+@pytest.mark.parametrize("load, magic, header, key", [
+    (load_cube, b"HSC1", CUBE_HEADER, "height"),
+    (load_cube, b"HSC1", CUBE_HEADER, "bands"),
+    (load_labels, b"HSL1", {"height": 2, "width": 2}, "height"),
+    (load_labels, b"HSL1", {"height": 2, "width": 2}, "width"),
+])
+def test_header_dim_that_is_not_an_integer_is_named(tmp_path, load, magic,
+                                                    header, key, value):
+    path = tmp_path / "file"
+    path.write_bytes(magic + json.dumps({**header, key: value}).encode()
+                     + b"\n" + bytes(16))
+    with pytest.raises(FormatError, match=re.escape(
+            f"header '{key}' must be a positive integer, got {value!r}")):
+        load(path)
+
+
+@pytest.mark.parametrize("header", [b"5", b"null", b"[]", b'"x"'])
+@pytest.mark.parametrize("load, magic, what", [
+    (load_cube, b"HSC1", "cube"), (load_labels, b"HSL1", "labels")])
+def test_header_that_is_not_an_object_is_refused(tmp_path, load, magic,
+                                                 what, header):
+    path = tmp_path / "file"
+    path.write_bytes(magic + header + b"\n")
+    with pytest.raises(FormatError, match=f"{what} header must be a JSON "
+                                          f"object"):
+        load(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"train": {"1": [0, 10 ** 20]}, "test": {}},
+     "split train class 1: pixel id 100000000000000000000 is not an integer"),
+    ({"train": {"1": [0, 26.5]}, "test": {}},
+     "split train class 1: pixel id 26.5 is not an integer"),
+    ({"train": {}, "test": {"2": [True]}},
+     "split test class 2: pixel id True is not an integer"),
+    ({"train": {"1": ["3"]}, "test": {}},
+     "split train class 1: pixel id '3' is not an integer"),
+    ({"train": [], "test": {}}, "split section 'train' must be an object"),
+    ({"train": {"1": 5}, "test": {}},
+     "split train class 1 must be a list of pixel ids"),
+])
+def test_split_id_that_is_not_an_integer_is_named(tmp_path, doc, message):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        load_split(path)
+    assert str(err.value) == message

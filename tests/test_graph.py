@@ -383,8 +383,8 @@ def test_builders_match_the_concatenating_reference(seed, n, pattern,
         np.concatenate([-adj.vals, rng.uniform(0.5, 1.5, on.size)]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mgk.graph, "SparseSymMatrix", canonical_only)
-        g = Graph(n=n, adjacency=adj, degree=adj.row_sums(), knn_k=1,
-                  rbf_sigma=1.0, prop=_renorm_prop(adj))
+        g = Graph(n=n, adjacency=adj, degree=adj.row_sums(),
+                  prop=_renorm_prop(adj))
         assert_same_triplets(g.prop, concat_renorm_prop(adj))
         assert_same_triplets(laplacian(g), concat_laplacian(g))
         assert_same_triplets(chebyshev_scaled(partial, lambda_max),

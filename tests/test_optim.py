@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from mgk.errors import ContractError
 from mgk import nn
-from mgk.optim import (ADAM_EPS, AdamState, LrPolicy, adam_step, schedule_lr)
+from mgk.optim import ADAM_EPS, AdamState, adam_step, schedule_lr
 
 
 def one_fc_model(rng, d=3, p=2):
@@ -89,38 +89,34 @@ def test_adam_batch_norm_trains_gamma_beta_only():
     assert np.array_equal(p.bn_running_mean, rm)
 
 
-def test_lr_policy_validation():
-    with pytest.raises(ContractError):
-        LrPolicy(base_lr=-1.0, max_iter=100)
-    with pytest.raises(ContractError):
-        LrPolicy(base_lr=0.001, max_iter=0)
+def test_schedule_refuses_bad_arguments():
+    for base_lr, max_iter in [(-1.0, 100), (0.0, 100), (np.inf, 100),
+                              (np.nan, 100), (0.001, 0)]:
+        with pytest.raises(ContractError):
+            schedule_lr(base_lr, 0, max_iter)
 
 
 def test_schedule_default_policy_values():
-    policy = LrPolicy(base_lr=0.001, max_iter=200)
-    assert schedule_lr(policy, 0) == pytest.approx(0.001)
-    assert schedule_lr(policy, 100) == pytest.approx(0.001 * np.sqrt(0.5))
-    assert schedule_lr(policy, 37) == schedule_lr(policy, 0)
-    assert schedule_lr(policy, 200) == 0.0
+    assert schedule_lr(0.001, 0, 200) == pytest.approx(0.001)
+    assert schedule_lr(0.001, 100, 200) == pytest.approx(0.001 * np.sqrt(0.5))
+    assert schedule_lr(0.001, 37, 200) == schedule_lr(0.001, 0, 200)
+    assert schedule_lr(0.001, 200, 200) == 0.0
 
 
 def test_schedule_epoch_out_of_range():
-    policy = LrPolicy(base_lr=0.001, max_iter=100)
     with pytest.raises(ContractError):
-        schedule_lr(policy, 101)
+        schedule_lr(0.001, 101, 100)
     with pytest.raises(ContractError):
-        schedule_lr(policy, -1)
+        schedule_lr(0.001, -1, 100)
 
 
 @given(st.integers(1, 8), st.integers(0, 400))
 def test_schedule_non_increasing_piecewise_constant(blocks, start):
     max_iter = blocks * 50
-    policy = LrPolicy(base_lr=0.001, max_iter=max_iter)
     epochs = list(range(0, max_iter + 1))
-    lrs = [schedule_lr(policy, e) for e in epochs]
+    lrs = [schedule_lr(0.001, e, max_iter) for e in epochs]
     assert all(b <= a + 1e-18 for a, b in zip(lrs, lrs[1:]))
     for e, lr in zip(epochs, lrs):
         if e < max_iter:
             assert lr == lrs[(e // 50) * 50]
-        assert 0.0 <= lr <= policy.base_lr
-        assert policy.current_lr >= 0.0
+        assert 0.0 <= lr <= 0.001

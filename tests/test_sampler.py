@@ -19,35 +19,34 @@ from mgk.sampler import (_restrict, estimator_bias_diagnostic,
 
 
 def test_partition_single_batch():
-    part = partition_epoch(10, 10, seed=0)
-    assert len(part.batches) == 1
-    assert sorted(part.batches[0].tolist()) == list(range(10))
+    batches = partition_epoch(10, 10, seed=0)
+    assert len(batches) == 1
+    assert sorted(batches[0].tolist()) == list(range(10))
 
 
 def test_partition_sizes_and_disjoint_union():
-    part = partition_epoch(10, 3, seed=1)
-    sizes = sorted(len(b) for b in part.batches)
+    batches = partition_epoch(10, 3, seed=1)
+    sizes = sorted(len(b) for b in batches)
     assert sizes == [1, 3, 3, 3]
-    joined = np.concatenate(part.batches)
+    joined = np.concatenate(batches)
     assert sorted(joined.tolist()) == list(range(10))
 
 
 @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
 def test_partition_invariants(n, seed):
     m = 1 + seed % n
-    part = partition_epoch(n, m, seed)
-    assert len(part.batches) == math.ceil(n / m)
-    assert all(len(b) <= m for b in part.batches)
-    assert sorted(np.concatenate(part.batches).tolist()) == list(range(n))
+    batches = partition_epoch(n, m, seed)
+    assert len(batches) == math.ceil(n / m)
+    assert all(len(b) <= m for b in batches)
+    assert sorted(np.concatenate(batches).tolist()) == list(range(n))
 
 
 def test_partition_deterministic_and_seed_sensitive():
     a = partition_epoch(12, 4, seed=5)
     b = partition_epoch(12, 4, seed=5)
     c = partition_epoch(12, 4, seed=6)
-    assert all(np.array_equal(x, y) for x, y in zip(a.batches, b.batches))
-    assert any(not np.array_equal(x, y)
-               for x, y in zip(a.batches, c.batches))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_partition_rejects_bad_budget():
@@ -63,8 +62,8 @@ def test_partition_pair_frequency_matches_enumeration():
     n, m, trials = 6, 2, 20000
     together = np.zeros((n, n))
     for t in range(trials):
-        part = partition_epoch(n, m, seed=t)
-        for batch in part.batches:
+        batches = partition_epoch(n, m, seed=t)
+        for batch in batches:
             ids = batch.tolist()
             for u, v in itertools.combinations(ids, 2):
                 together[u, v] += 1
@@ -288,7 +287,7 @@ def _diagnostic_trial_batches(n, m, trials, seed):
     assign = np.random.default_rng(seed).permuted(
         np.broadcast_to(np.arange(n, dtype=np.int32) // m, (trials, n)),
         axis=1)
-    sizes = [b.size for b in partition_epoch(n, m, 0).batches]
+    sizes = [b.size for b in partition_epoch(n, m, 0)]
     parts = []
     for row in assign:
         batches = [np.nonzero(row == b)[0] for b in range(len(sizes))]
@@ -339,9 +338,8 @@ def test_diagnostic_full_budget_target_is_the_operator_product(n, k):
     g, feats = random_graph(rng, n, d=3, k=k)
     weight = rng.normal(size=(3, 1))
     report = estimator_bias_diagnostic(g, n, trials=4, seed=23,
-                                       features=feats, weight=weight,
-                                       bias=0.3)
-    want = g.prop.matmul((feats @ weight).ravel()) + 0.3
+                                       features=feats, weight=weight)
+    want = g.prop.matmul((feats @ weight).ravel())
     assert np.array_equal(report.target.view(np.uint64),
                           want.view(np.uint64))
     for stats in report.modes.values():
