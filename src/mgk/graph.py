@@ -9,12 +9,19 @@ not renormalize its input.
 One builder takes ``(n, bands)`` features for one graph, or
 ``(C, c, bands)`` for C chunk graphs built at once as one block-diagonal
 graph, vertex ``q*c + i`` being row i of chunk q; inference builds its
-chunk graphs that way. The builder never holds an n x n array: it computes
-distances for whole chunks, or rows of one chunk, at a time (at most
-``KNN_BLOCK_ENTRIES`` distances, or one row if c is larger), keeps each
-row's k nearest with a partial selection (lower vertex index first among
-equal distances) and weights each edge from the distance its block
-computed.
+chunk graphs that way. The builder never holds an n x n array. It takes
+Gram products over whole chunks, or rows of one chunk, at a time (at most
+``KNN_GRAM_ENTRIES`` entries), each one batched ``matmul`` so that a 2-D
+product cannot go to syrk. A BLAS may round a Gram entry differently in a
+product of another row count (OpenBLAS 0.3.31 does for chunk sizes c that
+are not a multiple of 8), so that constant fixes the output bits. The
+distance work on a Gram block (fill, k-th distance partition, candidate
+selection) runs in sub-blocks of at most ``KNN_BLOCK_ENTRIES`` entries
+that stay in cache; it is row-local, so the output does not depend on that
+constant. Each row keeps its k nearest (lower vertex index first among
+equal distances); a block's candidates are sorted only when a tie at some
+row's k-th distance gives that row more than k. Each edge is weighted from
+the distance its block computed.
 """
 
 from __future__ import annotations
@@ -26,9 +33,14 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .linalg import SparseSymMatrix
 
-# Distances held at once by the KNN build (one row if a chunk is larger),
-# about 8 MiB of float64 per temporary.
-KNN_BLOCK_ENTRIES = 1 << 20
+# Gram entries per batched product of the KNN build (one row if a chunk is
+# larger), 8 MiB of float64. The product's bits may depend on its row count,
+# so changing this may change the graph's bits.
+KNN_GRAM_ENTRIES = 1 << 20
+# Distances per sub-block of a Gram block: 1 MiB of float64 per temporary,
+# so the distance buffer and the partition's copy stay in a core's L2. The
+# graph's bits do not depend on it.
+KNN_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -59,12 +71,13 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     either endpoint selected the other. Among equal distances the lower
     vertex index wins, and duplicates at distance zero count against the k
     budget with weight 1: the selection is the first k of each row's stable
-    sort by distance. Distances are computed in blocks of at most
-    ``KNN_BLOCK_ENTRIES``: whole chunks while one chunk's c x c fits, row
+    sort by distance. Gram products are taken in blocks of at most
+    ``KNN_GRAM_ENTRIES``, distances in sub-blocks of at most
+    ``KNN_BLOCK_ENTRIES``: whole chunks while one chunk's rows fit, row
     ranges of one chunk (one row if c is larger) otherwise, so memory is
-    O(n * k) plus one block, never n x n. An edge's weight comes from the
-    distance in the row of its lower endpoint when that endpoint selected
-    it, and from the other endpoint's row otherwise.
+    O(n * k) plus one Gram block and one sub-block, never n x n. An edge's
+    weight comes from the distance in the row of its lower endpoint when
+    that endpoint selected it, and from the other endpoint's row otherwise.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -87,53 +100,105 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
         raise ContractError("features must be finite")
 
     n = chunks * c
-    sq = np.sum(x * x, axis=2)
-    if c * c <= KNN_BLOCK_ENTRIES:
-        per_block = KNN_BLOCK_ENTRIES // (c * c)
-        blocks = [(q, q + per_block, 0, c)
-                  for q in range(0, chunks, per_block)]
-    else:
-        rows_per_block = max(1, KNN_BLOCK_ENTRIES // c)
-        blocks = [(q, q + 1, start, min(start + rows_per_block, c))
-                  for q in range(chunks)
-                  for start in range(0, c, rows_per_block)]
-    src, dst, dist = [], [], []
-    for q0, q1, start, stop in blocks:
-        xb = x[q0:q1]
-        # one row per vertex of the block, one column per vertex of its chunk
-        d2 = (sq[q0:q1, start:stop, None] + sq[q0:q1, None, :]
-              - 2.0 * (xb[:, start:stop] @ xb.transpose(0, 2, 1))
-              ).reshape(-1, c)
-        np.maximum(d2, 0.0, out=d2)
-        local = np.arange(d2.shape[0])
-        d2[local, (start + local) % c] = np.inf
-        # every row has at least k candidates at or below its k-th distance;
-        # a stable sort of the candidates by distance keeps the lower index
-        # among ties, as a stable sort of the whole row would
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        r, col = np.nonzero(d2 <= kth[:, None])
-        d = d2[r, col]
-        r = q0 * c + start + r
-        col = col + r - r % c
-        order = np.lexsort((col, d, r))
-        r, col, d = r[order], col[order], d[order]
-        rank = np.arange(r.size) - np.searchsorted(r, r)
-        keep = rank < k
-        src.append(r[keep])
-        dst.append(col[keep])
-        dist.append(d[keep])
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
+    dst, dist = _knn_edges(x, k)
+    src = np.repeat(np.arange(n), k)
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     # the first occurrence of a pair is in the row of the first endpoint
     # that selected it, since edges are listed in row order
     keys, first = np.unique(lo * n + hi, return_index=True)
-    w = np.exp(-np.concatenate(dist)[first] / (sigma * sigma))
+    w = np.exp(-dist[first] / (sigma * sigma))
 
     adj = SparseSymMatrix(n, keys // n, keys % n, w, require_nonnegative=True)
     degree = adj.row_sums()
     return Graph(n=n, adjacency=adj, degree=degree, prop=_renorm_prop(adj))
+
+
+def _knn_edges(x, k: int) -> tuple:
+    """Each vertex's k nearest other vertices of its chunk in ``(C, c,
+    bands)`` features x, and their distances: ``(dst, dist)``, k entries per
+    vertex in vertex order.
+
+    The Gram buffer is freed on return, before the caller allocates the
+    graph, so that the graph can take its place: an array allocated above it
+    on the heap would keep its memory (up to 8 MiB) resident after it is
+    freed.
+    """
+    chunks, c = x.shape[:2]
+    sq = np.sum(x * x, axis=2)
+    dst = np.empty(chunks * c * k, dtype=np.int64)
+    dist = np.empty(chunks * c * k)
+    blocks = _blocks(chunks, c, c, KNN_GRAM_ENTRIES)
+    # one buffer, sized for the first (largest) Gram block, holds each
+    # block in turn, so that two are never alive at once
+    q0, q1, start, stop = blocks[0]
+    buffer = np.empty((q1 - q0, stop - start, c))
+    for q0, q1, start, stop in blocks:
+        xb = x[q0:q1]
+        gram = np.matmul(xb[:, start:stop], xb.transpose(0, 2, 1),
+                         out=buffer[:q1 - q0, :stop - start])
+        sq_cols = sq[q0:q1, None, :]
+        sq_rows = sq[q0:q1, start:stop, None]
+        for p0, p1, s0, s1 in _blocks(q1 - q0, stop - start, c,
+                                      KNN_BLOCK_ENTRIES):
+            # one row per vertex of the sub-block, one column per vertex of
+            # its chunk: (sq_i + sq_j) - 2 gram, summed in that order
+            g = gram[p0:p1, s0:s1]
+            g *= 2.0
+            d2 = sq_rows[p0:p1, s0:s1] + sq_cols[p0:p1]
+            d2 -= g
+            d2 = d2.reshape(-1, c)
+            np.maximum(d2, 0.0, out=d2)
+            v0 = (q0 + p0) * c + start + s0  # the sub-block's first vertex
+            r, col, d = _nearest(d2, k, start + s0)
+            r += v0
+            edges = slice(v0 * k, (v0 + d2.shape[0]) * k)
+            dst[edges] = col + r - r % c
+            dist[edges] = d
+    return dst, dist
+
+
+def _blocks(chunks: int, rows: int, c: int, entries: int) -> list:
+    """Blocks ``(q0, q1, start, stop)`` of rows ``start:stop`` of chunks
+    ``q0:q1``, over ``chunks`` chunks of ``rows`` rows of c entries each:
+    whole chunks while one chunk's rows fit in ``entries``, else row ranges
+    of one chunk (one row if c is larger)."""
+    if rows * c <= entries:
+        per_block = entries // (rows * c)
+        return [(q, min(q + per_block, chunks), 0, rows)
+                for q in range(0, chunks, per_block)]
+    step = max(1, entries // c)
+    return [(q, q + 1, start, min(start + step, rows))
+            for q in range(chunks) for start in range(0, rows, step)]
+
+
+def _nearest(d2, k: int, start: int) -> tuple:
+    """Row-local row, column and distance of each row's k nearest other
+    vertices in ``d2``, whose row i is vertex ``start + i`` of a chunk of
+    ``d2.shape[1]`` vertices. Sets each row's own entry to inf.
+
+    Rows come in order. Within a row the order is the columns' when no
+    block row has a tie at its k-th distance, and the distances' otherwise;
+    the caller does not see the difference, since a row lists each of its
+    edges once.
+    """
+    local = np.arange(d2.shape[0])
+    d2[local, (start + local) % d2.shape[1]] = np.inf
+    # every row has at least k candidates at or below its k-th distance,
+    # listed in row order, columns ascending (from flat indices: a 2-D
+    # nonzero takes several times as long)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    r, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), d2.shape[1])
+    d = d2[r, col]
+    if r.size > k * d2.shape[0]:
+        # a tie at some row's k-th distance: a stable sort of the
+        # candidates by distance keeps the lower index among ties, as a
+        # stable sort of the whole row would
+        order = np.lexsort((col, d, r))
+        r, col, d = r[order], col[order], d[order]
+        keep = np.arange(r.size) - np.searchsorted(r, r) < k
+        r, col, d = r[keep], col[keep], d[keep]
+    return r, col, d
 
 
 def _with_diagonal(a: SparseSymMatrix, off_vals, idx, diag_vals

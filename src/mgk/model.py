@@ -21,11 +21,13 @@ both branches.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .data import _is_json_int
+from .errors import (ConfigError, ContractError, FormatError, NumericError,
+                     ShapeError)
 from . import nn
 from .sampler import SubgraphBatch
 
@@ -380,13 +382,56 @@ def save_model(path, model: Model) -> None:
         fh.write("\n")
 
 
+def _require_keys(obj, keys, what: str) -> None:
+    """A FormatError unless obj is a JSON object with exactly these keys."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"{what} is missing {key!r}")
+    for key in obj:
+        if key not in keys:
+            raise FormatError(f"{what} has unknown key {key!r}")
+
+
+def _read_sidecar(path) -> tuple:
+    """The sidecar's ``ModelConfig`` and layer order. A FormatError names
+    the key that is missing, unknown, or of the wrong JSON type; the config
+    values are then checked as ``ModelConfig`` checks them."""
+    name = str(path) + ".json"
+    with open(name, "r", encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"unparseable sidecar {name}: {exc}") from exc
+    _require_keys(sidecar, ("config", "layer_order"), "sidecar")
+    config = sidecar["config"]
+    _require_keys(config, [f.name for f in fields(ModelConfig)],
+                  "sidecar 'config'")
+    for key, value in config.items():
+        if key == "architecture":
+            want, ok = "a string", isinstance(value, str)
+        elif key == "cnn_channels":
+            want = "a list of 3 integers"
+            ok = (isinstance(value, list) and len(value) == 3
+                  and all(_is_json_int(c) for c in value))
+        else:
+            want, ok = "an integer", _is_json_int(value)
+        if not ok:
+            raise FormatError(f"sidecar config {key!r} must be {want}, "
+                              f"got {value!r}")
+    order = sidecar["layer_order"]
+    if not (isinstance(order, list)
+            and all(isinstance(n, str) for n in order)):
+        raise FormatError("sidecar 'layer_order' must be a list of "
+                          f"strings, got {order!r}")
+    return ModelConfig(**config), order
+
+
 def load_model(path) -> Model:
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    cfg = ModelConfig(**sidecar["config"])
+    cfg, order = _read_sidecar(path)
     with open(path, "rb") as fh:
         params = nn.load_params(fh)
-    order = sidecar["layer_order"]
     if len(params) != len(order):
         raise ContractError(
             f"checkpoint has {len(params)} layers, sidecar lists "

@@ -493,6 +493,78 @@ def test_inference_batch_below_one_is_refused(scene_dir, trained, tmp_path,
     assert not out.exists()
 
 
+_DROP = object()
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is _DROP:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("config", "classes"), "abc",
+     "sidecar config 'classes' must be an integer, got 'abc'"),
+    (("config", "classes"), None,
+     "sidecar config 'classes' must be an integer, got None"),
+    (("config", "classes"), True,
+     "sidecar config 'classes' must be an integer, got True"),
+    (("config", "gcn_hidden"), 12.5,
+     "sidecar config 'gcn_hidden' must be an integer, got 12.5"),
+    (("config", "architecture"), 3,
+     "sidecar config 'architecture' must be a string, got 3"),
+    (("config", "cnn_channels"), [4, 6],
+     "sidecar config 'cnn_channels' must be a list of 3 integers, "
+     "got [4, 6]"),
+    (("config", "cnn_channels"), "4,6,12",
+     "sidecar config 'cnn_channels' must be a list of 3 integers, "
+     "got '4,6,12'"),
+    (("config", "dropout"), 0.5, "sidecar 'config' has unknown key 'dropout'"),
+    (("config", "classes"), _DROP, "sidecar 'config' is missing 'classes'"),
+    (("config",), [], "sidecar 'config' must be a JSON object, got []"),
+    (("layer_order",), _DROP, "sidecar is missing 'layer_order'"),
+    (("layer_order",), [1, 2],
+     "sidecar 'layer_order' must be a list of strings, got [1, 2]"),
+    (("extra",), 1, "sidecar has unknown key 'extra'"),
+])
+@pytest.mark.parametrize("command", ["predict-map", "eval"])
+def test_malformed_sidecar_exits_2_naming_the_field(
+        scene_dir, trained, tmp_path, capsys, monkeypatch, command, path,
+        value, message):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, ckpt = trained
+    bad = tmp_path / "bad.mgkp"
+    bad.write_bytes(ckpt.read_bytes())
+    sidecar = json.loads(ckpt.with_name(ckpt.name + ".json").read_text())
+    _set(sidecar, path, value)
+    (tmp_path / "bad.mgkp.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "refused"
+    assert main([command, *data_flags(scene_dir), f"--paths.checkpoint={bad}",
+                 f"--paths.output={out}", "--train.batch=16",
+                 "--graph.k=5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_unparseable_sidecar_exits_2(scene_dir, trained, tmp_path, capsys,
+                                     monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, ckpt = trained
+    bad = tmp_path / "bad.mgkp"
+    bad.write_bytes(ckpt.read_bytes())
+    (tmp_path / "bad.mgkp.json").write_text('{"config": {')
+    out = tmp_path / "refused"
+    assert main(["predict-map", f"--paths.cube={scene_dir / 'cube.hsc'}",
+                 f"--paths.checkpoint={bad}", f"--paths.output={out}",
+                 "--train.batch=16", "--graph.k=5"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: unparseable sidecar {bad}.json: ")
+    assert not out.exists()
+
+
 def test_constant_prediction_gives_single_color_map(scene_dir, trained,
                                                     tmp_path, capsys,
                                                     monkeypatch):

@@ -80,17 +80,86 @@ def test_blocked_build_matches_the_argsort_reference(data):
     k = data.draw(st.integers(1, n - 1))
     sigma = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
     # at least two row blocks; unless they hold one row each, the last is
-    # shorter than the rest
+    # shorter than the rest. The Gram blocks hold whole chunks or rows.
     rows_per_block = data.draw(st.integers(1, n - 1))
     assume(n % rows_per_block != 0 or rows_per_block == 1)
+    gram_rows = data.draw(st.integers(1, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", rows_per_block * n)
+        mp.setattr(mgk.graph, "KNN_GRAM_ENTRIES", gram_rows * n)
         g = build_knn_rbf_graph(feats, k, sigma)
     adj, prop = argsort_knn_rbf_graph(feats, k, sigma)
     assert np.array_equal(g.adjacency.rows, adj.rows)
     assert np.array_equal(g.adjacency.cols, adj.cols)
     assert np.array_equal(g.adjacency.vals, adj.vals)
     assert np.array_equal(g.prop.vals, prop.vals)
+
+
+def selecting_row_reference(features, k, sigma):
+    """Reference builder for features with no tie at any row's k-th
+    distance: each row's k nearest from the dense distance matrix, each edge
+    weighted from the row of its lower endpoint when that endpoint selected
+    it, and from the other endpoint's row otherwise."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1)[:, :k]
+    selected = np.zeros((n, n), dtype=bool)
+    selected[np.arange(n)[:, None], nearest] = True
+    lo, hi = np.nonzero(np.triu(selected | selected.T))
+    d = np.where(selected[lo, hi], d2[lo, hi], d2[hi, lo])
+    adj = SparseSymMatrix(n, lo, hi, np.exp(-d / (sigma * sigma)),
+                          require_nonnegative=True)
+    return adj, _renorm_prop(adj)
+
+
+@given(st.data())
+def test_tie_free_build_matches_the_selecting_row_reference(data):
+    # multiples of 2**-20 below 1 in at most 3 bands: every distance is
+    # exact in any summation order, so the reference's dense distances are
+    # the builder's blocked ones, bit for bit; no row has a tie at its k-th
+    # distance, so no block sorts its candidates
+    n = data.draw(st.integers(3, 40))
+    d = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    feats = np.random.default_rng(seed).integers(0, 2**20, (n, d)) / 2**20
+    k = data.draw(st.integers(1, n - 1))
+    d2 = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    row_sorted = np.sort(d2, axis=1)
+    assume(np.all(row_sorted[:, k - 1] < row_sorted[:, k]))
+    sigma = data.draw(st.sampled_from([0.5, 1.0]))
+    # Gram blocks and distance sub-blocks of row ranges or the whole chunk
+    entries = [data.draw(st.integers(1, n)) * n for _ in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.graph, "KNN_GRAM_ENTRIES", entries[0])
+        mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries[1])
+        g = build_knn_rbf_graph(feats, k, sigma)
+    adj, prop = selecting_row_reference(feats, k, sigma)
+    for got, want in ((g.adjacency, adj), (g.prop, prop)):
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.vals.view(np.uint64),
+                              want.vals.view(np.uint64))
+
+
+def _graph_bits(g):
+    return [a.tobytes() for s in (g.adjacency, g.prop)
+            for a in (s.rows, s.cols, s.vals)] + [g.degree.tobytes()]
+
+
+@pytest.mark.parametrize("shape", [(657, 64), (3, 500, 12), (1681, 12)])
+def test_graph_bits_do_not_depend_on_the_distance_sub_block(shape):
+    # chunk sizes that are not multiples of 8: there the Gram product's bits
+    # may depend on its row count, so only KNN_GRAM_ENTRIES may move them
+    feats = np.random.default_rng(8).random(shape)
+    want = _graph_bits(build_knn_rbf_graph(feats, 10, 1.0))
+    c = shape[-2]
+    for entries in (c, 37 * c, c * c, 2 * c * c):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries)
+            assert _graph_bits(build_knn_rbf_graph(feats, 10, 1.0)) == want
 
 
 def _diagonal_block(s, q, c):
@@ -118,13 +187,17 @@ def test_stacked_build_is_the_per_chunk_builds_on_the_diagonal(data):
             max_size=chunks * c * d)), dtype=np.float64).reshape(shape)
     k = data.draw(st.integers(1, c - 1))
     sigma = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
-    # several whole chunks per block, or row ranges of one chunk
-    if data.draw(st.booleans()):
-        entries = data.draw(st.integers(1, chunks)) * c * c
-    else:
-        entries = data.draw(st.integers(1, c - 1)) * c
+    # several whole chunks per block, or row ranges of one chunk, for the
+    # Gram blocks and the distance sub-blocks
+    entries = []
+    for _ in range(2):
+        if data.draw(st.booleans()):
+            entries.append(data.draw(st.integers(1, chunks)) * c * c)
+        else:
+            entries.append(data.draw(st.integers(1, c - 1)) * c)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries)
+        mp.setattr(mgk.graph, "KNN_GRAM_ENTRIES", entries[0])
+        mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries[1])
         g = build_knn_rbf_graph(feats, k, sigma)
         alone = [build_knn_rbf_graph(f, k, sigma) for f in feats]
     assert g.n == chunks * c
@@ -161,6 +234,25 @@ def test_build_memory_stays_far_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 8
+
+
+@pytest.mark.parametrize("shape", [(1, 1024, 64), (4800, 64)])
+def test_build_memory_follows_the_block_sizes_not_the_chunk(shape):
+    k = 10
+    n = int(np.prod(shape[:-1]))
+    feats = np.random.default_rng(4).random(shape)
+    tracemalloc.start()
+    try:
+        build_knn_rbf_graph(feats, k, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one Gram block, a few float64 temporaries of one distance sub-block
+    # (the distances, the partition's copy, the candidate mask), and O(n*k)
+    # for the edge arrays and the operators. Distance temporaries as large
+    # as the chunk (8 MiB each at 1024 px) do not fit.
+    assert peak < (8 * mgk.graph.KNN_GRAM_ENTRIES
+                   + 4 * 8 * mgk.graph.KNN_BLOCK_ENTRIES + 200 * n * k)
 
 
 def test_build_rejects_bad_k():
