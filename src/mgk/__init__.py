@@ -14,7 +14,7 @@ from .spectral import (chebyshev_filter, first_order_as_chebyshev,
                        first_order_filter, graph_fourier,
                        inverse_graph_fourier, spectral_filter)
 from .sampler import (SubgraphBatch, estimator_bias_diagnostic,
-                      induce_subgraph, node_estimate, partition_epoch)
+                      induce_subgraph, partition_epoch)
 from .optim import AdamState, adam_step, schedule_lr
 from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patch,
                    extract_patches, load_cube, load_labels, load_split,
@@ -39,7 +39,7 @@ __all__ = [
     "renormalized_propagation", "chebyshev_scaled",
     "spectral_filter", "chebyshev_filter", "first_order_filter",
     "first_order_as_chebyshev", "graph_fourier", "inverse_graph_fourier",
-    "SubgraphBatch", "partition_epoch", "induce_subgraph", "node_estimate",
+    "SubgraphBatch", "partition_epoch", "induce_subgraph",
     "estimator_bias_diagnostic",
     "AdamState", "adam_step", "schedule_lr",
     "SpectralCube", "LabelGrid", "SplitSpec", "load_cube", "save_cube",

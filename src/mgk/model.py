@@ -210,8 +210,9 @@ def _gcn_branch_backward(dh, tapes, grads):
     dh = nn.relu_backward(dh, tapes["gcn.relu"])
     dh, grads["gcn.bn_out"] = nn.batch_norm_backward(dh, tapes["gcn.bn_out"])
     dh, grads["gcn.conv"] = nn.graph_conv_backward(dh, tapes["gcn.conv"])
-    dh, grads["gcn.bn_in"] = nn.batch_norm_backward(dh, tapes["gcn.bn_in"])
-    return dh
+    # the vertex features' gradient is never read, so bn_in stops at its
+    # own parameters
+    grads["gcn.bn_in"] = nn.batch_norm_param_grads(dh, tapes["gcn.bn_in"])
 
 
 def cnn_branch_forward(model: Model, patches, mode="eval", bn_momentum=0.9):

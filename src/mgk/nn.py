@@ -304,31 +304,44 @@ def batch_norm_forward(x, p: LayerParams, mode="train", momentum=0.9):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.shape[0] < 2:
         raise ContractError("batch norm training requires batch size >= 2")
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    m = x.size // width
+    # these sums reduce as x.mean and x.var do, so the bits match theirs;
+    # x is centered once, and out reuses the buffer of the squares
+    mean = x.sum(axis=axes) / m
+    xhat = x - mean
+    out = np.square(xhat)
+    var = out.sum(axis=axes) / m
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean) * inv
-    out = p.bn_gamma * xhat + p.bn_beta
+    xhat *= inv
+    np.multiply(xhat, p.bn_gamma, out=out)
+    out += p.bn_beta
     p.bn_running_mean = momentum * p.bn_running_mean + (1.0 - momentum) * mean
     p.bn_running_var = momentum * p.bn_running_var + (1.0 - momentum) * var
-    m = x.size // width
     tape = TapeEntry("batch_norm", "train", (xhat, inv, p.bn_gamma, axes, m))
     return out, tape
 
 
-def batch_norm_backward(dout, tape: TapeEntry):
+def batch_norm_param_grads(dout, tape: TapeEntry) -> dict:
+    """The gamma and beta gradients alone, for a layer whose input
+    gradient nothing reads."""
     _check_tape(tape, "batch_norm")
-    xhat, inv, gamma, axes, m = tape.cache
+    xhat, _, _, axes, _ = tape.cache
     dout = np.asarray(dout, dtype=np.float64)
-    dgamma = (dout * xhat).sum(axis=axes)
-    dbeta = dout.sum(axis=axes)
+    return {"bn_gamma": (dout * xhat).sum(axis=axes),
+            "bn_beta": dout.sum(axis=axes)}
+
+
+def batch_norm_backward(dout, tape: TapeEntry):
+    dout = np.asarray(dout, dtype=np.float64)
+    grads = batch_norm_param_grads(dout, tape)
+    xhat, inv, gamma, axes, m = tape.cache
     dxhat = dout * gamma
     dx = inv / m * (
         m * dxhat
         - dxhat.sum(axis=axes, keepdims=True)
         - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
     )
-    return dx, {"bn_gamma": dgamma, "bn_beta": dbeta}
+    return dx, grads
 
 
 # ------------------------------------------------------- softmax with CE loss

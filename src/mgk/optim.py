@@ -1,5 +1,16 @@
 """Adam with bias correction and the stepped square-root LR decay.
 
+``AdamState`` keeps the moments on flat buffers. On its first step it
+fixes the parameter layout, one (layer, field, shape) slot per trainable
+array in the order ``params`` lists them, and allocates ``m`` and ``v``
+over it. A step gathers every gradient into one flat buffer with one
+``np.concatenate``, checks them with one ``isfinite`` and updates all
+moments at once, with one more flat temporary; once ``v`` is updated, the
+gradient buffer serves as the second. Each parameter array is then updated
+in place from its slice of the step, so callers keep their references.
+The element-wise operations are the ones a per-array update would run, in
+the same order, so the results are the same bits.
+
 ``schedule_lr`` holds the learning rate constant over ``LR_INTERVAL`` = 50
 epochs: lr(epoch) = base_lr * (1 - floor(epoch / 50) * 50 / max_iter)^0.5,
 clamped to exactly 0 at epoch == max_iter.
@@ -7,7 +18,10 @@ clamped to exactly 0 at epoch == max_iter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, zip_longest
+from math import prod
+from typing import Optional
 
 import numpy as np
 
@@ -23,26 +37,32 @@ LR_INTERVAL = 50
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed by (layer name, field)."""
+    """Adam's step count and moments over one fixed parameter layout.
+
+    ``layout`` lists (layer name, field, shape) per trainable array and is
+    fixed by the first ``adam_step``; a later step with another layout is
+    refused. ``m`` and ``v`` are flat over that layout, and ``slots`` holds
+    each array's slice of them. Parameters are not rebound: each is
+    updated in place.
+    """
 
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    layout: tuple = ()
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    slots: tuple = ()
+
+    def _allocate(self, layout: tuple) -> None:
+        sizes = [prod(shape) for _, _, shape in layout]
+        self.layout = layout
+        self.m, self.v = np.zeros((2, sum(sizes)))
+        self.slots = tuple(slice(end - size, end)
+                           for size, end in zip(sizes, accumulate(sizes)))
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One Adam update over named parameters, in place.
-
-    ``params`` is a sequence of (name, LayerParams); ``grads`` maps each
-    name to {field: gradient array} covering that layer's trainable fields.
-    A zero gradient leaves the parameter exactly unchanged.
-    """
-    if not (lr >= 0.0 and np.isfinite(lr)):
-        raise ContractError(f"learning rate must be finite and >= 0, got {lr}")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
+def _gather(params, grads):
+    """Parameter arrays, gradients and layout, each checked by name."""
+    arrays, flat, layout = [], [], []
     for name, layer in params:
         layer_grads = grads.get(name)
         if layer_grads is None:
@@ -50,27 +70,68 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         for fieldname in TRAINABLE_FIELDS[layer.kind]:
             g = layer_grads.get(fieldname)
             if g is None:
-                raise ContractError(
-                    f"missing gradient {name}.{fieldname}"
-                )
-            g = np.asarray(g, dtype=np.float64)
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient at {name}.{fieldname}")
-            key = (name, fieldname)
-            m = state.m.get(key)
-            if m is None:
-                m = np.zeros_like(g)
-                state.m[key] = m
-                state.v[key] = np.zeros_like(g)
-            v = state.v[key]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
+                raise ContractError(f"missing gradient {name}.{fieldname}")
+            g = np.asarray(g)
             arr = getattr(layer, fieldname)
-            arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            if g.shape != arr.shape:
+                raise ContractError(
+                    f"gradient {name}.{fieldname} has shape {g.shape}, "
+                    f"its parameter {arr.shape}")
+            arrays.append(arr)
+            flat.append(g.ravel())
+            layout.append((name, fieldname, arr.shape))
+    return arrays, flat, tuple(layout)
+
+
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
+    """One Adam update over named parameters, in place.
+
+    ``params`` is a sequence of (name, LayerParams); ``grads`` maps each
+    name to {field: gradient array} covering that layer's trainable fields,
+    each shaped like its parameter. Every check runs before any parameter
+    or moment moves. A zero gradient leaves the parameter exactly
+    unchanged.
+    """
+    if not (lr >= 0.0 and np.isfinite(lr)):
+        raise ContractError(f"learning rate must be finite and >= 0, got {lr}")
+    arrays, flat, layout = _gather(params, grads)
+    if state.m is None:
+        state._allocate(layout)
+    elif layout != state.layout:
+        was, now = next((a, b) for a, b in zip_longest(state.layout, layout)
+                        if a != b)
+        raise ContractError(f"AdamState was built for another parameter "
+                            f"layout: slot {was} is now {now}")
+    # made per step: kept on the state, these two put funet-patches' peak
+    # RSS at 90.7 MiB in most runs, against 89.3 MiB made per step
+    g, tmp = np.empty((2, state.m.size))
+    np.concatenate(flat, out=g)
+    if not np.isfinite(g).all():
+        for (name, fieldname, _), gf in zip(layout, flat):
+            if not np.isfinite(gf).all():
+                raise ContractError(
+                    f"non-finite gradient at {name}.{fieldname}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    m += tmp
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v += tmp
+    # g is spent: it holds sqrt(v / bc2) + eps, and tmp lr * (m / bc1)
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    np.divide(m, bc1, out=tmp)
+    tmp *= lr
+    tmp /= g
+    for arr, slot in zip(arrays, state.slots):
+        arr -= tmp[slot].reshape(arr.shape)
 
 
 def schedule_lr(base_lr: float, epoch: int, max_iter: int) -> float:

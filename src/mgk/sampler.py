@@ -7,14 +7,13 @@ replacement: every vertex appears in exactly one batch per epoch);
 trains on the subgraph induced by its vertices, whose propagation operator
 is recomputed from the induced adjacency plus self-loops.
 
-``node_estimate`` is the per-vertex aggregation estimator that divides each
-full-graph propagation entry by a normalization constant e_uv; it restricts
-the graph's operator to the batch when called, so a training batch carries
-no full-graph entries. With e == 1 it reduces to plain restriction, and
 ``estimator_bias_diagnostic`` measures (rather than assumes) the bias of
-both choices against the full-batch aggregation, over trial partitions
-drawn in one call with ``partition_epoch``'s law; a constant estimate gets
-a stderr of exactly 0.
+the per-vertex aggregation estimator that divides each full-graph
+propagation entry, restricted to the batch, by a normalization constant
+e_uv: e == 1 (plain restriction) and co-occurrence frequency. It compares
+both against the full-batch aggregation, over trial partitions drawn in one
+call with ``partition_epoch``'s law; a constant estimate gets a stderr of
+exactly 0.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .graph import Graph, _renorm_prop
 from .linalg import SparseSymMatrix
-from .nn import LayerParams
 
 # (trial, term) pairs per block of the bias diagnostic: 8 MiB per float64
 BIAS_BLOCK_TERMS = 1 << 20
@@ -123,42 +121,6 @@ def induce_subgraph(g: Graph, node_ids, features=None, labels=None
         features=features,
         labels=labels,
     )
-
-
-def node_estimate(v: int, g: Graph, subgraph: SubgraphBatch, h_prev,
-                  p: LayerParams, e=1.0) -> np.ndarray:
-    """Aggregation estimate for one vertex from a sampled batch.
-
-    Sums the entries of g's propagation over batch members, each divided by
-    its normalization constant e_uv, then applies the layer weights:
-    sum_u prop[u, v] / e[u, v] * h_prev[u] @ W + b. ``e`` is either a scalar
-    (e == 1 everywhere) or a dense (n, n) array indexed by global vertex ids.
-    """
-    if p.kind != "graph_conv":
-        raise ContractError(f"node_estimate needs graph_conv params, got "
-                            f"{p.kind!r}")
-    ids = subgraph.node_ids
-    if ids.max() >= g.n:
-        raise ContractError(f"batch vertex {int(ids.max())} is out of range "
-                            f"for graph of order {g.n}")
-    where = np.nonzero(ids == v)[0]
-    if where.size == 0:
-        raise ContractError(f"vertex {v} is not in the sampled batch")
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    col = _restrict(g.prop, ids).to_dense()[:, int(where[0])]
-    if np.isscalar(e):
-        e_col = np.full(ids.size, float(e))
-    else:
-        e = np.asarray(e, dtype=np.float64)
-        e_col = e[ids, v]
-    bad = (col != 0.0) & (e_col <= 0.0)
-    if bad.any():
-        u = int(ids[int(np.argmax(bad))])
-        raise ContractError(
-            f"normalization constant e[{u}, {v}] is not positive"
-        )
-    coef = np.divide(col, e_col, out=np.zeros_like(col), where=col != 0.0)
-    return coef @ h_prev[ids] @ p.weights + p.bias
 
 
 @dataclass(frozen=True)

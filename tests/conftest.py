@@ -92,6 +92,11 @@ def lexsort_canonical(dim, rows, cols, vals):
     return rows2, cols2, vals
 
 
+def bits(a):
+    """The float64 bit patterns of an array, for bitwise comparisons."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
 def assert_same_triplets(s, want):
     """Bitwise equality of an operator's triplets with (rows, cols, vals)."""
     rows, cols, vals = want

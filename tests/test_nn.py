@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import dense_to_sparse, fd_grad, rel_err
+from conftest import bits, dense_to_sparse, fd_grad, rel_err
 from mgk.errors import ContractError, FormatError, ShapeError
 from mgk.linalg import SparseSymMatrix
+from mgk.model import build, loss_and_grads
 from mgk import nn
+from test_model import TOY, graph_batch, patch_tensor, toy_cfg
 
 
 def test_layer_params_validation():
@@ -192,6 +194,101 @@ def test_batch_norm_rejects_singleton_train_batch():
     p = nn.make_batch_norm(2)
     with pytest.raises(ContractError):
         nn.batch_norm_forward(np.ones((1, 2)), p, mode="train")
+
+
+def ref_batch_norm_train(x, p, momentum):
+    """Train-mode batch norm as it first ran, with np.var and a second
+    subtraction of the mean; the bitwise reference for the layer. Returns
+    the output, xhat and the new running mean and variance."""
+    axes = nn._bn_axes(x)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv = 1.0 / np.sqrt(var + nn.BN_EPS)
+    xhat = (x - mean) * inv
+    out = p.bn_gamma * xhat + p.bn_beta
+    return (out, xhat,
+            momentum * p.bn_running_mean + (1.0 - momentum) * mean,
+            momentum * p.bn_running_var + (1.0 - momentum) * var)
+
+
+@given(st.one_of(st.tuples(st.integers(2, 300), st.integers(1, 130)),
+                 st.tuples(st.integers(2, 8), st.integers(1, 7),
+                           st.integers(1, 7), st.integers(1, 40))),
+       st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+@example((2, 3), 0, True, 0.9)
+@example((2, 1, 1, 4), 1, False, 0.9)
+@example((4800, 64), 2, False, 0.9)
+@example((32, 7, 7, 32), 3, True, 0.9)
+def test_batch_norm_train_forward_matches_reference_bitwise(shape, seed,
+                                                            constant,
+                                                            momentum):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=rng.uniform(-3, 3), scale=10.0 ** rng.uniform(-3, 1),
+                   size=shape)
+    if constant:
+        x[..., ::2] = rng.normal()
+    width = shape[-1]
+    p = nn.make_batch_norm(width)
+    p.bn_gamma = rng.normal(size=width)
+    p.bn_beta = rng.normal(size=width)
+    p.bn_running_mean = rng.normal(size=width)
+    p.bn_running_var = rng.uniform(0.1, 2.0, size=width)
+    x_before = x.copy()
+    want = ref_batch_norm_train(x, p, momentum)
+    out, tape = nn.batch_norm_forward(x, p, "train", momentum)
+    got = (out, tape.cache[0], p.bn_running_mean, p.bn_running_var)
+    for name, g, w in zip(("out", "xhat", "running mean", "running var"),
+                          got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(bits(g), bits(w)), name
+    assert np.array_equal(bits(x), bits(x_before))
+
+
+@pytest.mark.parametrize("arch", ["gcn", "minigcn", "funet-a", "funet-m",
+                                  "funet-c"])
+def test_training_step_skips_the_input_gradient_of_gcn_bn_in(arch,
+                                                             monkeypatch):
+    rng = np.random.default_rng(14)
+    mdl = build(toy_cfg(arch), seed=2)
+    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    patches = None
+    if mdl.cfg.uses_patches:
+        patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    bn_in = mdl.layers["gcn.bn_in"]
+    forward_, backward_ = nn.batch_norm_forward, nn.batch_norm_backward
+    param_grads_ = nn.batch_norm_param_grads
+    bn_in_tapes, backward_tapes, param_calls = [], [], []
+
+    def spy_forward(x, p, *args):
+        out, tape = forward_(x, p, *args)
+        if p is bn_in:
+            bn_in_tapes.append(tape)
+        return out, tape
+
+    def spy_backward(dout, tape):
+        backward_tapes.append(tape)
+        return backward_(dout, tape)
+
+    def spy_param_grads(dout, tape):
+        grads = param_grads_(dout, tape)
+        param_calls.append((np.array(dout), tape, grads))
+        return grads
+
+    with monkeypatch.context() as mp:
+        mp.setattr(nn, "batch_norm_forward", spy_forward)
+        mp.setattr(nn, "batch_norm_backward", spy_backward)
+        mp.setattr(nn, "batch_norm_param_grads", spy_param_grads)
+        _, grads, _ = loss_and_grads(mdl, batch, patches, l2=0.001)
+
+    (tape,) = bn_in_tapes
+    assert len(backward_tapes) >= 2  # gcn.bn_out and head.bn still run it
+    assert all(t is not tape for t in backward_tapes)
+    (dout, _, got), = [c for c in param_calls if c[1] is tape]
+    _, want = backward_(dout, tape)
+    assert grads["gcn.bn_in"] is got
+    for f in ("bn_gamma", "bn_beta"):
+        assert np.array_equal(bits(got[f]), bits(want[f]))
 
 
 def test_softmax_uniform_logits_loss():

@@ -1,10 +1,14 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import bits
 from mgk.errors import ContractError
 from mgk import nn
-from mgk.optim import ADAM_EPS, AdamState, adam_step, schedule_lr
+from mgk.optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                       adam_step, schedule_lr)
 
 
 def one_fc_model(rng, d=3, p=2):
@@ -87,6 +91,113 @@ def test_adam_batch_norm_trains_gamma_beta_only():
     adam_step(params, grads, AdamState(), lr=0.1)
     assert not np.array_equal(p.bn_gamma, np.ones(3))
     assert np.array_equal(p.bn_running_mean, rm)
+
+
+def test_adam_refuses_a_gradient_of_another_shape():
+    rng = np.random.default_rng(6)
+    params = one_fc_model(rng)
+    before = params[0][1].weights.copy()
+    grads = {"fc": {"weights": np.ones(1), "bias": np.ones(2)}}
+    state = AdamState()
+    with pytest.raises(ContractError, match=r"fc\.weights.*\(1,\).*\(3, 2\)"):
+        adam_step(params, grads, state, lr=0.01)
+    assert np.array_equal(params[0][1].weights, before)
+    assert state.step_count == 0
+
+
+def test_adam_refuses_a_state_built_for_another_layout():
+    rng = np.random.default_rng(7)
+    state = AdamState()
+    params = one_fc_model(rng)
+    adam_step(params, {"fc": {"weights": np.ones((3, 2)),
+                              "bias": np.ones(2)}}, state, lr=0.01)
+    others = [
+        [("head", params[0][1])],                       # another name
+        one_fc_model(rng, d=4),                         # another shape
+        [("fc", nn.make_graph_conv(rng, 3, 2))] + [     # another list
+            ("bn", nn.make_batch_norm(2))],
+    ]
+    for other in others:
+        grads = {name: {f: np.ones_like(getattr(layer, f))
+                        for f in nn.TRAINABLE_FIELDS[layer.kind]}
+                 for name, layer in other}
+        with pytest.raises(ContractError, match="layout"):
+            adam_step(other, grads, state, lr=0.01)
+    assert state.step_count == 1
+
+
+@dataclass
+class RefAdamState:
+    step_count: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def ref_adam_step(params, grads, state, lr):
+    """Adam as it first ran, one (layer, field) array at a time; kept as the
+    bitwise reference for the flat-buffer step."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, layer in params:
+        for fieldname in nn.TRAINABLE_FIELDS[layer.kind]:
+            g = np.asarray(grads[name][fieldname], dtype=np.float64)
+            key = (name, fieldname)
+            m = state.m.get(key)
+            if m is None:
+                m = np.zeros_like(g)
+                state.m[key] = m
+                state.v[key] = np.zeros_like(g)
+            v = state.v[key]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            mhat = m / bc1
+            vhat = v / bc2
+            arr = getattr(layer, fieldname)
+            arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.sampled_from(["none", "some", "all"]), st.booleans())
+@example(0, 300, "none", False)
+@example(1, 1, "all", True)
+def test_adam_matches_per_field_reference_bitwise(seed, steps, zeros,
+                                                  lr_zero):
+    rng = np.random.default_rng(seed)
+    params = [("conv", nn.make_conv2d(rng, 3, 3, 2, 3)),
+              ("bn", nn.make_batch_norm(3)),
+              ("gconv", nn.make_graph_conv(rng, 4, 3)),
+              ("fc", nn.make_fc(rng, 3, 2))]
+    ref = [(name, layer.copy()) for name, layer in params]
+    state, ref_state = AdamState(), RefAdamState()
+    for step in range(steps):
+        grads = {}
+        for name, layer in params:
+            grads[name] = {}
+            for f in nn.TRAINABLE_FIELDS[layer.kind]:
+                shape = getattr(layer, f).shape
+                scale = 10.0 ** rng.uniform(-8, 3)
+                g = rng.normal(scale=scale, size=shape)
+                if zeros == "all" or (zeros == "some" and rng.random() < .3):
+                    g = np.zeros(shape)
+                grads[name][f] = g
+        lr = 0.0 if lr_zero and step % 2 == 0 else rng.uniform(0.0, 0.1)
+        adam_step(params, grads, state, lr)
+        ref_adam_step(ref, grads, ref_state, lr)
+    assert state.step_count == ref_state.step_count == steps
+    for (name, layer), (_, want) in zip(params, ref):
+        for f in nn._ARRAY_FIELDS[layer.kind]:
+            assert np.array_equal(bits(getattr(layer, f)),
+                                  bits(getattr(want, f))), f"{name}.{f}"
+    keys = [(name, f) for name, layer in params
+            for f in nn.TRAINABLE_FIELDS[layer.kind]]
+    for flat, moments in ((state.m, ref_state.m), (state.v, ref_state.v)):
+        want = np.concatenate([moments[key].ravel() for key in keys])
+        assert np.array_equal(bits(flat), bits(want))
 
 
 def test_schedule_refuses_bad_arguments():

@@ -14,8 +14,7 @@ from mgk.linalg import SparseSymMatrix
 from mgk import nn
 import mgk.sampler
 from mgk.sampler import (_restrict, estimator_bias_diagnostic,
-                         induce_subgraph, node_estimate, partition_epoch,
-                         write_bias_csv)
+                         induce_subgraph, partition_epoch, write_bias_csv)
 
 
 def test_partition_single_batch():
@@ -148,6 +147,42 @@ def test_restrict_matches_the_full_scan(n, size, seed):
         assert np.array_equal(got.rows, want.rows)
         assert np.array_equal(got.cols, want.cols)
         assert np.array_equal(got.vals, want.vals)
+
+
+def node_estimate(v, g, subgraph, h_prev, p, e=1.0):
+    """Aggregation estimate for one vertex from a sampled batch, by brute
+    force: the reference for the bias diagnostic.
+
+    Sums the entries of g's propagation over batch members, each divided by
+    its normalization constant e_uv, then applies the layer weights:
+    sum_u prop[u, v] / e[u, v] * h_prev[u] @ W + b. ``e`` is either a scalar
+    (e == 1 everywhere) or a dense (n, n) array indexed by global vertex ids.
+    """
+    if p.kind != "graph_conv":
+        raise ContractError(f"node_estimate needs graph_conv params, got "
+                            f"{p.kind!r}")
+    ids = subgraph.node_ids
+    if ids.max() >= g.n:
+        raise ContractError(f"batch vertex {int(ids.max())} is out of range "
+                            f"for graph of order {g.n}")
+    where = np.nonzero(ids == v)[0]
+    if where.size == 0:
+        raise ContractError(f"vertex {v} is not in the sampled batch")
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    col = _restrict(g.prop, ids).to_dense()[:, int(where[0])]
+    if np.isscalar(e):
+        e_col = np.full(ids.size, float(e))
+    else:
+        e = np.asarray(e, dtype=np.float64)
+        e_col = e[ids, v]
+    bad = (col != 0.0) & (e_col <= 0.0)
+    if bad.any():
+        u = int(ids[int(np.argmax(bad))])
+        raise ContractError(
+            f"normalization constant e[{u}, {v}] is not positive"
+        )
+    coef = np.divide(col, e_col, out=np.zeros_like(col), where=col != 0.0)
+    return coef @ h_prev[ids] @ p.weights + p.bias
 
 
 def test_node_estimate_full_graph_matches_layer_row():
