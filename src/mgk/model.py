@@ -244,8 +244,13 @@ def _cnn_branch_backward(dflat, tapes, grads):
         dh = nn.relu_backward(dh, tapes[f"{blk}.relu"])
         dh = nn.maxpool2x2_backward(dh, tapes[f"{blk}.pool"])
         dh, grads[f"{blk}.bn"] = nn.batch_norm_backward(dh, tapes[f"{blk}.bn"])
-        dh, grads[f"{blk}.conv"] = nn.conv2d_backward(dh, tapes[f"{blk}.conv"])
-    return dh
+        if blk != "cnn.block1":
+            dh, grads[f"{blk}.conv"] = nn.conv2d_backward(dh,
+                                                          tapes[f"{blk}.conv"])
+    # the patches' gradient is never read, so block 1's conv stops at its
+    # own parameters
+    grads["cnn.block1.conv"] = nn.conv2d_param_grads(
+        dh, tapes["cnn.block1.conv"])
 
 
 def head_forward(model: Model, h, mode="eval", bn_momentum=0.9):
@@ -359,7 +364,9 @@ def loss_and_grads(model: Model, batch: SubgraphBatch, patches=None,
                 continue
             w = layer.weights
             loss += l2 * float(np.sum(w * w))
-            grads[name]["weights"] = grads[name]["weights"] + 2.0 * l2 * w
+            # every weight gradient is a fresh array of the backward pass,
+            # shared with no parameter or tape
+            grads[name]["weights"] += 2.0 * l2 * w
     if not np.isfinite(loss):
         raise NumericError("loss is not finite")
     return loss, grads, logits

@@ -2,9 +2,12 @@
 
 Every forward returns ``(out, tape)`` where the tape holds exactly what the
 matching backward needs; backward returns ``(dx, grads)`` with grads keyed
-by the LayerParams field names. No autograd, no framework: the layer set is
-small enough that explicit gradients stay auditable, and the whole stack is
-checked against central finite differences in the tests.
+by the LayerParams field names. ``conv2d_param_grads`` and
+``batch_norm_param_grads`` return the same grads without ``dx``, for a
+model's first layers, whose input gradient nothing reads. No autograd, no
+framework: the layer set is small enough that explicit gradients stay
+auditable, and the whole stack is checked against central finite
+differences in the tests.
 
 All math runs in float64. Image tensors are laid out (batch, height, width,
 channels); vertex features are (batch, features).
@@ -216,16 +219,24 @@ def conv2d_forward(x, p: LayerParams):
     return out, tape
 
 
-def conv2d_backward(dout, tape: TapeEntry):
+def conv2d_param_grads(dout, tape: TapeEntry) -> dict:
+    """The weights and bias gradients alone, for a layer whose input
+    gradient nothing reads."""
     _check_tape(tape, "conv2d")
-    cols, wshape, wmat, xshape = tape.cache
+    cols, wshape, _, _ = tape.cache
+    kh, kw, c_in, c_out = wshape
+    dflat = np.asarray(dout, dtype=np.float64).reshape(-1, c_out)
+    dw = (cols.reshape(-1, kh * kw * c_in).T @ dflat).reshape(wshape)
+    return {"weights": dw, "bias": dflat.sum(axis=0)}
+
+
+def conv2d_backward(dout, tape: TapeEntry):
+    dout = np.asarray(dout, dtype=np.float64)
+    grads = conv2d_param_grads(dout, tape)
+    _, wshape, wmat, xshape = tape.cache
     kh, kw, c_in, c_out = wshape
     b, h, w, _ = xshape
-    dout = np.asarray(dout, dtype=np.float64)
-    dflat = dout.reshape(-1, c_out)
-    dw = (cols.reshape(-1, kh * kw * c_in).T @ dflat).reshape(wshape)
-    db = dflat.sum(axis=0)
-    dcols = (dflat @ wmat.T).reshape(b, h, w, kh * kw * c_in)
+    dcols = (dout.reshape(-1, c_out) @ wmat.T).reshape(b, h, w, kh * kw * c_in)
     ph, pw = kh // 2, kw // 2
     dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c_in))
     for i in range(kh):
@@ -233,7 +244,7 @@ def conv2d_backward(dout, tape: TapeEntry):
             dxp[:, i:i + h, j:j + w, :] += \
                 dcols[..., (i * kw + j) * c_in:(i * kw + j + 1) * c_in]
     dx = dxp[:, ph:ph + h, pw:pw + w, :]
-    return dx, {"weights": dw, "bias": db}
+    return dx, grads
 
 
 # ------------------------------------------------------------------- maxpool
@@ -242,19 +253,35 @@ def maxpool2x2_forward(x):
     """2x2/stride-2 max pooling with ceil-mode output (7 -> 4 -> 2 -> 1).
 
     Odd trailing rows/columns pool over the surviving elements; ties route
-    the gradient to the first window element in row-major order.
+    the gradient to the first window element in row-major order, and a NaN
+    wins its window, the first NaN if there are several.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"pool input must be 4-D (B,H,W,C), got {x.shape}")
     b, h, w, c = x.shape
     h2, w2 = -(-h // 2), -(-w // 2)
-    xp = np.full((b, h2 * 2, w2 * 2, c), -np.inf)
-    xp[:, :h, :w, :] = x
-    win = xp.reshape(b, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-    win = win.reshape(b, h2, w2, 4, c)
-    arg = win.argmax(axis=3)  # first maximal element wins ties
-    out = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    xp = x
+    if h % 2 or w % 2:
+        xp = np.empty((b, h2 * 2, w2 * 2, c))
+        xp[:, :h, :w, :] = x
+        xp[:, h:, :, :] = -np.inf
+        xp[:, :h, w:, :] = -np.inf
+    win = xp.reshape(b, h2, 2, w2, 2, c)
+    # one pass per window element in row-major order: a later element
+    # takes the window only if it is greater, or NaN while the running max
+    # is not, so `take` is "out is not NaN and q <= out fails"
+    out = win[:, :, 0, :, 0, :]
+    arg = np.zeros(out.shape, dtype=np.intp)
+    keep = np.empty(out.shape, dtype=bool)
+    take = np.empty(out.shape, dtype=bool)
+    for k, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), start=1):
+        q = win[:, :, i, :, j, :]
+        np.less_equal(q, out, out=keep)
+        np.equal(out, out, out=take)
+        np.greater(take, keep, out=take)
+        out = np.where(take, q, out)
+        np.maximum(arg, take * k, out=arg)  # k exceeds every earlier index
     return out, TapeEntry("maxpool", "train", (arg, x.shape))
 
 
@@ -321,26 +348,38 @@ def batch_norm_forward(x, p: LayerParams, mode="train", momentum=0.9):
     return out, tape
 
 
+def _bn_param_grads(dout, xhat, axes, prod) -> dict:
+    np.multiply(dout, xhat, out=prod)
+    return {"bn_gamma": prod.sum(axis=axes), "bn_beta": dout.sum(axis=axes)}
+
+
 def batch_norm_param_grads(dout, tape: TapeEntry) -> dict:
     """The gamma and beta gradients alone, for a layer whose input
     gradient nothing reads."""
     _check_tape(tape, "batch_norm")
     xhat, _, _, axes, _ = tape.cache
     dout = np.asarray(dout, dtype=np.float64)
-    return {"bn_gamma": (dout * xhat).sum(axis=axes),
-            "bn_beta": dout.sum(axis=axes)}
+    return _bn_param_grads(dout, xhat, axes, np.empty(xhat.shape))
 
 
 def batch_norm_backward(dout, tape: TapeEntry):
-    dout = np.asarray(dout, dtype=np.float64)
-    grads = batch_norm_param_grads(dout, tape)
+    """dx = inv/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), taken in
+    that order with dxhat = dout*gamma, built in dxhat's buffer; one more
+    buffer holds dout*xhat, then dxhat*xhat, then xhat*sum(dxhat*xhat)."""
+    _check_tape(tape, "batch_norm")
     xhat, inv, gamma, axes, m = tape.cache
-    dxhat = dout * gamma
-    dx = inv / m * (
-        m * dxhat
-        - dxhat.sum(axis=axes, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-    )
+    dout = np.asarray(dout, dtype=np.float64)
+    prod = np.empty(xhat.shape)
+    grads = _bn_param_grads(dout, xhat, axes, prod)
+    dx = dout * gamma
+    np.multiply(dx, xhat, out=prod)
+    sum_prod = prod.sum(axis=axes, keepdims=True)
+    sum_dxhat = dx.sum(axis=axes, keepdims=True)
+    np.multiply(xhat, sum_prod, out=prod)
+    dx *= m
+    dx -= sum_dxhat
+    dx -= prod
+    dx *= inv / m
     return dx, grads
 
 
@@ -363,10 +402,10 @@ def softmax_cross_entropy(logits, labels):
         raise ContractError("labels must be one-hot rows")
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
+    total = expd.sum(axis=1, keepdims=True)
+    probs = expd / total
     b = logits.shape[0]
-    loss = float(-np.sum(labels * (shifted - np.log(expd.sum(axis=1,
-                                                             keepdims=True)))) / b)
+    loss = float(-np.sum(labels * (shifted - np.log(total))) / b)
     tape = TapeEntry("softmax_ce", "train", (probs, labels, b))
     return loss, probs, tape
 

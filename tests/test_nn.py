@@ -9,7 +9,7 @@ from conftest import bits, dense_to_sparse, fd_grad, rel_err
 from mgk.errors import ContractError, FormatError, ShapeError
 from mgk.linalg import SparseSymMatrix
 from mgk.model import build, loss_and_grads
-from mgk import nn
+from mgk import model as mgk_model, nn
 from test_model import TOY, graph_batch, patch_tensor, toy_cfg
 
 
@@ -109,6 +109,26 @@ def test_conv2d_rejects_even_kernel():
         nn.conv2d_forward(np.ones((1, 3, 3, 1)), p)
 
 
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3]),
+       st.sampled_from([1, 3]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_conv2d_param_grads_equal_backward_bitwise(h, w, kh, kw, b, c_in,
+                                                   c_out, seed, strided):
+    rng = np.random.default_rng(seed)
+    p = nn.make_conv2d(rng, kh, kw, c_in, c_out)
+    p.bias[:] = rng.normal(size=c_out)
+    _, tape = nn.conv2d_forward(rng.normal(size=(b, h, w, c_in)), p)
+    dout = rng.normal(size=(b, h + 1, w, c_out))
+    # a strided view, as the pool's backward hands block 1 its gradient
+    dout = dout[:, :h] if strided else np.ascontiguousarray(dout[:, :h])
+    got = nn.conv2d_param_grads(dout, tape)
+    _, want = nn.conv2d_backward(dout, tape)
+    assert sorted(got) == ["bias", "weights"]
+    for f in ("weights", "bias"):
+        assert got[f].shape == want[f].shape
+        assert np.array_equal(bits(got[f]), bits(want[f])), f
+
+
 def test_maxpool_table_shapes():
     rng = np.random.default_rng(3)
     for h_in, h_out in ((7, 4), (4, 2), (2, 1), (1, 1)):
@@ -143,6 +163,61 @@ def test_maxpool_idempotent_on_1x1():
     once, _ = nn.maxpool2x2_forward(x)
     twice, _ = nn.maxpool2x2_forward(once)
     assert np.array_equal(once, twice)
+
+
+def ref_maxpool2x2_forward(x):
+    """2x2 pooling as it first ran: a padded, transposed (b, h2, w2, 4, c)
+    copy of the windows, argmax and take_along_axis; the bitwise reference
+    for the layer's output and its gradient routing."""
+    b, h, w, c = x.shape
+    h2, w2 = -(-h // 2), -(-w // 2)
+    xp = np.full((b, h2 * 2, w2 * 2, c), -np.inf)
+    xp[:, :h, :w, :] = x
+    win = xp.reshape(b, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    win = win.reshape(b, h2, w2, 4, c)
+    arg = win.argmax(axis=3)
+    out = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out, nn.TapeEntry("maxpool", "train", (arg, x.shape))
+
+
+def _nans(rng, n):
+    """Quiet NaNs of either sign with random payloads, so that the bits
+    tell which one a window kept."""
+    payload = rng.integers(1, 2**51, size=n, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    return (np.uint64(0x7FF8000000000000) | payload | sign).view(np.float64)
+
+
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 8),
+       st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["normal", "ties", "zeros"]), st.integers(0, 4),
+       st.booleans())
+@example(2, 7, 7, 3, 0, "ties", 0, False)
+@example(1, 2, 2, 1, 1, "zeros", 3, False)
+@example(1, 1, 1, 1, 2, "normal", 1, False)
+def test_maxpool_matches_reference_bitwise(b, h, w, c, seed, values, n_nan,
+                                           strided):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, h, w + 1, c))
+    if values == "ties":
+        x = np.round(x)  # many equal maxima, and -0.0 beside 0.0
+    elif values == "zeros":
+        x = np.where(x < 0, -0.0, 0.0)
+    x[rng.random(x.shape) < 0.1] = -np.inf
+    x.flat[rng.integers(0, x.size, size=n_nan)] = _nans(rng, n_nan)
+    x = x[:, :, :w] if strided else np.ascontiguousarray(x[:, :, :w])
+    x_before = x.copy()
+    want, ref_tape = ref_maxpool2x2_forward(x)
+    got, tape = nn.maxpool2x2_forward(x)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+    (arg, xshape), (ref_arg, ref_xshape) = tape.cache, ref_tape.cache
+    assert arg.dtype == ref_arg.dtype and xshape == ref_xshape
+    assert np.array_equal(arg, ref_arg)
+    dout = rng.normal(size=got.shape)
+    assert np.array_equal(bits(nn.maxpool2x2_backward(dout, tape)),
+                          bits(nn.maxpool2x2_backward(dout, ref_tape)))
+    assert np.array_equal(bits(x), bits(x_before))
 
 
 def test_relu_idempotent():
@@ -245,6 +320,54 @@ def test_batch_norm_train_forward_matches_reference_bitwise(shape, seed,
     assert np.array_equal(bits(x), bits(x_before))
 
 
+def ref_batch_norm_backward(dout, tape):
+    """Batch-norm backward as it first ran, one temporary per operation;
+    the bitwise reference for the layer's gradients."""
+    xhat, inv, gamma, axes, m = tape.cache
+    dxhat = dout * gamma
+    dx = inv / m * (
+        m * dxhat
+        - dxhat.sum(axis=axes, keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
+    )
+    return dx, {"bn_gamma": (dout * xhat).sum(axis=axes),
+                "bn_beta": dout.sum(axis=axes)}
+
+
+@given(st.one_of(st.tuples(st.integers(2, 300), st.integers(1, 130)),
+                 st.tuples(st.integers(2, 8), st.integers(1, 7),
+                           st.integers(1, 7), st.integers(1, 40))),
+       st.integers(0, 2**32 - 1), st.booleans())
+@example((2, 3), 0, True)
+@example((32, 128), 1, False)
+@example((4800, 128), 2, False)
+@example((32, 7, 7, 32), 3, True)
+def test_batch_norm_backward_matches_reference_bitwise(shape, seed, constant):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=rng.uniform(-3, 3), scale=10.0 ** rng.uniform(-3, 1),
+                   size=shape)
+    if constant:
+        x[..., ::2] = rng.normal()
+    p = nn.make_batch_norm(shape[-1])
+    p.bn_gamma = rng.normal(size=shape[-1])
+    _, tape = nn.batch_norm_forward(x, p, "train")
+    dout = rng.normal(size=shape)
+    cache_before = [bits(a).copy() for a in tape.cache[:3]]
+    dout_before = dout.copy()
+    want_dx, want = ref_batch_norm_backward(dout, tape)
+    dx, got = nn.batch_norm_backward(dout, tape)
+    assert dx.shape == want_dx.shape
+    assert np.array_equal(bits(dx), bits(want_dx))
+    for f in ("bn_gamma", "bn_beta"):
+        assert np.array_equal(bits(got[f]), bits(want[f])), f
+    got = nn.batch_norm_param_grads(dout, tape)
+    for f in ("bn_gamma", "bn_beta"):
+        assert np.array_equal(bits(got[f]), bits(want[f])), f
+    assert np.array_equal(bits(dout), bits(dout_before))
+    for a, before in zip(tape.cache[:3], cache_before):
+        assert np.array_equal(bits(a), before)
+
+
 @pytest.mark.parametrize("arch", ["gcn", "minigcn", "funet-a", "funet-m",
                                   "funet-c"])
 def test_training_step_skips_the_input_gradient_of_gcn_bn_in(arch,
@@ -289,6 +412,106 @@ def test_training_step_skips_the_input_gradient_of_gcn_bn_in(arch,
     assert grads["gcn.bn_in"] is got
     for f in ("bn_gamma", "bn_beta"):
         assert np.array_equal(bits(got[f]), bits(want[f]))
+
+
+@pytest.mark.parametrize("arch", ["cnn2d", "funet-a", "funet-m", "funet-c"])
+def test_training_step_skips_the_input_gradient_of_cnn_block1(arch,
+                                                              monkeypatch):
+    rng = np.random.default_rng(15)
+    mdl = build(toy_cfg(arch), seed=3)
+    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    blocks = {id(mdl.layers[f"cnn.block{i}.conv"]): i for i in (1, 2, 3)}
+    forward_, backward_ = nn.conv2d_forward, nn.conv2d_backward
+    param_grads_ = nn.conv2d_param_grads
+    conv_tapes, backward_tapes, param_calls = {}, [], []
+
+    def spy_forward(x, p):
+        out, tape = forward_(x, p)
+        conv_tapes[blocks[id(p)]] = tape
+        return out, tape
+
+    def spy_backward(dout, tape):
+        backward_tapes.append(tape)
+        return backward_(dout, tape)
+
+    def spy_param_grads(dout, tape):
+        grads = param_grads_(dout, tape)
+        param_calls.append((np.array(dout), tape, grads,
+                            {f: g.copy() for f, g in grads.items()}))
+        return grads
+
+    with monkeypatch.context() as mp:
+        mp.setattr(nn, "conv2d_forward", spy_forward)
+        mp.setattr(nn, "conv2d_backward", spy_backward)
+        mp.setattr(nn, "conv2d_param_grads", spy_param_grads)
+        _, grads, _ = loss_and_grads(mdl, batch, patches, l2=0.001)
+
+    assert sorted(conv_tapes) == [1, 2, 3]
+    # blocks 3 and 2 still take the full backward, block 1 never does
+    assert [id(t) for t in backward_tapes] == [id(conv_tapes[3]),
+                                               id(conv_tapes[2])]
+    (dout, _, got, got_before), = [c for c in param_calls
+                                   if c[1] is conv_tapes[1]]
+    _, want = backward_(dout, conv_tapes[1])
+    assert grads["cnn.block1.conv"] is got
+    for f in ("weights", "bias"):
+        assert np.array_equal(bits(got_before[f]), bits(want[f]))
+
+
+def _arrays(obj):
+    """Every ndarray inside a tape, a tuple or a dict of them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, nn.TapeEntry):
+        yield from _arrays(obj.cache)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "minigcn", "cnn2d", "funet-a",
+                                  "funet-m", "funet-c"])
+def test_l2_is_added_in_place_to_gradients_that_alias_nothing(arch,
+                                                              monkeypatch):
+    rng = np.random.default_rng(16)
+    mdl = build(toy_cfg(arch), seed=4)
+    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    patches = None
+    if mdl.cfg.uses_patches:
+        patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    forward_ = mgk_model.forward
+    tapes = []
+
+    def spy_forward(*args, **kwargs):
+        logits, t = forward_(*args, **kwargs)
+        tapes.append(t)
+        return logits, t
+
+    plain = mdl.copy()
+    with monkeypatch.context() as mp:
+        mp.setattr(mgk_model, "forward", spy_forward)
+        _, grads0, _ = loss_and_grads(plain, batch, patches, l2=0.0)
+    # the gradients share memory with no parameter, tape or other gradient
+    grad_arrays = list(_arrays(grads0))
+    others = list(_arrays(tapes)) + [
+        getattr(layer, f) for _, layer in plain.named_params()
+        for f in nn._ARRAY_FIELDS[layer.kind]]
+    for i, g in enumerate(grad_arrays):
+        assert not any(np.shares_memory(g, o) for o in others)
+        assert not any(np.shares_memory(g, o) for o in grad_arrays[i + 1:])
+
+    l2 = 0.001
+    _, grads, _ = loss_and_grads(mdl.copy(), batch, patches, l2=l2)
+    for name, layer in mdl.named_params():
+        for f in grads[name]:
+            want = grads0[name][f]
+            if f == "weights":
+                want = want + 2.0 * l2 * layer.weights
+            assert np.array_equal(bits(grads[name][f]), bits(want)), name
 
 
 def test_softmax_uniform_logits_loss():
