@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .graph import build_knn_rbf_graph
+from .graph import build_knn_rbf_graph, renormalized_propagation
 from . import nn
 from .sampler import induce_subgraph, partition_epoch
 
@@ -142,7 +142,7 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
         params = nn.make_graph_conv(rng, d, p)
         dout = rng.standard_normal((n, p))
         if mode == "full-gcn":
-            dense = g.prop.to_dense()
+            dense = renormalized_propagation(g.adjacency).to_dense()
             samples = _time_pass(lambda: _layer_pass(dense, h, params, dout),
                                  repeats)
             every = np.arange(n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import sampler as sampler_mod
-from .data import (load_cube, load_labels, normalize_bands, save_cube,
-                   save_labels, save_split, synth_scene)
+from .data import (load_cube, load_labels, normalize_bands, read_json,
+                   save_cube, save_labels, save_split, synth_scene)
 from .errors import ConfigError, FormatError, MgkError
 from .graph import build_knn_rbf_graph
 from .metrics import overall_accuracy, report_text, write_report_csv
@@ -137,12 +136,7 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
     """Defaults, then the JSON file, then flag overrides, then MGK_SEED."""
     cfg = RunConfig()
     if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file is not valid JSON: {exc}",
-                              offset=exc.pos) from exc
+        doc = read_json(config_path, "config file is not valid JSON")
         if not isinstance(doc, dict):
             raise FormatError("config JSON must be an object of sections")
         for section_name, body in doc.items():

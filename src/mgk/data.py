@@ -177,6 +177,20 @@ def _read_header(data: bytes, magic: bytes, what: str):
     return header, nl + 1
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at path. Bytes that are not UTF-8, or
+    text that is not JSON, raise a FormatError whose message starts with
+    ``what``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what}: {exc}", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what}: {exc}", offset=exc.pos) from exc
+
+
 def _is_json_int(value) -> bool:
     """Whether a parsed JSON value is an integer in int64 range; a bool,
     a float such as 3.0 and a string such as "3" are not."""
@@ -272,12 +286,7 @@ def save_split(path, split: SplitSpec) -> None:
 
 
 def load_split(path) -> SplitSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"split file is not valid JSON: {exc}",
-                              offset=exc.pos) from exc
+    doc = read_json(path, "split file is not valid JSON")
     if not isinstance(doc, dict) or set(doc) != {"train", "test"}:
         raise FormatError("split JSON must have exactly 'train' and 'test' "
                           "sections")

@@ -22,6 +22,11 @@ constant. Each row keeps its k nearest (lower vertex index first among
 equal distances); a block's candidates are sorted only when a tie at some
 row's k-th distance gives that row more than k. Each edge is weighted from
 the distance its block computed.
+
+A ``Graph`` is its order and adjacency. Graph convolution propagates
+through ``renormalized_propagation`` of an adjacency (self-loops added,
+degrees renormalized), which its users compute where they need it: on
+each training batch's induced adjacency, and on each inference chunk's.
 """
 
 from __future__ import annotations
@@ -45,17 +50,11 @@ KNN_BLOCK_ENTRIES = 1 << 17
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected weighted graph plus cached propagation operator.
-
-    ``prop`` caches the renormalized propagation (self-loops added, degree
-    renormalized); it always equals ``renormalized_propagation`` recomputed
-    from the adjacency.
-    """
+    """An undirected weighted graph: its order and its adjacency. Degrees
+    and operators are computed from the adjacency where they are used."""
 
     n: int
     adjacency: SparseSymMatrix
-    degree: np.ndarray
-    prop: SparseSymMatrix
 
 
 def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
@@ -64,8 +63,8 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     ``features`` is one graph's ``(n, bands)`` vertices, or ``(C, c, bands)``
     for C graphs of c vertices each, built as one: vertex ``q*c + i`` is row
     i of chunk q, neighbours are chosen within each chunk only, and the
-    result is one ``Graph`` of ``C*c`` vertices whose adjacency and ``prop``
-    are block-diagonal, block q bitwise the graph of chunk q built alone.
+    result is one ``Graph`` of ``C*c`` vertices whose adjacency is
+    block-diagonal, block q bitwise the graph of chunk q built alone.
 
     Each vertex selects its k nearest other vertices; an edge exists if
     either endpoint selected the other. Among equal distances the lower
@@ -110,8 +109,7 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     w = np.exp(-dist[first] / (sigma * sigma))
 
     adj = SparseSymMatrix(n, keys // n, keys % n, w, require_nonnegative=True)
-    degree = adj.row_sums()
-    return Graph(n=n, adjacency=adj, degree=degree, prop=_renorm_prop(adj))
+    return Graph(n=n, adjacency=adj)
 
 
 def _knn_edges(x, k: int) -> tuple:
@@ -225,18 +223,19 @@ def _with_diagonal(a: SparseSymMatrix, off_vals, idx, diag_vals
 def laplacian(g: Graph) -> SparseSymMatrix:
     """Combinatorial Laplacian L = D - A."""
     a = g.adjacency
-    return _with_diagonal(a, -a.vals, np.arange(g.n), g.degree)
+    return _with_diagonal(a, -a.vals, np.arange(g.n), a.row_sums())
 
 
 def _normalized_adjacency(g: Graph) -> SparseSymMatrix:
     """D^{-1/2} A D^{-1/2}; requires strictly positive degrees."""
-    zero = np.nonzero(g.degree <= 0.0)[0]
+    a = g.adjacency
+    degree = a.row_sums()
+    zero = np.nonzero(degree <= 0.0)[0]
     if zero.size:
         raise ContractError(
             f"vertex {int(zero[0])} has zero degree; cannot normalize"
         )
-    a = g.adjacency
-    inv_sqrt = 1.0 / np.sqrt(g.degree)
+    inv_sqrt = 1.0 / np.sqrt(degree)
     return SparseSymMatrix(g.n, a.rows, a.cols,
                            a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols])
 
@@ -250,19 +249,15 @@ def sym_normalized_laplacian(g: Graph) -> SparseSymMatrix:
     return _with_diagonal(s, -s.vals, np.arange(g.n), np.ones(g.n))
 
 
-def _renorm_prop(adj: SparseSymMatrix) -> SparseSymMatrix:
-    """Propagation operator of adj with self-loops: Dt^{-1/2}(A+I)Dt^{-1/2}."""
+def renormalized_propagation(adj: SparseSymMatrix) -> SparseSymMatrix:
+    """Propagation operator of an adjacency with self-loops added and
+    degrees renormalized: Dt^{-1/2}(A+I)Dt^{-1/2}, Dt = D + I."""
     if np.any(adj.diagonal() != 0.0):
         raise ContractError("adjacency must have a zero diagonal")
     inv_sqrt = 1.0 / np.sqrt(adj.row_sums() + 1.0)
     return _with_diagonal(
         adj, adj.vals * inv_sqrt[adj.rows] * inv_sqrt[adj.cols],
         np.arange(adj.dim), inv_sqrt * inv_sqrt)
-
-
-def renormalized_propagation(g: Graph) -> SparseSymMatrix:
-    """Self-loop propagation operator, recomputed from the adjacency."""
-    return _renorm_prop(g.adjacency)
 
 
 def chebyshev_scaled(l_sym: SparseSymMatrix, lambda_max: float = 2.0

@@ -16,6 +16,12 @@ Six architectures share the same parts:
 The shared head is FC, BN, ReLU, then the final FC whose softmax feeds the
 cross-entropy loss. Training is joint end to end: one loss, gradients into
 both branches.
+
+The model takes its inputs as arrays: the graph branch reads a batch's
+vertex features and the propagation operator of the batch's graph, the
+spatial branch its image patches, and the loss its one-hot labels. A
+``Model``'s layer table is kept in layer order, the order of the
+checkpoint's blocks and of the sidecar's ``layer_order``.
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import _is_json_int
+from .data import _is_json_int, read_json
 from .errors import (ConfigError, ContractError, FormatError, NumericError,
                      ShapeError)
 from . import nn
-from .sampler import SubgraphBatch
 
 ARCHITECTURES = ("gcn", "minigcn", "cnn2d", "funet-a", "funet-m", "funet-c")
 _ARCH_FUSION = {"funet-a": "additive", "funet-m": "multiplicative",
@@ -103,15 +108,15 @@ class ModelConfig:
 
 
 class Model:
-    """Config plus an ordered name -> LayerParams table."""
+    """Config plus a name -> LayerParams table, whose insertion order is the
+    layer order."""
 
-    def __init__(self, cfg: ModelConfig, layers: dict, order: list):
+    def __init__(self, cfg: ModelConfig, layers: dict):
         self.cfg = cfg
         self.layers = layers
-        self.order = list(order)
 
     def named_params(self):
-        return [(name, self.layers[name]) for name in self.order]
+        return list(self.layers.items())
 
     def num_params(self) -> int:
         total = 0
@@ -121,38 +126,32 @@ class Model:
         return total
 
     def copy(self) -> "Model":
-        return Model(self.cfg,
-                     {k: v.copy() for k, v in self.layers.items()},
-                     self.order)
+        return Model(self.cfg, {k: v.copy() for k, v in self.layers.items()})
 
 
 def build(cfg: ModelConfig, seed=0) -> Model:
     """Initialize a model; weights are Glorot-uniform draws from the seed."""
     rng = np.random.default_rng(seed)
     layers = {}
-    order = []
-
-    def add(name, params):
-        layers[name] = params
-        order.append(name)
-
     if cfg.uses_patches:
         c1, c2, c3 = cfg.cnn_channels
-        add("cnn.block1.conv", nn.make_conv2d(rng, 3, 3, cfg.input_bands, c1))
-        add("cnn.block1.bn", nn.make_batch_norm(c1))
-        add("cnn.block2.conv", nn.make_conv2d(rng, 3, 3, c1, c2))
-        add("cnn.block2.bn", nn.make_batch_norm(c2))
-        add("cnn.block3.conv", nn.make_conv2d(rng, 1, 1, c2, c3))
-        add("cnn.block3.bn", nn.make_batch_norm(c3))
+        layers["cnn.block1.conv"] = nn.make_conv2d(rng, 3, 3, cfg.input_bands,
+                                                   c1)
+        layers["cnn.block1.bn"] = nn.make_batch_norm(c1)
+        layers["cnn.block2.conv"] = nn.make_conv2d(rng, 3, 3, c1, c2)
+        layers["cnn.block2.bn"] = nn.make_batch_norm(c2)
+        layers["cnn.block3.conv"] = nn.make_conv2d(rng, 1, 1, c2, c3)
+        layers["cnn.block3.bn"] = nn.make_batch_norm(c3)
     if cfg.uses_graph:
-        add("gcn.bn_in", nn.make_batch_norm(cfg.input_bands))
-        add("gcn.conv", nn.make_graph_conv(rng, cfg.input_bands,
-                                           cfg.gcn_hidden))
-        add("gcn.bn_out", nn.make_batch_norm(cfg.gcn_hidden))
-    add("head.fc1", nn.make_fc(rng, cfg.head_input_width(), cfg.fusion_fc))
-    add("head.bn", nn.make_batch_norm(cfg.fusion_fc))
-    add("head.fc2", nn.make_fc(rng, cfg.fusion_fc, cfg.classes))
-    return Model(cfg, layers, order)
+        layers["gcn.bn_in"] = nn.make_batch_norm(cfg.input_bands)
+        layers["gcn.conv"] = nn.make_graph_conv(rng, cfg.input_bands,
+                                                cfg.gcn_hidden)
+        layers["gcn.bn_out"] = nn.make_batch_norm(cfg.gcn_hidden)
+    layers["head.fc1"] = nn.make_fc(rng, cfg.head_input_width(),
+                                    cfg.fusion_fc)
+    layers["head.bn"] = nn.make_batch_norm(cfg.fusion_fc)
+    layers["head.fc2"] = nn.make_fc(rng, cfg.fusion_fc, cfg.classes)
+    return Model(cfg, layers)
 
 
 # -------------------------------------------------------------------- fusion
@@ -184,9 +183,9 @@ def fuse_backward(dout, h_cnn, h_gcn, kind: str):
     dout = np.asarray(dout, dtype=np.float64)
     if kind == "concatenation":
         w = h_cnn.shape[1]
-        return dout[:, :w].copy(), dout[:, w:].copy()
+        return dout[:, :w], dout[:, w:]
     if kind == "additive":
-        return dout.copy(), dout.copy()
+        return dout, dout
     if kind == "multiplicative":
         return dout * h_gcn, dout * h_cnn
     raise ContractError(f"unknown fusion kind {kind!r}")
@@ -275,21 +274,22 @@ def _head_backward(dlogits, tapes, grads):
 
 # ------------------------------------------------------------ forward / loss
 
-def _check_batch(model: Model, batch: SubgraphBatch, patches):
+def _check_inputs(model: Model, features, prop, patches):
     cfg = model.cfg
     sizes = set()
     if cfg.uses_graph:
-        if batch.features is None or batch.prop_s is None:
+        if features is None or prop is None:
             raise ContractError(
                 f"{cfg.architecture} needs vertex features and a batch "
                 "propagation operator"
             )
-        if batch.features.shape[1] != cfg.input_bands:
+        shape = np.shape(features)
+        if shape[1] != cfg.input_bands:
             raise ShapeError(
-                f"features have {batch.features.shape[1]} bands, model "
-                f"expects {cfg.input_bands}"
+                f"features have {shape[1]} bands, model expects "
+                f"{cfg.input_bands}"
             )
-        sizes.add(batch.features.shape[0])
+        sizes.add(shape[0])
     if cfg.uses_patches:
         if patches is None:
             raise ContractError(f"{cfg.architecture} needs image patches")
@@ -300,16 +300,19 @@ def _check_batch(model: Model, batch: SubgraphBatch, patches):
         )
 
 
-def forward(model: Model, batch: SubgraphBatch, patches=None, mode="eval",
-            bn_momentum=0.9):
+def forward(model: Model, features=None, prop=None, patches=None,
+            mode="eval", bn_momentum=0.9):
     """Logits for a batch; train mode returns the tapes for backward.
 
-    Eval mode is side-effect free (running stats untouched) and returns
+    A graph architecture reads the batch's ``(rows, bands)`` vertex
+    features and ``prop``, the propagation operator of its graph; a patch
+    architecture reads its ``(rows, size, size, bands)`` patches. Eval mode
+    is side-effect free (running stats untouched) and returns
     (logits, None).
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-    _check_batch(model, batch, patches)
+    _check_inputs(model, features, prop, patches)
     cfg = model.cfg
     tapes = {}
     h_cnn = h_gcn = None
@@ -317,8 +320,8 @@ def forward(model: Model, batch: SubgraphBatch, patches=None, mode="eval",
         h_cnn, t = cnn_branch_forward(model, patches, mode, bn_momentum)
         tapes.update(t)
     if cfg.uses_graph:
-        h_gcn, t = gcn_branch_forward(model, batch.features, batch.prop_s,
-                                      mode, bn_momentum)
+        h_gcn, t = gcn_branch_forward(model, features, prop, mode,
+                                      bn_momentum)
         tapes.update(t)
     if cfg.fusion_kind is not None:
         fused = fuse(h_cnn, h_gcn, cfg.fusion_kind)
@@ -330,21 +333,22 @@ def forward(model: Model, batch: SubgraphBatch, patches=None, mode="eval",
     return logits, (tapes if mode == "train" else None)
 
 
-def loss_and_grads(model: Model, batch: SubgraphBatch, patches=None,
-                   l2: float = 0.001, bn_momentum=0.9):
+def loss_and_grads(model: Model, labels, features=None, prop=None,
+                   patches=None, l2: float = 0.001, bn_momentum=0.9):
     """Cross-entropy + L2(weights) loss with gradients for every layer.
 
-    The L2 term covers weight matrices/kernels only; biases and batch-norm
-    parameters are exempt. Returns (loss, grads, logits) with grads keyed
-    like named_params.
+    ``labels`` holds one one-hot row per batch row; the inputs are
+    ``forward``'s. The L2 term covers weight matrices/kernels only; biases
+    and batch-norm parameters are exempt. Returns (loss, grads, logits)
+    with grads keyed like named_params.
     """
-    if batch.labels is None:
+    if labels is None:
         raise ContractError("training batch has no labels")
     if l2 < 0:
         raise ContractError(f"l2 must be >= 0, got {l2}")
-    logits, tapes = forward(model, batch, patches, mode="train",
+    logits, tapes = forward(model, features, prop, patches, mode="train",
                             bn_momentum=bn_momentum)
-    loss, _, ce_tape = nn.softmax_cross_entropy(logits, batch.labels)
+    loss, _, ce_tape = nn.softmax_cross_entropy(logits, labels)
     grads = {}
     dlogits = nn.softmax_cross_entropy_backward(ce_tape)
     dfused = _head_backward(dlogits, tapes, grads)
@@ -372,9 +376,10 @@ def loss_and_grads(model: Model, batch: SubgraphBatch, patches=None,
     return loss, grads, logits
 
 
-def predict(model: Model, batch: SubgraphBatch, patches=None) -> np.ndarray:
+def predict(model: Model, features=None, prop=None, patches=None
+            ) -> np.ndarray:
     """Zero-based argmax class indices under eval-mode forward."""
-    logits, _ = forward(model, batch, patches, mode="eval")
+    logits, _ = forward(model, features, prop, patches, mode="eval")
     return np.argmax(logits, axis=1)
 
 
@@ -383,8 +388,8 @@ def predict(model: Model, batch: SubgraphBatch, patches=None) -> np.ndarray:
 def save_model(path, model: Model) -> None:
     """Binary parameter checkpoint plus a JSON sidecar at path + '.json'."""
     with open(path, "wb") as fh:
-        nn.save_params(fh, [model.layers[name] for name in model.order])
-    sidecar = {"config": asdict(model.cfg), "layer_order": model.order}
+        nn.save_params(fh, list(model.layers.values()))
+    sidecar = {"config": asdict(model.cfg), "layer_order": list(model.layers)}
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -407,11 +412,7 @@ def _read_sidecar(path) -> tuple:
     the key that is missing, unknown, or of the wrong JSON type; the config
     values are then checked as ``ModelConfig`` checks them."""
     name = str(path) + ".json"
-    with open(name, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"unparseable sidecar {name}: {exc}") from exc
+    sidecar = read_json(name, f"unparseable sidecar {name}")
     _require_keys(sidecar, ("config", "layer_order"), "sidecar")
     config = sidecar["config"]
     _require_keys(config, [f.name for f in fields(ModelConfig)],
@@ -446,7 +447,7 @@ def load_model(path) -> Model:
             f"{len(order)}"
         )
     rebuilt = build(cfg, seed=0)
-    if rebuilt.order != order:
+    if list(rebuilt.layers) != order:
         raise ContractError("sidecar layer order does not match architecture")
     for name, loaded, fresh in zip(order, params,
                                    (rebuilt.layers[n] for n in order)):

@@ -15,6 +15,7 @@ channels); vertex features are (batch, features).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -472,7 +473,12 @@ def load_params(fh) -> list[LayerParams]:
     layers = []
     for i in range(count):
         (taglen,) = struct.unpack("<B", take(1, f"layer {i} kind length"))
-        kind = take(taglen, f"layer {i} kind").decode("ascii")
+        tag = take(taglen, f"layer {i} kind")
+        try:
+            kind = tag.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"layer {i} kind {tag!r} is not ASCII",
+                              offset=pos - taglen) from exc
         if kind not in _ARRAY_FIELDS:
             raise FormatError(f"unknown layer kind {kind!r} in checkpoint",
                               offset=pos - taglen)
@@ -483,8 +489,7 @@ def load_params(fh) -> list[LayerParams]:
                 struct.unpack("<I", take(4, f"{kind}.{name} dim"))[0]
                 for _ in range(ndim)
             )
-            n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = take(8 * n_items, f"{kind}.{name} payload")
+            raw = take(8 * math.prod(shape), f"{kind}.{name} payload")
             kw[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         layers.append(LayerParams(kind=kind, **kw))
     if pos != len(data):

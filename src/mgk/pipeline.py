@@ -1,12 +1,15 @@
 """Dataset assembly, the training loop, and batched inference.
 
 This is the glue between the file formats and the math modules. The
-training graph is built on training pixels only, so inference is inductive:
-``predict_pixels`` reads only the normalized cube, and each inference chunk
-builds its own small KNN graph among the chunk's pixels from the (k, sigma)
-its caller passes. For graph-only models, up to ``PREDICT_GROUP_ROWS`` rows
-of full chunks are built as one stacked, block-diagonal graph and run
-through one forward; the logits are bitwise those of one chunk at a time.
+training graph is built on training pixels only. Each training step hands
+the model its batch as arrays: features, one-hot labels, patches, and the
+propagation operator of the subgraph the batch induces (for ``gcn``, the
+whole training graph). Inference is inductive: ``predict_pixels`` reads
+only the normalized cube, and each inference chunk builds its own small
+KNN graph among the chunk's pixels from the (k, sigma) its caller passes.
+For graph-only models, up to ``PREDICT_GROUP_ROWS`` rows of full chunks
+are built as one stacked, block-diagonal graph and run through one
+forward; the logits are bitwise those of one chunk at a time.
 The checkpoint does not record the training graph's (k, sigma), so
 inference must be given the values used in training.
 Everything downstream of a seed is deterministic, including the training
@@ -22,12 +25,12 @@ import numpy as np
 from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
                    load_cube, load_labels, load_split, normalize_bands)
 from .errors import ConfigError, ContractError, NumericError
-from .graph import build_knn_rbf_graph
+from .graph import build_knn_rbf_graph, renormalized_propagation
 from .linalg import SparseSymMatrix
 from .metrics import ConfusionMatrix, accumulate, overall_accuracy
 from .model import Model, ModelConfig, build, loss_and_grads, predict
 from .optim import AdamState, adam_step, schedule_lr
-from .sampler import SubgraphBatch, induce_subgraph, partition_epoch
+from .sampler import induce_subgraph, partition_epoch
 
 # Rows per inference group of a graph-only model's full chunks; at least
 # one chunk.
@@ -104,7 +107,8 @@ def chunk_prop(features: np.ndarray, k: int, sigma: float) -> SparseSymMatrix:
     chunks, c = features.shape[:2]
     if c == 1:
         return SparseSymMatrix.identity(chunks)
-    return build_knn_rbf_graph(features, min(k, c - 1), sigma).prop
+    g = build_knn_rbf_graph(features, min(k, c - 1), sigma)
+    return renormalized_propagation(g.adjacency)
 
 
 def fold_singleton_tail(batches: tuple) -> tuple:
@@ -180,13 +184,11 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
             if graph is not None:
                 prop = induce_subgraph(graph, ids).prop_s
                 feats = x_train[ids]
-            sub = SubgraphBatch(node_ids=ids, prop_s=prop, features=feats,
-                                labels=labels_hot[ids])
             p = patches_train[ids] if patches_train is not None else None
             try:
                 loss, grads, logits = loss_and_grads(
-                    mdl, sub, patches=p, l2=l2, bn_momentum=bn_momentum
-                )
+                    mdl, labels_hot[ids], feats, prop, p, l2=l2,
+                    bn_momentum=bn_momentum)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}: {exc}") from exc
             adam_step(mdl.named_params(), grads, state, lr)
@@ -246,11 +248,9 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
             feats = cube.pixels(ids)
             prop = chunk_prop(feats.reshape(-1, c, feats.shape[1]), graph_k,
                               graph_sigma)
-        sub = SubgraphBatch(node_ids=np.arange(ids.size), prop_s=prop,
-                            features=feats)
         p = extract_patches(cube, ids, cfg.patch_size) \
             if cfg.uses_patches else None
-        out[start:stop] = predict(mdl, sub, patches=p)
+        out[start:stop] = predict(mdl, feats, prop, p)
     return out
 
 

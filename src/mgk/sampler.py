@@ -4,8 +4,9 @@ Each epoch draws a fresh uniformly random permutation of the vertices and
 chunks it into batches of at most ``m`` nodes (partition without
 replacement: every vertex appears in exactly one batch per epoch);
 ``partition_epoch`` returns them as a tuple of vertex id arrays. A batch
-trains on the subgraph induced by its vertices, whose propagation operator
-is recomputed from the induced adjacency plus self-loops.
+trains on the subgraph induced by its vertices: ``induce_subgraph``
+returns the batch's vertices and the propagation operator of their
+induced adjacency, with self-loops and induced degrees.
 
 ``estimator_bias_diagnostic`` measures (rather than assumes) the bias of
 the per-vertex aggregation estimator that divides each full-graph
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .graph import Graph, _renorm_prop
+from .graph import Graph, renormalized_propagation
 from .linalg import SparseSymMatrix
 
 # (trial, term) pairs per block of the bias diagnostic: 8 MiB per float64
@@ -48,18 +48,14 @@ def partition_epoch(n: int, m: int, seed) -> tuple:
     return tuple(perm[i:i + m] for i in range(0, n, m))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubgraphBatch:
-    """A batch's vertices plus what a step reads of them.
-
-    prop_s is the propagation recomputed on the induced subgraph (self-loops
-    added, induced degrees); batches of a graph-free model carry None.
-    """
+    """The subgraph induced by a batch's vertices: node_ids, and prop_s, the
+    propagation recomputed on it (self-loops added, induced degrees), whose
+    row i is vertex ``node_ids[i]``."""
 
     node_ids: np.ndarray
-    prop_s: Optional[SparseSymMatrix]
-    features: Optional[np.ndarray] = None
-    labels: Optional[np.ndarray] = None
+    prop_s: SparseSymMatrix
 
 
 def _restrict(matrix: SparseSymMatrix, node_ids: np.ndarray
@@ -85,8 +81,7 @@ def _restrict(matrix: SparseSymMatrix, node_ids: np.ndarray
                            matrix.vals[entry[keep]])
 
 
-def induce_subgraph(g: Graph, node_ids, features=None, labels=None
-                    ) -> SubgraphBatch:
+def induce_subgraph(g: Graph, node_ids) -> SubgraphBatch:
     """Restrict the graph to node_ids and rebuild the propagation operator.
 
     The induced adjacency keeps only edges with both endpoints in the batch;
@@ -101,26 +96,9 @@ def induce_subgraph(g: Graph, node_ids, features=None, labels=None
         raise ContractError(f"node ids out of range for graph of order {g.n}")
     if np.unique(node_ids).size != node_ids.size:
         raise ContractError("node_ids contains duplicates")
-    if features is not None:
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != node_ids.size:
-            raise ShapeError(
-                f"features rows {features.shape[0]} != batch size "
-                f"{node_ids.size}"
-            )
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape[0] != node_ids.size:
-            raise ShapeError(
-                f"labels rows {labels.shape[0]} != batch size {node_ids.size}"
-            )
     adj_s = _restrict(g.adjacency, node_ids)
-    return SubgraphBatch(
-        node_ids=node_ids,
-        prop_s=_renorm_prop(adj_s),
-        features=features,
-        labels=labels,
-    )
+    return SubgraphBatch(node_ids=node_ids,
+                         prop_s=renormalized_propagation(adj_s))
 
 
 @dataclass(frozen=True)
@@ -159,10 +137,10 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
     shuffles every trial's slot labels ``j // m``, which puts vertex v in
     batch ``tau(v) // m`` for a uniform permutation tau: the law of
     ``partition_epoch``, up to batch numbering, which is never read. A term
-    of ``g.prop.terms()`` counts in a trial when its two vertices share a
-    batch; one bincount per mode sums a block of trials. Cost is
-    O(trials * nnz), and no n x n array is formed. A constant estimate has
-    a variance and stderr of exactly 0.
+    of the full graph's propagation operator counts in a trial when its two
+    vertices share a batch; one bincount per mode sums a block of trials.
+    Cost is O(trials * nnz), and no n x n array is formed. A constant
+    estimate has a variance and stderr of exactly 0.
     """
     if trials < 2:
         raise ContractError(f"trials must be >= 2, got {trials}")
@@ -182,14 +160,15 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
         weight = rng.standard_normal((features.shape[1], 1))
     weight = np.asarray(weight, dtype=np.float64)
     z = (features @ weight).ravel()
-    target = g.prop.matmul(z)
+    prop = renormalized_propagation(g.adjacency)
+    target = prop.matmul(z)
 
     # assign[t, v] is vertex v's batch in trial t
     assign = rng.permuted(
         np.broadcast_to(np.arange(n, dtype=np.int32) // m, (trials, n)),
         axis=1)
 
-    tgt, src, val = g.prop.terms()
+    tgt, src, val = prop.terms()
     per_block = max(1, BIAS_BLOCK_TERMS // tgt.size)
     blocks = [slice(t, t + per_block) for t in range(0, trials, per_block)]
 

@@ -123,8 +123,8 @@ def first_order_filter(f, theta: float, g: Graph) -> np.ndarray:
     """Single-parameter filter theta (I + D^{-1/2} A D^{-1/2}) f.
 
     Uses the graph's raw degree normalization (no self-loops); the
-    self-loop renormalized operator is a different animal and lives on
-    Graph.prop.
+    self-loop renormalized operator is a different animal, computed by
+    ``graph.renormalized_propagation``.
     """
     theta = float(theta)
     if not np.isfinite(theta):

@@ -16,7 +16,7 @@ from mgk import nn
 from mgk.bench import run_scaling
 from mgk.data import synth_scene
 from mgk.graph import (build_knn_rbf_graph, chebyshev_scaled, laplacian,
-                       sym_normalized_laplacian)
+                       renormalized_propagation, sym_normalized_laplacian)
 from mgk.linalg import symmetric_eigendecomposition
 from mgk.metrics import average_accuracy, overall_accuracy
 from mgk.model import ModelConfig, build, forward, fuse, fuse_backward, \
@@ -52,11 +52,12 @@ def _check_graph_conv(seed):
     n = int(rng.integers(2, 6))
     d_in, d_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     g, _ = random_graph(rng, n, d=2)
+    prop = renormalized_propagation(g.adjacency)
     h = rng.normal(size=(n, d_in))
     p = nn.make_graph_conv(rng, d_in, d_out)
     r = rng.normal(size=(n, d_out))
-    loss = _proj_loss(lambda: nn.graph_conv_forward(h, g.prop, p)[0], r)
-    _, tape = nn.graph_conv_forward(h, g.prop, p)
+    loss = _proj_loss(lambda: nn.graph_conv_forward(h, prop, p)[0], r)
+    _, tape = nn.graph_conv_forward(h, prop, p)
     dh, grads = nn.graph_conv_backward(r, tape)
     return max(rel_err(dh, fd_grad(loss, h)),
                rel_err(grads["weights"], fd_grad(loss, p.weights)),
@@ -262,14 +263,14 @@ def test_acceptance_04_full_budget_batch_matches_full_graph_forward():
     cfg = ModelConfig(architecture="minigcn", input_bands=bands,
                       classes=classes, gcn_hidden=8, fusion_fc=8)
     mdl = build(cfg, seed=1)
-    full_batch = induce_subgraph(g, np.arange(n), features=feats)
-    logits_full, _ = forward(mdl, full_batch, None)
+    full_batch = induce_subgraph(g, np.arange(n))
+    logits_full, _ = forward(mdl, feats, full_batch.prop_s, None)
 
     batches = partition_epoch(n, n, seed=5)
     assert len(batches) == 1
     ids = batches[0]
-    sub = induce_subgraph(g, ids, features=feats[ids])
-    logits_sub, _ = forward(mdl, sub, None)
+    sub = induce_subgraph(g, ids)
+    logits_sub, _ = forward(mdl, feats[ids], sub.prop_s, None)
     unpermuted = np.empty_like(logits_sub)
     unpermuted[ids] = logits_sub
     diff = float(np.max(np.abs(unpermuted - logits_full)))
@@ -285,7 +286,7 @@ def test_acceptance_04_full_budget_batch_matches_full_graph_forward():
 def _two_batch_enumeration(g, z):
     """Exact per-vertex estimator expectations over all (2,1) partitions."""
     n = 3
-    prop = g.prop.to_dense()
+    prop = renormalized_propagation(g.adjacency).to_dense()
     perms = list(itertools.permutations(range(n)))
     e_exact = np.eye(n)
     for p in perms:
@@ -315,7 +316,7 @@ def test_acceptance_05_monte_carlo_estimator_matches_enumeration():
     for name, feats in scenes.items():
         k = 2 if name == "triangle" else 1
         g = build_knn_rbf_graph(feats, k, 1.0)
-        dense = g.prop.to_dense()
+        dense = renormalized_propagation(g.adjacency).to_dense()
         assert (dense[0, 2] > 0) == (name == "triangle")
         expect, target = _two_batch_enumeration(g, z)
         diag = estimator_bias_diagnostic(

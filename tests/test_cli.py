@@ -120,6 +120,27 @@ def test_bad_json_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config file is not valid JSON: ")
+
+
+def test_undecodable_split_exits_2(scene_dir, tmp_path, capsys,
+                                   monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    split = tmp_path / "split.json"
+    split.write_bytes(b"\xff{}")
+    assert main(["train", f"--paths.cube={scene_dir / 'cube.hsc'}",
+                 f"--paths.labels={scene_dir / 'labels.hsl'}",
+                 f"--paths.split={split}",
+                 f"--paths.checkpoint={tmp_path / 'm.mgkp'}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: split file is not valid JSON: ")
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert main(["train", "--paths.cube=/nonexistent/cube.hsc",
@@ -556,6 +577,22 @@ def test_unparseable_sidecar_exits_2(scene_dir, trained, tmp_path, capsys,
     bad = tmp_path / "bad.mgkp"
     bad.write_bytes(ckpt.read_bytes())
     (tmp_path / "bad.mgkp.json").write_text('{"config": {')
+    out = tmp_path / "refused"
+    assert main(["predict-map", f"--paths.cube={scene_dir / 'cube.hsc'}",
+                 f"--paths.checkpoint={bad}", f"--paths.output={out}",
+                 "--train.batch=16", "--graph.k=5"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: unparseable sidecar {bad}.json: ")
+    assert not out.exists()
+
+
+def test_undecodable_sidecar_exits_2(scene_dir, trained, tmp_path, capsys,
+                                     monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, ckpt = trained
+    bad = tmp_path / "bad.mgkp"
+    bad.write_bytes(ckpt.read_bytes())
+    (tmp_path / "bad.mgkp.json").write_bytes(b"\xff{}")
     out = tmp_path / "refused"
     assert main(["predict-map", f"--paths.cube={scene_dir / 'cube.hsc'}",
                  f"--paths.checkpoint={bad}", f"--paths.output={out}",

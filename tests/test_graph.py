@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 import mgk.graph
 from conftest import assert_same_triplets, lexsort_canonical
 from mgk.errors import ContractError, ShapeError
-from mgk.graph import (Graph, _renorm_prop, build_knn_rbf_graph,
-                       chebyshev_scaled, laplacian, renormalized_propagation,
+from mgk.graph import (Graph, build_knn_rbf_graph, chebyshev_scaled,
+                       laplacian, renormalized_propagation,
                        sym_normalized_laplacian)
 from mgk.linalg import SparseSymMatrix, symmetric_eigendecomposition
 
@@ -31,7 +31,7 @@ def argsort_knn_rbf_graph(features, k, sigma):
     w = np.exp(-d2[pairs[:, 0], pairs[:, 1]] / (sigma * sigma))
     adj = SparseSymMatrix(n, pairs[:, 0], pairs[:, 1], w,
                           require_nonnegative=True)
-    return adj, _renorm_prop(adj)
+    return adj, renormalized_propagation(adj)
 
 
 def two_node_graph(dist=1.0, sigma=1.0):
@@ -92,7 +92,8 @@ def test_blocked_build_matches_the_argsort_reference(data):
     assert np.array_equal(g.adjacency.rows, adj.rows)
     assert np.array_equal(g.adjacency.cols, adj.cols)
     assert np.array_equal(g.adjacency.vals, adj.vals)
-    assert np.array_equal(g.prop.vals, prop.vals)
+    assert np.array_equal(renormalized_propagation(g.adjacency).vals,
+                          prop.vals)
 
 
 def selecting_row_reference(features, k, sigma):
@@ -111,7 +112,7 @@ def selecting_row_reference(features, k, sigma):
     d = np.where(selected[lo, hi], d2[lo, hi], d2[hi, lo])
     adj = SparseSymMatrix(n, lo, hi, np.exp(-d / (sigma * sigma)),
                           require_nonnegative=True)
-    return adj, _renorm_prop(adj)
+    return adj, renormalized_propagation(adj)
 
 
 @given(st.data())
@@ -137,7 +138,8 @@ def test_tie_free_build_matches_the_selecting_row_reference(data):
         mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries[1])
         g = build_knn_rbf_graph(feats, k, sigma)
     adj, prop = selecting_row_reference(feats, k, sigma)
-    for got, want in ((g.adjacency, adj), (g.prop, prop)):
+    for got, want in ((g.adjacency, adj),
+                      (renormalized_propagation(g.adjacency), prop)):
         assert np.array_equal(got.rows, want.rows)
         assert np.array_equal(got.cols, want.cols)
         assert np.array_equal(got.vals.view(np.uint64),
@@ -145,8 +147,9 @@ def test_tie_free_build_matches_the_selecting_row_reference(data):
 
 
 def _graph_bits(g):
-    return [a.tobytes() for s in (g.adjacency, g.prop)
-            for a in (s.rows, s.cols, s.vals)] + [g.degree.tobytes()]
+    adj = g.adjacency
+    return [a.tobytes() for s in (adj, renormalized_propagation(adj))
+            for a in (s.rows, s.cols, s.vals)] + [adj.row_sums().tobytes()]
 
 
 @pytest.mark.parametrize("shape", [(657, 64), (3, 500, 12), (1681, 12)])
@@ -201,12 +204,12 @@ def test_stacked_build_is_the_per_chunk_builds_on_the_diagonal(data):
         g = build_knn_rbf_graph(feats, k, sigma)
         alone = [build_knn_rbf_graph(f, k, sigma) for f in feats]
     assert g.n == chunks * c
-    for name in ("adjacency", "prop"):
-        s = getattr(g, name)
+    for operator in (lambda adj: adj, renormalized_propagation):
+        s = operator(g.adjacency)
         # no entry leaves its chunk's block
         assert np.array_equal(s.rows // c, s.cols // c)
         for q, one in enumerate(alone):
-            assert_same_triplets(getattr(one, name),
+            assert_same_triplets(operator(one.adjacency),
                                  _diagonal_block(s, q, c))
 
 
@@ -275,8 +278,8 @@ def test_graph_invariants_on_random_input():
     assert np.all(neighbor_counts >= 1)
     assert np.all(neighbor_counts <= 2 * k)
     assert np.all(g.adjacency.vals > 0) and np.all(g.adjacency.vals <= 1)
-    assert np.allclose(g.degree, a.sum(axis=1), atol=1e-10)
-    assert np.all(renormalized_propagation(g).diagonal() > 0)
+    assert np.allclose(g.adjacency.row_sums(), a.sum(axis=1), atol=1e-10)
+    assert np.all(renormalized_propagation(g.adjacency).diagonal() > 0)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -330,7 +333,7 @@ def test_sym_normalized_laplacian_unit_diagonal_and_spectrum():
 
 def test_renormalized_propagation_hand_cases():
     g = build_knn_rbf_graph(np.zeros((2, 1)), 1, 1.0)
-    assert np.allclose(renormalized_propagation(g).to_dense(),
+    assert np.allclose(renormalized_propagation(g.adjacency).to_dense(),
                        [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
@@ -341,7 +344,7 @@ def test_renormalized_propagation_mean_row_sum_le_one():
     rng = np.random.default_rng(2)
     for _ in range(5):
         g = build_knn_rbf_graph(rng.normal(size=(9, 3)), 3, 1.0)
-        prop = renormalized_propagation(g)
+        prop = renormalized_propagation(g.adjacency)
         assert prop.row_sums().mean() <= 1.0 + 1e-12
         vals = symmetric_eigendecomposition(prop).values
         assert vals[0] > -1 - 1e-8 and vals[-1] <= 1 + 1e-8
@@ -349,15 +352,8 @@ def test_renormalized_propagation_mean_row_sum_le_one():
 
 def test_renormalized_propagation_regular_graph_row_sums_one():
     g = build_knn_rbf_graph(np.zeros((2, 1)), 1, 1.0)  # 1-regular, w=1
-    assert np.allclose(renormalized_propagation(g).row_sums(), 1.0,
+    assert np.allclose(renormalized_propagation(g.adjacency).row_sums(), 1.0,
                        atol=1e-12)
-
-
-def test_prop_cache_consistency():
-    rng = np.random.default_rng(13)
-    g = build_knn_rbf_graph(rng.normal(size=(7, 2)), 2, 1.0)
-    fresh = renormalized_propagation(g)
-    assert np.array_equal(fresh.to_dense(), g.prop.to_dense())
 
 
 def test_chebyshev_scaled_two_node():
@@ -400,17 +396,17 @@ def concat_laplacian(g):
     a, n = g.adjacency, g.n
     return lexsort_canonical(n, np.concatenate([np.arange(n), a.rows]),
                              np.concatenate([np.arange(n), a.cols]),
-                             np.concatenate([g.degree, -a.vals]))
+                             np.concatenate([g.adjacency.row_sums(), -a.vals]))
 
 
 def concat_sym_normalized_laplacian(g):
-    zero = np.nonzero(g.degree <= 0.0)[0]
+    zero = np.nonzero(g.adjacency.row_sums() <= 0.0)[0]
     if zero.size:
         raise ContractError(
             f"vertex {int(zero[0])} has zero degree; cannot normalize"
         )
     a, n = g.adjacency, g.n
-    inv_sqrt = 1.0 / np.sqrt(g.degree)
+    inv_sqrt = 1.0 / np.sqrt(g.adjacency.row_sums())
     return lexsort_canonical(
         n, np.concatenate([np.arange(n), a.rows]),
         np.concatenate([np.arange(n), a.cols]),
@@ -418,7 +414,7 @@ def concat_sym_normalized_laplacian(g):
                         -a.vals * inv_sqrt[a.rows] * inv_sqrt[a.cols]]))
 
 
-def concat_renorm_prop(adj):
+def concatrenormalized_propagation(adj):
     n = adj.dim
     inv_sqrt = 1.0 / np.sqrt(adj.row_sums() + 1.0)
     return lexsort_canonical(
@@ -475,9 +471,9 @@ def test_builders_match_the_concatenating_reference(seed, n, pattern,
         np.concatenate([-adj.vals, rng.uniform(0.5, 1.5, on.size)]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mgk.graph, "SparseSymMatrix", canonical_only)
-        g = Graph(n=n, adjacency=adj, degree=adj.row_sums(),
-                  prop=_renorm_prop(adj))
-        assert_same_triplets(g.prop, concat_renorm_prop(adj))
+        g = Graph(n=n, adjacency=adj)
+        assert_same_triplets(renormalized_propagation(adj),
+                             concatrenormalized_propagation(adj))
         assert_same_triplets(laplacian(g), concat_laplacian(g))
         assert_same_triplets(chebyshev_scaled(partial, lambda_max),
                              concat_chebyshev_scaled(partial, lambda_max))
@@ -495,6 +491,7 @@ def test_builders_match_the_concatenating_reference(seed, n, pattern,
 
 
 def test_with_diagonal_onto_a_stored_diagonal_is_a_duplicate():
-    prop = build_knn_rbf_graph(np.arange(4.0)[:, None], 1, 1.0).prop
+    prop = renormalized_propagation(
+        build_knn_rbf_graph(np.arange(4.0)[:, None], 1, 1.0).adjacency)
     with pytest.raises(ContractError, match=r"^duplicate entry at \(0, 0\)$"):
         mgk.graph._with_diagonal(prop, prop.vals, np.arange(4), np.ones(4))

@@ -1,14 +1,18 @@
-"""Every module-level import in the package and the scripts is used.
+"""Every module-level import in the package and the scripts is used, and
+the package exports exactly what its ``__init__.py`` binds.
 
 The unused-import rule of a linter, with the standard library only: an
 imported name counts as used when the module's code loads it anywhere.
-The package's ``__init__.py`` is left out, since it imports to re-export.
+The package's ``__init__.py`` is left out, since it imports to re-export;
+its ``__all__`` must list each public name it binds once, and no other.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import mgk
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(path for path in [*(ROOT / "src" / "mgk").glob("*.py"),
@@ -40,3 +44,30 @@ def test_unused_imports_finds_a_name_nothing_loads():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_bindings(source: str) -> list:
+    """Names without a leading underscore that the module's top-level
+    imports and assignments bind."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in bound if not name.startswith("_")]
+
+
+def test_public_bindings_skips_private_names():
+    source = ("from __future__ import annotations\nfrom .a import b, _c\n"
+              "import os.path\n__all__ = ['b']\nX = 1\n")
+    assert public_bindings(source) == ["b", "os", "X"]
+
+
+def test_all_lists_each_public_name_of_the_package_once():
+    init = ROOT / "src" / "mgk" / "__init__.py"
+    assert len(set(mgk.__all__)) == len(mgk.__all__)
+    assert sorted(mgk.__all__) == sorted(
+        public_bindings(init.read_text(encoding="utf-8")))

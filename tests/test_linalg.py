@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import assert_same_triplets, dense_to_sparse, lexsort_canonical
 from mgk.data import normalize_bands, synth_scene
 from mgk.errors import ContractError, ShapeError
-from mgk.graph import build_knn_rbf_graph, laplacian
+from mgk.graph import (build_knn_rbf_graph, laplacian,
+                       renormalized_propagation)
 from mgk.linalg import (SparseSymMatrix, as_dense, multiply,
                         symmetric_eigendecomposition)
 
@@ -143,7 +144,8 @@ def test_matmul_is_bitwise_the_scatter_product_on_a_scene_graph():
     cube, _, _ = synth_scene(classes=4, size=24, bands=8, noise_sigma=0.02,
                              seed=5)
     feats = normalize_bands(cube).values.reshape(-1, 8).astype(np.float64)
-    prop = build_knn_rbf_graph(feats, 10, 1.0).prop
+    prop = renormalized_propagation(
+        build_knn_rbf_graph(feats, 10, 1.0).adjacency)
     # every row has a self-loop, and hub rows carry many more than k terms,
     # so the plan has long and short rows and many ranks
     terms = np.bincount(np.concatenate(
@@ -219,7 +221,7 @@ def test_terms_readers_match_the_mirror_references_on_a_scene_graph():
                              seed=5)
     feats = normalize_bands(cube).values.reshape(-1, 8).astype(np.float64)
     g = build_knn_rbf_graph(feats, 10, 1.0)
-    for s in (g.adjacency, g.prop):
+    for s in (g.adjacency, renormalized_propagation(g.adjacency)):
         tgt, src, val = s.terms()
         assert same_bits(s.row_sums(), addat_row_sums(s))
         assert same_bits(s.to_dense(), mirror_to_dense(s))

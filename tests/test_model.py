@@ -8,7 +8,7 @@ from mgk.model import (ARCHITECTURES, Model, ModelConfig, build,
                        cnn_branch_forward, forward, fuse, fuse_backward,
                        gcn_branch_forward, head_forward, load_model,
                        loss_and_grads, predict, save_model)
-from mgk.sampler import SubgraphBatch, induce_subgraph
+from mgk.sampler import induce_subgraph
 
 
 def one_hot(classes, width):
@@ -18,11 +18,12 @@ def one_hot(classes, width):
 
 
 def graph_batch(rng, n, bands, classes, k=None):
+    """(features, prop, one-hot labels) of an n-vertex random graph."""
     g, feats = random_graph(rng, n, d=bands, k=k)
     labels = rng.integers(0, classes, size=n)
     labels[:classes] = np.arange(classes)  # every class present
-    return induce_subgraph(g, np.arange(n), features=feats,
-                           labels=one_hot(labels, classes))
+    return (feats, induce_subgraph(g, np.arange(n)).prop_s,
+            one_hot(labels, classes))
 
 
 def patch_tensor(rng, n, size, bands):
@@ -99,8 +100,8 @@ def test_funet_c_head_width_is_sum_of_branches():
 def test_gcn_and_minigcn_share_parameter_shapes():
     a = build(ModelConfig(architecture="gcn", input_bands=30, classes=5))
     b = build(ModelConfig(architecture="minigcn", input_bands=30, classes=5))
-    assert a.order == b.order
-    for name in a.order:
+    assert list(a.layers) == list(b.layers)
+    for name in a.layers:
         assert a.layers[name].kind == b.layers[name].kind
         assert a.layers[name].weights is None \
             or a.layers[name].weights.shape == b.layers[name].weights.shape
@@ -148,33 +149,31 @@ def test_fuse_backward_matches_finite_differences(seed, kind):
 
 def test_forward_validates_batch_contents():
     rng = np.random.default_rng(0)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
     patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
     with pytest.raises(ContractError, match="patches"):
-        forward(build(toy_cfg("funet-c")), batch, patches=None)
+        forward(build(toy_cfg("funet-c")), feats, prop, patches=None)
     with pytest.raises(ContractError):
-        forward(build(toy_cfg("gcn")),
-                SubgraphBatch(node_ids=np.arange(6), prop_s=batch.prop_s,
-                              features=None), None)
+        forward(build(toy_cfg("gcn")), None, prop, None)
     with pytest.raises(ContractError, match="disagree"):
-        forward(build(toy_cfg("funet-c")), batch, patches[:4])
+        forward(build(toy_cfg("funet-c")), feats, prop, patches[:4])
+    narrow = induce_subgraph(random_graph(rng, 6, d=2)[0], np.arange(6))
     with pytest.raises(ShapeError, match="bands"):
-        forward(build(toy_cfg("gcn")),
-                induce_subgraph(random_graph(rng, 6, d=2)[0], np.arange(6),
-                                features=rng.normal(size=(6, 2))), None)
+        forward(build(toy_cfg("gcn")), rng.normal(size=(6, 2)),
+                narrow.prop_s, None)
     with pytest.raises(ContractError, match="mode"):
-        forward(build(toy_cfg("gcn")), batch, None, mode="test")
+        forward(build(toy_cfg("gcn")), feats, prop, None, mode="test")
 
 
 def test_funet_a_forward_composes_from_branches():
     rng = np.random.default_rng(3)
     model = build(toy_cfg("funet-a"), seed=5)
-    batch = graph_batch(rng, 8, TOY["input_bands"], TOY["classes"])
+    feats, prop, _ = graph_batch(rng, 8, TOY["input_bands"], TOY["classes"])
     patches = patch_tensor(rng, 8, TOY["patch_size"], TOY["input_bands"])
-    logits, tapes = forward(model, batch, patches)
+    logits, tapes = forward(model, feats, prop, patches)
     assert tapes is None
     h_cnn, _ = cnn_branch_forward(model, patches)
-    h_gcn, _ = gcn_branch_forward(model, batch.features, batch.prop_s)
+    h_gcn, _ = gcn_branch_forward(model, feats, prop)
     manual, _ = head_forward(model, fuse(h_cnn, h_gcn, "additive"))
     assert rel_err(logits, manual) <= 1e-12
 
@@ -184,8 +183,9 @@ def test_zero_final_fc_gives_uniform_loss():
     model = build(toy_cfg("minigcn"), seed=1)
     model.layers["head.fc2"].weights[:] = 0.0
     model.layers["head.fc2"].bias[:] = 0.0
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
-    loss, _, logits = loss_and_grads(model, batch, l2=0.0)
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
+    loss, _, logits = loss_and_grads(model, labels, feats, prop, l2=0.0)
     assert np.allclose(logits, 0.0)
     assert loss == pytest.approx(np.log(TOY["classes"]), abs=1e-12)
 
@@ -193,22 +193,24 @@ def test_zero_final_fc_gives_uniform_loss():
 def test_l2_zero_reduces_to_cross_entropy():
     rng = np.random.default_rng(5)
     model = build(toy_cfg("gcn"), seed=2)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
-    loss0, _, logits = loss_and_grads(model, batch, l2=0.0)
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
+    loss0, _, logits = loss_and_grads(model, labels, feats, prop, l2=0.0)
     from mgk.nn import softmax_cross_entropy
-    ce, _, _ = softmax_cross_entropy(logits, batch.labels)
+    ce, _, _ = softmax_cross_entropy(logits, labels)
     assert loss0 == pytest.approx(ce, abs=1e-12)
 
 
 def test_l2_term_scales_quadratically_with_weights():
     rng = np.random.default_rng(6)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
     model = build(toy_cfg("minigcn"), seed=3)
     lam = 0.01
 
     def l2_term(m):
-        loss_with, _, _ = loss_and_grads(m, batch, l2=lam)
-        loss_without, _, _ = loss_and_grads(m, batch, l2=0.0)
+        loss_with, _, _ = loss_and_grads(m, labels, feats, prop, l2=lam)
+        loss_without, _, _ = loss_and_grads(m, labels, feats, prop, l2=0.0)
         return loss_with - loss_without
 
     base = l2_term(model)
@@ -227,21 +229,23 @@ def test_l2_term_scales_quadratically_with_weights():
 def test_l2_rejects_negative():
     rng = np.random.default_rng(7)
     model = build(toy_cfg("gcn"))
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
     with pytest.raises(ContractError):
-        loss_and_grads(model, batch, l2=-0.5)
+        loss_and_grads(model, labels, feats, prop, l2=-0.5)
 
 
 def test_l2_is_refused_before_the_running_statistics_move():
     rng = np.random.default_rng(8)
     model = build(toy_cfg("minigcn"), seed=4)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
     norms = [layer for _, layer in model.named_params()
              if layer.kind == "batch_norm"]
     before = [(layer.bn_running_mean.copy(), layer.bn_running_var.copy())
               for layer in norms]
     with pytest.raises(ContractError, match="l2"):
-        loss_and_grads(model, batch, l2=-1.0)
+        loss_and_grads(model, labels, feats, prop, l2=-1.0)
     assert norms
     for layer, (mean, var) in zip(norms, before):
         assert np.array_equal(layer.bn_running_mean.view(np.uint64),
@@ -254,9 +258,9 @@ def test_loss_requires_labels():
     rng = np.random.default_rng(8)
     model = build(toy_cfg("gcn"))
     g, feats = random_graph(rng, 6, d=TOY["input_bands"])
-    batch = induce_subgraph(g, np.arange(6), features=feats)
+    prop = induce_subgraph(g, np.arange(6)).prop_s
     with pytest.raises(ContractError, match="labels"):
-        loss_and_grads(model, batch)
+        loss_and_grads(model, None, feats, prop)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -265,28 +269,25 @@ def test_gcn_path_is_permutation_equivariant(seed):
     n = 7
     model = build(toy_cfg("gcn"), seed=9)
     g, feats = random_graph(rng, n, d=TOY["input_bands"])
-    labels = rng.integers(0, TOY["classes"], size=n)
-    batch = induce_subgraph(g, np.arange(n), features=feats, labels=labels)
-    logits, _ = forward(model, batch, None)
+    rng.integers(0, TOY["classes"], size=n)  # keeps the permutation's draw
+    prop = induce_subgraph(g, np.arange(n)).prop_s
+    logits, _ = forward(model, feats, prop, None)
 
     perm = rng.permutation(n)
-    dense = batch.prop_s.to_dense()[np.ix_(perm, perm)]
+    dense = prop.to_dense()[np.ix_(perm, perm)]
     from conftest import dense_to_sparse
-    shuffled = SubgraphBatch(node_ids=batch.node_ids[perm],
-                             prop_s=dense_to_sparse(dense),
-                             features=feats[perm], labels=labels[perm])
-    logits_p, _ = forward(model, shuffled, None)
+    logits_p, _ = forward(model, feats[perm], dense_to_sparse(dense), None)
     assert rel_err(logits_p, logits[perm]) <= 1e-12
 
 
 def test_eval_forward_is_side_effect_free():
     rng = np.random.default_rng(10)
     model = build(toy_cfg("funet-c"), seed=11)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
     patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
     before = {name: layer.copy() for name, layer in model.named_params()}
-    first, _ = forward(model, batch, patches)
-    second, _ = forward(model, batch, patches)
+    first, _ = forward(model, feats, prop, patches)
+    second, _ = forward(model, feats, prop, patches)
     assert np.array_equal(first, second)
     for name, layer in model.named_params():
         for field in ("weights", "bias", "bn_gamma", "bn_beta",
@@ -300,9 +301,9 @@ def test_eval_forward_is_side_effect_free():
 def test_train_forward_updates_running_stats():
     rng = np.random.default_rng(12)
     model = build(toy_cfg("gcn"), seed=13)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
     before = model.layers["gcn.bn_in"].bn_running_mean.copy()
-    forward(model, batch, None, mode="train")
+    forward(model, feats, prop, None, mode="train")
     assert not np.array_equal(before,
                               model.layers["gcn.bn_in"].bn_running_mean)
 
@@ -310,9 +311,10 @@ def test_train_forward_updates_running_stats():
 def test_predict_returns_argmax_classes():
     rng = np.random.default_rng(14)
     model = build(toy_cfg("minigcn"), seed=15)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
-    logits, _ = forward(model, batch, None)
-    assert np.array_equal(predict(model, batch), np.argmax(logits, axis=1))
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    logits, _ = forward(model, feats, prop, None)
+    assert np.array_equal(predict(model, feats, prop),
+                          np.argmax(logits, axis=1))
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -320,16 +322,16 @@ def test_checkpoint_round_trip_is_bit_exact(arch, tmp_path):
     rng = np.random.default_rng(16)
     model = build(toy_cfg(arch), seed=17)
     # give running stats non-default values so the round trip covers them
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
     patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"]) \
         if model.cfg.uses_patches else None
-    forward(model, batch, patches, mode="train")
+    forward(model, feats, prop, patches, mode="train")
     path = tmp_path / "model.mgkp"
     save_model(path, model)
     loaded = load_model(path)
     assert loaded.cfg == model.cfg
-    assert loaded.order == model.order
-    for name in model.order:
+    assert list(loaded.layers) == list(model.layers)
+    for name in model.layers:
         a, b = model.layers[name], loaded.layers[name]
         assert a.kind == b.kind
         for field in ("weights", "bias", "bn_gamma", "bn_beta",
@@ -376,14 +378,15 @@ def full_model_gradcheck(arch, seed=0, kernel_relief=True):
     n = 6
     cfg = toy_cfg(arch)
     model = build(cfg, seed=seed + 1)
-    batch = graph_batch(rng, n, cfg.input_bands, cfg.classes)
+    feats, prop, labels = graph_batch(rng, n, cfg.input_bands, cfg.classes)
     patches = patch_tensor(rng, n, cfg.patch_size, cfg.input_bands) \
         if cfg.uses_patches else None
     # pooled/ReLU kinks make FD unreliable exactly at ties; nudging the
     # inputs away from zero keeps every probe on one side of each kink
     if kernel_relief and patches is not None:
         patches += 0.05 * np.sign(patches)
-    _, grads, _ = loss_and_grads(model, batch, patches, l2=0.001)
+    _, grads, _ = loss_and_grads(model, labels, feats, prop, patches,
+                                 l2=0.001)
     # measure the whole gradient vector at once: fields whose true gradient
     # is identically zero (a bias feeding batch norm) otherwise compare
     # finite-difference noise against a zero denominator
@@ -397,7 +400,8 @@ def full_model_gradcheck(arch, seed=0, kernel_relief=True):
             def loss():
                 trial = model.copy()
                 trial.layers[name] = layer  # share the perturbed layer
-                val, _, _ = loss_and_grads(trial, batch, patches, l2=0.001)
+                val, _, _ = loss_and_grads(trial, labels, feats, prop,
+                                           patches, l2=0.001)
                 return val
 
             num = fd_grad(loss, arr, h=FD_H)

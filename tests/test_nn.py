@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -374,7 +375,8 @@ def test_training_step_skips_the_input_gradient_of_gcn_bn_in(arch,
                                                              monkeypatch):
     rng = np.random.default_rng(14)
     mdl = build(toy_cfg(arch), seed=2)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
     patches = None
     if mdl.cfg.uses_patches:
         patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
@@ -402,7 +404,8 @@ def test_training_step_skips_the_input_gradient_of_gcn_bn_in(arch,
         mp.setattr(nn, "batch_norm_forward", spy_forward)
         mp.setattr(nn, "batch_norm_backward", spy_backward)
         mp.setattr(nn, "batch_norm_param_grads", spy_param_grads)
-        _, grads, _ = loss_and_grads(mdl, batch, patches, l2=0.001)
+        _, grads, _ = loss_and_grads(mdl, labels, feats, prop, patches,
+                                     l2=0.001)
 
     (tape,) = bn_in_tapes
     assert len(backward_tapes) >= 2  # gcn.bn_out and head.bn still run it
@@ -419,7 +422,8 @@ def test_training_step_skips_the_input_gradient_of_cnn_block1(arch,
                                                               monkeypatch):
     rng = np.random.default_rng(15)
     mdl = build(toy_cfg(arch), seed=3)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
     patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
     blocks = {id(mdl.layers[f"cnn.block{i}.conv"]): i for i in (1, 2, 3)}
     forward_, backward_ = nn.conv2d_forward, nn.conv2d_backward
@@ -445,7 +449,8 @@ def test_training_step_skips_the_input_gradient_of_cnn_block1(arch,
         mp.setattr(nn, "conv2d_forward", spy_forward)
         mp.setattr(nn, "conv2d_backward", spy_backward)
         mp.setattr(nn, "conv2d_param_grads", spy_param_grads)
-        _, grads, _ = loss_and_grads(mdl, batch, patches, l2=0.001)
+        _, grads, _ = loss_and_grads(mdl, labels, feats, prop, patches,
+                                     l2=0.001)
 
     assert sorted(conv_tapes) == [1, 2, 3]
     # blocks 3 and 2 still take the full backward, block 1 never does
@@ -479,7 +484,8 @@ def test_l2_is_added_in_place_to_gradients_that_alias_nothing(arch,
                                                               monkeypatch):
     rng = np.random.default_rng(16)
     mdl = build(toy_cfg(arch), seed=4)
-    batch = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
     patches = None
     if mdl.cfg.uses_patches:
         patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
@@ -494,7 +500,8 @@ def test_l2_is_added_in_place_to_gradients_that_alias_nothing(arch,
     plain = mdl.copy()
     with monkeypatch.context() as mp:
         mp.setattr(mgk_model, "forward", spy_forward)
-        _, grads0, _ = loss_and_grads(plain, batch, patches, l2=0.0)
+        _, grads0, _ = loss_and_grads(plain, labels, feats, prop, patches,
+                                      l2=0.0)
     # the gradients share memory with no parameter, tape or other gradient
     grad_arrays = list(_arrays(grads0))
     others = list(_arrays(tapes)) + [
@@ -505,7 +512,8 @@ def test_l2_is_added_in_place_to_gradients_that_alias_nothing(arch,
         assert not any(np.shares_memory(g, o) for o in grad_arrays[i + 1:])
 
     l2 = 0.001
-    _, grads, _ = loss_and_grads(mdl.copy(), batch, patches, l2=l2)
+    _, grads, _ = loss_and_grads(mdl.copy(), labels, feats, prop,
+                                 patches, l2=l2)
     for name, layer in mdl.named_params():
         for f in grads[name]:
             want = grads0[name][f]
@@ -716,6 +724,28 @@ def test_checkpoint_trailing_bytes_rejected():
     nn.save_params(buf, [nn.make_fc(rng, 2, 2)])
     with pytest.raises(FormatError):
         nn.load_params(io.BytesIO(buf.getvalue() + b"\x00"))
+
+
+def test_checkpoint_non_ascii_kind_reports_offset():
+    buf = io.BytesIO()
+    nn.save_params(buf, [nn.make_batch_norm(2)])
+    payload = bytearray(buf.getvalue())
+    tag_at = 5 + 4 + 1  # magic, layer count, kind length
+    payload[tag_at] = 0xE9
+    with pytest.raises(FormatError, match="not ASCII") as err:
+        nn.load_params(io.BytesIO(bytes(payload)))
+    assert err.value.offset == tag_at
+
+
+def test_checkpoint_dims_past_int64_are_truncation_not_wraparound():
+    # (2**32 - 1)**2 float64 items: the byte count overflows int64
+    big = 2**32 - 1
+    payload = (nn.CHECKPOINT_MAGIC + struct.pack("<I", 1)
+               + struct.pack("<B", 2) + b"fc" + struct.pack("<B", 2)
+               + struct.pack("<II", big, big))
+    with pytest.raises(FormatError, match="fc.weights payload") as err:
+        nn.load_params(io.BytesIO(payload))
+    assert err.value.offset == len(payload)
 
 
 def test_glorot_uniform_bounds():

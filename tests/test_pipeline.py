@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mgk.graph
 import mgk.model
 import mgk.pipeline
+import mgk.sampler
 from mgk.data import LabelGrid, SplitSpec, synth_scene
 from mgk.errors import ConfigError, ContractError, NumericError
 from mgk.metrics import overall_accuracy
-from mgk.graph import build_knn_rbf_graph
+from mgk.graph import build_knn_rbf_graph, renormalized_propagation
 from mgk.model import ARCHITECTURES, build, save_model
 from mgk.pipeline import (Dataset, chunk_prop, dataset_from_parts,
                           evaluate_part,
@@ -115,6 +117,40 @@ def test_training_converges_and_train_oa_at_least_test_oa(small_ds):
                             graph_k=5, graph_sigma=1.0)
     assert overall_accuracy(train_cm) >= 95.0
     assert overall_accuracy(train_cm) >= overall_accuracy(test_cm) - 1e-9
+
+
+def test_minigcn_training_builds_only_the_batch_operators(small_ds):
+    # the whole training graph's operator is never built: one operator per
+    # step, each on the adjacency its batch induces
+    renorm = mgk.graph.renormalized_propagation
+    induce = mgk.pipeline.induce_subgraph
+    step = mgk.pipeline.loss_and_grads
+    built, induced, steps = [], [], []
+
+    def spy_renorm(adj):
+        built.append(adj.to_dense())
+        return renorm(adj)
+
+    def spy_induce(g, ids):
+        induced.append(g.adjacency.to_dense()[np.ix_(ids, ids)])
+        return induce(g, ids)
+
+    def counted_step(*args, **kwargs):
+        steps.append(len(built))
+        return step(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (mgk.graph, mgk.sampler, mgk.pipeline):
+            mp.setattr(module, "renormalized_propagation", spy_renorm)
+        mp.setattr(mgk.pipeline, "induce_subgraph", spy_induce)
+        mp.setattr(mgk.pipeline, "loss_and_grads", counted_step)
+        train_model(small_ds, small_cfg(small_ds), **TRAIN_KW)
+    # 24 train pixels at batch 16: two steps per epoch
+    assert steps == list(range(1, 2 * TRAIN_KW["epochs"] + 1))
+    assert len(built) == len(induced) == len(steps)
+    for got, want in zip(built, induced):
+        assert got.shape[0] < 24
+        assert np.array_equal(got, want)
 
 
 def test_gcn_architecture_trains_full_batch(small_ds):
@@ -241,7 +277,8 @@ def test_grouped_inference_peaks_no_higher_than_one_wide_chunk(map_ds):
 def test_chunk_prop_clamps_k_and_gives_singletons_the_identity():
     feats = np.random.default_rng(3).random((3, 4, 2))
     got = chunk_prop(feats, 10, 1.0)
-    want = build_knn_rbf_graph(feats, 3, 1.0).prop
+    want = renormalized_propagation(
+        build_knn_rbf_graph(feats, 3, 1.0).adjacency)
     for field in ("rows", "cols", "vals"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
     one = chunk_prop(feats[:, :1], 5, 1.0)

@@ -77,9 +77,10 @@ def test_partition_pair_frequency_matches_enumeration():
 def test_induce_full_graph_is_identity_restriction():
     rng = np.random.default_rng(0)
     g, feats = random_graph(rng, 8)
-    sub = induce_subgraph(g, np.arange(8), features=feats)
-    assert np.allclose(sub.prop_s.to_dense(), g.prop.to_dense(), atol=1e-15)
-    assert np.array_equal(sub.features, feats)
+    sub = induce_subgraph(g, np.arange(8))
+    assert np.allclose(sub.prop_s.to_dense(),
+                       renormalized_propagation(g.adjacency).to_dense(),
+                       atol=1e-15)
 
 
 def test_induce_singleton():
@@ -140,7 +141,7 @@ def test_restrict_matches_the_full_scan(n, size, seed):
     g, _ = random_graph(rng, n, k=1 + seed % (n - 1))
     ids = rng.permutation(n)[:min(size, n)]
     # the adjacency has no diagonal; the propagation operator has one
-    for matrix in (g.adjacency, g.prop):
+    for matrix in (g.adjacency, renormalized_propagation(g.adjacency)):
         got = _restrict(matrix, ids)
         want = scan_restrict(matrix, ids)
         assert got.dim == want.dim == ids.size
@@ -169,7 +170,8 @@ def node_estimate(v, g, subgraph, h_prev, p, e=1.0):
     if where.size == 0:
         raise ContractError(f"vertex {v} is not in the sampled batch")
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    col = _restrict(g.prop, ids).to_dense()[:, int(where[0])]
+    prop = renormalized_propagation(g.adjacency)
+    col = _restrict(prop, ids).to_dense()[:, int(where[0])]
     if np.isscalar(e):
         e_col = np.full(ids.size, float(e))
     else:
@@ -189,8 +191,9 @@ def test_node_estimate_full_graph_matches_layer_row():
     rng = np.random.default_rng(3)
     g, feats = random_graph(rng, 7, d=4)
     p = nn.make_graph_conv(rng, 4, 3)
-    sub = induce_subgraph(g, np.arange(7), features=feats)
-    full, _ = nn.graph_conv_forward(feats, g.prop, p)
+    sub = induce_subgraph(g, np.arange(7))
+    full, _ = nn.graph_conv_forward(
+        feats, renormalized_propagation(g.adjacency), p)
     for v in range(7):
         est = node_estimate(v, g, sub, feats, p, e=1.0)
         assert np.max(np.abs(est - full[v])) <= 1e-12
@@ -200,9 +203,9 @@ def test_node_estimate_singleton():
     rng = np.random.default_rng(4)
     g, feats = random_graph(rng, 6, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
-    sub = induce_subgraph(g, np.array([2]), features=feats[[2]])
+    sub = induce_subgraph(g, np.array([2]))
     est = node_estimate(2, g, sub, feats, p, e=1.0)
-    prop_vv = g.prop.to_dense()[2, 2]
+    prop_vv = renormalized_propagation(g.adjacency).to_dense()[2, 2]
     want = prop_vv * feats[2] @ p.weights + p.bias
     assert np.max(np.abs(est - want)) <= 1e-14
 
@@ -211,7 +214,7 @@ def test_node_estimate_contract_errors():
     rng = np.random.default_rng(5)
     g, feats = random_graph(rng, 6, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
-    sub = induce_subgraph(g, np.array([0, 1]), features=feats[:2])
+    sub = induce_subgraph(g, np.array([0, 1]))
     with pytest.raises(ContractError):
         node_estimate(4, g, sub, feats, p, e=1.0)  # vertex not in batch
     e = np.zeros((6, 6))
@@ -224,7 +227,7 @@ def test_node_estimate_rejects_a_batch_beyond_the_graph():
     g, feats = random_graph(rng, 8, d=2)
     small, _ = random_graph(rng, 4, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
-    sub = induce_subgraph(g, np.array([1, 6]), features=feats[[1, 6]])
+    sub = induce_subgraph(g, np.array([1, 6]))
     with pytest.raises(ContractError, match="order 4"):
         node_estimate(1, small, sub, feats, p, e=1.0)
 
@@ -238,7 +241,7 @@ def exhaustive_two_batch_expectation(g, feats, p, e_mode):
     computed over the same enumeration.
     """
     n = 3
-    prop = g.prop.to_dense()
+    prop = renormalized_propagation(g.adjacency).to_dense()
     perms = list(itertools.permutations(range(n)))
     counts = np.zeros((n, n))
     for perm in perms:
@@ -256,7 +259,7 @@ def exhaustive_two_batch_expectation(g, feats, p, e_mode):
         batches = [list(perm[:2]), [perm[2]]]
         for batch in batches:
             ids = np.array(sorted(batch))
-            sub = induce_subgraph(g, ids, features=feats[ids])
+            sub = induce_subgraph(g, ids)
             for v in ids:
                 acc[v] += node_estimate(int(v), g, sub, feats, p, e=e)
     return acc / len(perms), e
@@ -269,7 +272,8 @@ def test_exhaustive_three_vertex_expectation(e_mode):
     g = build_knn_rbf_graph(feats, 2, 1.0)
     rng = np.random.default_rng(6)
     p = nn.make_graph_conv(rng, 2, 2)
-    full, _ = nn.graph_conv_forward(feats, g.prop, p)
+    full, _ = nn.graph_conv_forward(
+        feats, renormalized_propagation(g.adjacency), p)
     mean, e = exhaustive_two_batch_expectation(g, feats, p, e_mode)
     bias = mean - full
     if e_mode == "frequency":
@@ -340,7 +344,7 @@ def test_diagnostic_matches_brute_force_mc():
     report = estimator_bias_diagnostic(g, 2, trials=trials, seed=11,
                                        features=feats, weight=weight)
     z = feats @ weight
-    prop = g.prop.to_dense()
+    prop = renormalized_propagation(g.adjacency).to_dense()
     target = prop @ z
     sums = np.zeros(5)
     for batches in _diagnostic_trial_batches(5, 2, trials, 11):
@@ -374,7 +378,8 @@ def test_diagnostic_full_budget_target_is_the_operator_product(n, k):
     weight = rng.normal(size=(3, 1))
     report = estimator_bias_diagnostic(g, n, trials=4, seed=23,
                                        features=feats, weight=weight)
-    want = g.prop.matmul((feats @ weight).ravel())
+    want = renormalized_propagation(g.adjacency).matmul(
+        (feats @ weight).ravel())
     assert np.array_equal(report.target.view(np.uint64),
                           want.view(np.uint64))
     for stats in report.modes.values():
@@ -435,7 +440,7 @@ def test_diagnostic_frequency_mode_matches_brute_force_mc():
     report = estimator_bias_diagnostic(g, 2, trials=trials, seed=27,
                                        features=feats, weight=weight)
     z = (feats @ weight)[:, 0]
-    prop = g.prop.to_dense()
+    prop = renormalized_propagation(g.adjacency).to_dense()
     parts = _diagnostic_trial_batches(9, 2, trials, 27)
     counts = np.zeros((9, 9))
     for batches in parts:
