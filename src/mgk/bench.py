@@ -6,10 +6,12 @@ layer forward+backward as training runs it:
 
 * ``full-gcn``  -- the whole graph through the dense propagation matrix,
   the N^2 D reference; under mode ``full-gcn-sparse``, what ``gcn``
-  training runs every epoch: ``induce_subgraph`` on every vertex, then one
-  pass, which builds the new operator's product plan.
-* ``minigcn``   -- one training epoch: a ``partition_epoch`` draw, then
-  each batch's ``induce_subgraph(...).prop_s`` and one pass on the batch
+  training runs every epoch: ``induce_subgraph`` of the one-batch
+  partition of every vertex, then one pass, which builds the new
+  operator's product plan.
+* ``minigcn``   -- one training epoch as training runs it: a
+  ``partition_epoch`` draw, one ``induce_subgraph`` call on its batches,
+  then one pass per batch on its diagonal block of the epoch operator
   (linear in N for a fixed budget).
 
 Per-pass seconds come from timeit-style autoranged inner loops so the
@@ -145,7 +147,7 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
             dense = renormalized_propagation(g.adjacency).to_dense()
             samples = _time_pass(lambda: _layer_pass(dense, h, params, dout),
                                  repeats)
-            every = np.arange(n)
+            every = (np.arange(n),)
             sparse_samples = _time_pass(
                 lambda: _layer_pass(induce_subgraph(g, every).prop_s, h,
                                     params, dout), repeats)
@@ -156,9 +158,11 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
             part_seed = rng.integers(2 ** 63)
 
             def epoch_pass():
-                for ids in partition_epoch(n, m, part_seed):
-                    _layer_pass(induce_subgraph(g, ids).prop_s, h[ids],
-                                params, dout[ids])
+                batches = partition_epoch(n, m, part_seed)
+                blocks = induce_subgraph(g, batches).prop_s.diagonal_blocks(
+                    [ids.size for ids in batches])
+                for ids, prop in zip(batches, blocks):
+                    _layer_pass(prop, h[ids], params, dout[ids])
 
             samples = _time_pass(epoch_pass, repeats)
         for r, s in enumerate(samples):

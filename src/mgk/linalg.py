@@ -5,11 +5,13 @@ each entry of a symmetric matrix once (row <= col) as read-only coordinate
 triplets in one canonical order, copies of its inputs; triplets already in
 that order are taken without a sort; ``terms`` expands them into the full
 matrix, the stored entries then their mirrors, for every method that reads
-it. Products against dense operands never materialize the full matrix.
-The first product builds a jagged-diagonal plan of the expanded matrix and
-caches it on the instance; every product is then one gather and one
-contiguous add per term rank, summing each row in ``terms`` order, so results
-are bitwise the same whether the plan was just built or cached.
+it. ``diagonal_blocks`` cuts a block-diagonal matrix into its blocks, each
+a shifted slice of the triplets, so no block needs a sort. Products
+against dense operands never materialize the full matrix. The first
+product builds a jagged-diagonal plan of the expanded matrix and caches it
+on the instance; every product is then one gather and one contiguous add
+per term rank, summing each row in ``terms`` order, so results are bitwise
+the same whether the plan was just built or cached.
 
 The eigendecomposition is LAPACK's ``eigh`` (through numpy) plus a fixed
 eigenvector sign rule. It is the exact reference that spectral filtering is
@@ -137,6 +139,39 @@ class SparseSymMatrix:
         return np.bincount(np.concatenate([self.rows, self.cols[off]]),
                            np.concatenate([self.vals, self.vals[off]]),
                            self.dim).astype(np.float64, copy=False)
+
+    def diagonal_blocks(self, sizes) -> list:
+        """The diagonal blocks of a block-diagonal matrix, in order.
+
+        Block q covers rows and columns ``[offset_q, offset_q + sizes[q])``.
+        Storage is sorted by row, so its entries are the slice that starts
+        at ``searchsorted(rows, offset_q)``, shifted by ``-offset_q``: still
+        canonical, so each block is built without a sort; a single block is
+        the matrix itself. Sizes that do not sum to ``dim``, and an entry
+        outside every block, are refused.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64).ravel()
+        if sizes.size == 0 or sizes.min() < 1:
+            raise ContractError(f"block sizes must be >= 1, got "
+                                f"{sizes.tolist()}")
+        if int(sizes.sum()) != self.dim:
+            raise ContractError(f"block sizes sum to {int(sizes.sum())}, "
+                                f"not dim={self.dim}")
+        if sizes.size == 1:
+            return [self]
+        ends = np.cumsum(sizes)
+        offsets = ends - sizes
+        cuts = np.searchsorted(self.rows, np.append(offsets, self.dim))
+        # rows <= cols, so an entry crosses when its col passes its block
+        cross = self.cols >= np.repeat(ends, np.diff(cuts))
+        if cross.any():
+            i = int(np.argmax(cross))
+            raise ContractError(f"entry ({self.rows[i]}, {self.cols[i]}) "
+                                f"crosses two blocks")
+        return [SparseSymMatrix(int(size), self.rows[a:b] - off,
+                                self.cols[a:b] - off, self.vals[a:b])
+                for size, off, a, b in zip(sizes, offsets, cuts[:-1],
+                                           cuts[1:])]
 
     def _jagged_plan(self):
         """The expanded matrix in jagged-diagonal form, built once.

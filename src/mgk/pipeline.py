@@ -4,7 +4,9 @@ This is the glue between the file formats and the math modules. The
 training graph is built on training pixels only. Each training step hands
 the model its batch as arrays: features, one-hot labels, patches, and the
 propagation operator of the subgraph the batch induces (for ``gcn``, the
-whole training graph). Inference is inductive: ``predict_pixels`` reads
+whole training graph). One ``induce_subgraph`` call per epoch induces
+every batch at once, and each step takes its batch's diagonal block of
+that operator. Inference is inductive: ``predict_pixels`` reads
 only the normalized cube, and each inference chunk builds its own small
 KNN graph among the chunk's pixels from the (k, sigma) its caller passes.
 For graph-only models, up to ``PREDICT_GROUP_ROWS`` rows of full chunks
@@ -133,8 +135,10 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     gcn trains full batch (one batch per epoch covering every train pixel);
     every other architecture partitions the train pixels into node-budget
     batches, re-drawn each epoch; a one-node last batch joins the one before
-    it. Bitwise reproducible for a fixed seed. Values that cannot train, and
-    a model that does not fit the data, are refused before any work.
+    it. Graph architectures induce an epoch's batches in one call and step
+    on its diagonal blocks, each bitwise its batch's own operator. Bitwise
+    reproducible for a fixed seed. Values that cannot train, and a model
+    that does not fit the data, are refused before any work.
     """
     if epochs < 0:
         raise ContractError(f"epochs must be >= 0, got {epochs}")
@@ -176,14 +180,16 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
 
     log_rows = []
     for epoch, lr in enumerate(lrs):
-        batches = partition_epoch(n_train, budget, seeds[1 + epoch])
+        batches = fold_singleton_tail(
+            partition_epoch(n_train, budget, seeds[1 + epoch]))
+        props = [None] * len(batches)
+        if graph is not None:
+            props = induce_subgraph(graph, batches).prop_s.diagonal_blocks(
+                [ids.size for ids in batches])
         epoch_loss = 0.0
         preds = np.empty(n_train, dtype=np.int64)
-        for ids in fold_singleton_tail(batches):
-            prop = feats = None
-            if graph is not None:
-                prop = induce_subgraph(graph, ids).prop_s
-                feats = x_train[ids]
+        for ids, prop in zip(batches, props):
+            feats = x_train[ids] if graph is not None else None
             p = patches_train[ids] if patches_train is not None else None
             try:
                 loss, grads, logits = loss_and_grads(

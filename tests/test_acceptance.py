@@ -263,13 +263,13 @@ def test_acceptance_04_full_budget_batch_matches_full_graph_forward():
     cfg = ModelConfig(architecture="minigcn", input_bands=bands,
                       classes=classes, gcn_hidden=8, fusion_fc=8)
     mdl = build(cfg, seed=1)
-    full_batch = induce_subgraph(g, np.arange(n))
+    full_batch = induce_subgraph(g, (np.arange(n),))
     logits_full, _ = forward(mdl, feats, full_batch.prop_s, None)
 
     batches = partition_epoch(n, n, seed=5)
     assert len(batches) == 1
     ids = batches[0]
-    sub = induce_subgraph(g, ids)
+    sub = induce_subgraph(g, (ids,))
     logits_sub, _ = forward(mdl, feats[ids], sub.prop_s, None)
     unpermuted = np.empty_like(logits_sub)
     unpermuted[ids] = logits_sub

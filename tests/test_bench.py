@@ -91,14 +91,20 @@ def test_dense_pass_scales_faster_than_budgeted_pass(small_reports):
 
 
 def test_timed_passes_induce_what_training_induces(monkeypatch):
-    # each minigcn pass is one epoch: one induce_subgraph per batch of its
-    # partition; each full-gcn-sparse pass induces the whole graph once
-    induced = []
+    # each minigcn pass is one epoch: one induce_subgraph call holding the
+    # batches of its partition; each full-gcn-sparse pass induces the
+    # one-batch partition of the whole graph once
+    induced, drawn = [], []
     real_induce = mgk.bench.induce_subgraph
+    real_partition = mgk.bench.partition_epoch
 
-    def counting_induce(g, ids):
-        induced.append(len(ids))
-        return real_induce(g, ids)
+    def counting_induce(g, batches):
+        induced.append(batches)
+        return real_induce(g, batches)
+
+    def recording_partition(n, m, seed):
+        drawn.append(real_partition(n, m, seed))
+        return drawn[-1]
 
     per_pass = []
 
@@ -109,14 +115,20 @@ def test_timed_passes_induce_what_training_induces(monkeypatch):
         return [1.0] * repeats
 
     monkeypatch.setattr(mgk.bench, "induce_subgraph", counting_induce)
+    monkeypatch.setattr(mgk.bench, "partition_epoch", recording_partition)
     monkeypatch.setattr(mgk.bench, "_time_pass", one_pass)
     run_scaling("minigcn", n_grid=(64, 100, 256), d=4, p=2, m=16,
                 repeats=3)
-    assert [len(sizes) for sizes in per_pass] == [4, 7, 16]
-    assert [sum(sizes) for sizes in per_pass] == [64, 100, 256]
+    assert [len(calls) for calls in per_pass] == [1, 1, 1]
+    assert [len(calls[0]) for calls in per_pass] == [4, 7, 16]
+    assert len(drawn) == 3
+    for (batches,), partition in zip(per_pass, drawn):
+        assert batches is partition
     per_pass.clear()
     run_scaling("full-gcn", n_grid=(64, 100), d=4, p=2, repeats=3)
-    assert per_pass == [[], [64], [], [100]]
+    assert [[[ids.tolist() for ids in batches] for batches in calls]
+            for calls in per_pass] == [[], [[list(range(64))]], [],
+                                      [[list(range(100))]]]
 
 
 def test_default_grid_is_strictly_increasing():

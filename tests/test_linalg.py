@@ -230,6 +230,41 @@ def test_terms_readers_match_the_mirror_references_on_a_scene_graph():
                          s.matmul(x))
 
 
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 6), min_size=1,
+                                            max_size=6))
+def test_diagonal_blocks_are_the_blocks_built_alone(seed, sizes):
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    whole = np.zeros((dim, dim))
+    alone = []
+    start = 0
+    for size in sizes:
+        block = rng.normal(size=(size, size)) * (
+            rng.random((size, size)) < 0.5)
+        block = block + block.T
+        whole[start:start + size, start:start + size] = block
+        alone.append(dense_to_sparse(block))
+        start += size
+    got = dense_to_sparse(whole).diagonal_blocks(sizes)
+    assert len(got) == len(sizes)
+    for block, want in zip(got, alone):
+        assert block.dim == want.dim
+        assert_same_triplets(block, (want.rows, want.cols, want.vals))
+
+
+@pytest.mark.parametrize("sizes, match", [
+    ([2, 2], "sum to 4, not dim=5"),
+    ([2, 4], "sum to 6, not dim=5"),
+    ([3, 0, 2], r"sizes must be >= 1, got \[3, 0, 2\]"),
+    ([], r"sizes must be >= 1, got \[\]"),
+    ([2, 3], r"entry \(1, 2\) crosses two blocks"),
+])
+def test_diagonal_blocks_refuse_a_bad_cut(sizes, match):
+    s = SparseSymMatrix(5, [0, 1, 3], [1, 2, 4], [1.0, 2.0, 3.0])
+    with pytest.raises(ContractError, match=match):
+        s.diagonal_blocks(sizes)
+
+
 def test_sparse_triplets_are_read_only():
     s = SparseSymMatrix(3, [0, 1], [1, 2], [1.0, 2.0])
     for a in (s.rows, s.cols, s.vals):

@@ -22,7 +22,7 @@ def graph_batch(rng, n, bands, classes, k=None):
     g, feats = random_graph(rng, n, d=bands, k=k)
     labels = rng.integers(0, classes, size=n)
     labels[:classes] = np.arange(classes)  # every class present
-    return (feats, induce_subgraph(g, np.arange(n)).prop_s,
+    return (feats, induce_subgraph(g, (np.arange(n),)).prop_s,
             one_hot(labels, classes))
 
 
@@ -157,7 +157,7 @@ def test_forward_validates_batch_contents():
         forward(build(toy_cfg("gcn")), None, prop, None)
     with pytest.raises(ContractError, match="disagree"):
         forward(build(toy_cfg("funet-c")), feats, prop, patches[:4])
-    narrow = induce_subgraph(random_graph(rng, 6, d=2)[0], np.arange(6))
+    narrow = induce_subgraph(random_graph(rng, 6, d=2)[0], (np.arange(6),))
     with pytest.raises(ShapeError, match="bands"):
         forward(build(toy_cfg("gcn")), rng.normal(size=(6, 2)),
                 narrow.prop_s, None)
@@ -258,7 +258,7 @@ def test_loss_requires_labels():
     rng = np.random.default_rng(8)
     model = build(toy_cfg("gcn"))
     g, feats = random_graph(rng, 6, d=TOY["input_bands"])
-    prop = induce_subgraph(g, np.arange(6)).prop_s
+    prop = induce_subgraph(g, (np.arange(6),)).prop_s
     with pytest.raises(ContractError, match="labels"):
         loss_and_grads(model, None, feats, prop)
 
@@ -270,7 +270,7 @@ def test_gcn_path_is_permutation_equivariant(seed):
     model = build(toy_cfg("gcn"), seed=9)
     g, feats = random_graph(rng, n, d=TOY["input_bands"])
     rng.integers(0, TOY["classes"], size=n)  # keeps the permutation's draw
-    prop = induce_subgraph(g, np.arange(n)).prop_s
+    prop = induce_subgraph(g, (np.arange(n),)).prop_s
     logits, _ = forward(model, feats, prop, None)
 
     perm = rng.permutation(n)

@@ -121,7 +121,7 @@ def test_training_converges_and_train_oa_at_least_test_oa(small_ds):
 
 def test_minigcn_training_builds_only_the_batch_operators(small_ds):
     # the whole training graph's operator is never built: one operator per
-    # step, each on the adjacency its batch induces
+    # epoch, on the adjacency its batches induce, block-diagonal by batch
     renorm = mgk.graph.renormalized_propagation
     induce = mgk.pipeline.induce_subgraph
     step = mgk.pipeline.loss_and_grads
@@ -131,9 +131,10 @@ def test_minigcn_training_builds_only_the_batch_operators(small_ds):
         built.append(adj.to_dense())
         return renorm(adj)
 
-    def spy_induce(g, ids):
-        induced.append(g.adjacency.to_dense()[np.ix_(ids, ids)])
-        return induce(g, ids)
+    def spy_induce(g, batches):
+        dense = g.adjacency.to_dense()
+        induced.append([dense[np.ix_(ids, ids)] for ids in batches])
+        return induce(g, batches)
 
     def counted_step(*args, **kwargs):
         steps.append(len(built))
@@ -145,12 +146,21 @@ def test_minigcn_training_builds_only_the_batch_operators(small_ds):
         mp.setattr(mgk.pipeline, "induce_subgraph", spy_induce)
         mp.setattr(mgk.pipeline, "loss_and_grads", counted_step)
         train_model(small_ds, small_cfg(small_ds), **TRAIN_KW)
-    # 24 train pixels at batch 16: two steps per epoch
-    assert steps == list(range(1, 2 * TRAIN_KW["epochs"] + 1))
-    assert len(built) == len(induced) == len(steps)
-    for got, want in zip(built, induced):
-        assert got.shape[0] < 24
-        assert np.array_equal(got, want)
+    # 24 train pixels at batch 16: two steps per epoch, one build before them
+    epochs = TRAIN_KW["epochs"]
+    assert steps == [1 + i // 2 for i in range(2 * epochs)]
+    assert len(built) == len(induced) == epochs
+    for got, wants in zip(built, induced):
+        assert got.shape == (24, 24)
+        assert [w.shape[0] for w in wants] == [16, 8]
+        joins = np.ones_like(got, dtype=bool)
+        start = 0
+        for want in wants:
+            block = slice(start, start + want.shape[0])
+            assert np.array_equal(got[block, block], want)
+            joins[block, block] = False
+            start = block.stop
+        assert not got[joins].any()
 
 
 def test_gcn_architecture_trains_full_batch(small_ds):

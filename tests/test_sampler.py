@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import dense_to_sparse, random_graph
+from conftest import assert_same_triplets, dense_to_sparse, random_graph
 from mgk.errors import ContractError
-from mgk.graph import build_knn_rbf_graph, renormalized_propagation
+from mgk.graph import Graph, build_knn_rbf_graph, renormalized_propagation
 from mgk.linalg import SparseSymMatrix
 from mgk import nn
 import mgk.sampler
-from mgk.sampler import (_restrict, estimator_bias_diagnostic,
-                         induce_subgraph, partition_epoch, write_bias_csv)
+from mgk.pipeline import fold_singleton_tail
+from mgk.sampler import (estimator_bias_diagnostic, induce_subgraph,
+                         partition_epoch, write_bias_csv)
 
 
 def test_partition_single_batch():
@@ -77,7 +78,7 @@ def test_partition_pair_frequency_matches_enumeration():
 def test_induce_full_graph_is_identity_restriction():
     rng = np.random.default_rng(0)
     g, feats = random_graph(rng, 8)
-    sub = induce_subgraph(g, np.arange(8))
+    sub = induce_subgraph(g, (np.arange(8),))
     assert np.allclose(sub.prop_s.to_dense(),
                        renormalized_propagation(g.adjacency).to_dense(),
                        atol=1e-15)
@@ -86,7 +87,7 @@ def test_induce_full_graph_is_identity_restriction():
 def test_induce_singleton():
     rng = np.random.default_rng(1)
     g, _ = random_graph(rng, 5)
-    sub = induce_subgraph(g, np.array([3]))
+    sub = induce_subgraph(g, (np.array([3]),))
     assert np.array_equal(sub.prop_s.to_dense(), [[1.0]])
 
 
@@ -94,7 +95,7 @@ def test_induce_two_node_edge_weight():
     feats = np.array([[0.0], [0.1], [5.0], [5.1]])
     g = build_knn_rbf_graph(feats, 1, 1.0)
     w = g.adjacency.to_dense()[0, 1]
-    sub = induce_subgraph(g, np.array([0, 1]))
+    sub = induce_subgraph(g, (np.array([0, 1]),))
     dense = sub.prop_s.to_dense()
     assert dense[0, 1] == pytest.approx(w / (1 + w), abs=1e-12)
     assert dense[0, 0] == pytest.approx(1 / (1 + w), abs=1e-12)
@@ -104,9 +105,9 @@ def test_induce_rejects_duplicates_and_range():
     rng = np.random.default_rng(2)
     g, _ = random_graph(rng, 5)
     with pytest.raises(ContractError):
-        induce_subgraph(g, np.array([1, 1]))
+        induce_subgraph(g, (np.array([1, 1]),))
     with pytest.raises(ContractError):
-        induce_subgraph(g, np.array([5]))
+        induce_subgraph(g, (np.array([5]),))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -115,8 +116,8 @@ def test_induce_order_insensitive(seed):
     g, _ = random_graph(rng, 9)
     ids = rng.choice(9, size=5, replace=False)
     perm = rng.permutation(5)
-    a = induce_subgraph(g, ids).prop_s.to_dense()
-    b = induce_subgraph(g, ids[perm]).prop_s.to_dense()
+    a = induce_subgraph(g, (ids,)).prop_s.to_dense()
+    b = induce_subgraph(g, (ids[perm],)).prop_s.to_dense()
     assert np.allclose(b, a[np.ix_(perm, perm)], atol=1e-15)
 
 
@@ -134,20 +135,65 @@ def scan_restrict(matrix, node_ids):
     )
 
 
-@given(st.integers(2, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
-@example(n=7, size=1, seed=3)
-def test_restrict_matches_the_full_scan(n, size, seed):
+def graph_with_isolated_vertices(rng, n):
+    """A random weighted graph on n vertices, about a third of them
+    isolated."""
+    weights = np.triu(rng.random((n, n)) + 0.5, 1)
+    weights *= np.triu(rng.random((n, n)) < 0.4, 1)
+    isolated = rng.random(n) < 0.35
+    weights[isolated] = 0.0
+    weights[:, isolated] = 0.0
+    return Graph(n, dense_to_sparse(weights + weights.T))
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+@example(n=7, seed=3)
+def test_epoch_blocks_are_each_batch_induced_alone_bitwise(n, seed):
     rng = np.random.default_rng(seed)
-    g, _ = random_graph(rng, n, k=1 + seed % (n - 1))
-    ids = rng.permutation(n)[:min(size, n)]
-    # the adjacency has no diagonal; the propagation operator has one
-    for matrix in (g.adjacency, renormalized_propagation(g.adjacency)):
-        got = _restrict(matrix, ids)
-        want = scan_restrict(matrix, ids)
-        assert got.dim == want.dim == ids.size
-        assert np.array_equal(got.rows, want.rows)
-        assert np.array_equal(got.cols, want.cols)
-        assert np.array_equal(got.vals, want.vals)
+    g = graph_with_isolated_vertices(rng, n)
+    m = 1 + seed % n
+    batches = fold_singleton_tail(partition_epoch(n, m, seed))
+    sub = induce_subgraph(g, batches)
+    assert np.array_equal(sub.node_ids, np.concatenate(batches))
+    blocks = sub.prop_s.diagonal_blocks([ids.size for ids in batches])
+    assert len(blocks) == len(batches)
+    for ids, block in zip(batches, blocks):
+        want = renormalized_propagation(scan_restrict(g.adjacency, ids))
+        assert block.dim == want.dim == ids.size
+        assert_same_triplets(block, (want.rows, want.cols, want.vals))
+
+
+def test_induce_refuses_a_bare_id_array():
+    g, _ = random_graph(np.random.default_rng(2), 5)
+    with pytest.raises(ContractError, match="bare array of shape"):
+        induce_subgraph(g, np.arange(5))
+    with pytest.raises(ContractError, match=r"batch 0 .* shape \(\)"):
+        induce_subgraph(g, [0, 1, 2])
+
+
+@pytest.mark.parametrize("batches, match", [
+    ((), "at least one batch"),
+    ((np.array([0, 1]), np.array([], dtype=np.int64)),
+     r"batch 1 .* shape \(0,\)"),
+    ((np.array([0, 1]), np.array([2.0, 3.7])),
+     "batch 1 must hold integer ids, got dtype float64"),
+    ((np.array([True, False]),), "got dtype bool"),
+    ((np.array([0, -1]),), "node id -1 out of range"),
+    ((np.array([2]), np.array([0, 5])), "node id 5 out of range"),
+    ((np.array([3, 1, 3]),), "node id 3 is given twice"),
+    ((np.array([0, 4]), np.array([2, 4])), "node id 4 is given twice"),
+])
+def test_induce_refuses_bad_batches_before_any_work(monkeypatch, batches,
+                                                    match):
+    g, _ = random_graph(np.random.default_rng(2), 5)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(mgk.sampler, "SparseSymMatrix", no_build)
+    monkeypatch.setattr(mgk.sampler, "renormalized_propagation", no_build)
+    with pytest.raises(ContractError, match=match):
+        induce_subgraph(g, batches)
 
 
 def node_estimate(v, g, subgraph, h_prev, p, e=1.0):
@@ -171,7 +217,7 @@ def node_estimate(v, g, subgraph, h_prev, p, e=1.0):
         raise ContractError(f"vertex {v} is not in the sampled batch")
     h_prev = np.asarray(h_prev, dtype=np.float64)
     prop = renormalized_propagation(g.adjacency)
-    col = _restrict(prop, ids).to_dense()[:, int(where[0])]
+    col = scan_restrict(prop, ids).to_dense()[:, int(where[0])]
     if np.isscalar(e):
         e_col = np.full(ids.size, float(e))
     else:
@@ -191,7 +237,7 @@ def test_node_estimate_full_graph_matches_layer_row():
     rng = np.random.default_rng(3)
     g, feats = random_graph(rng, 7, d=4)
     p = nn.make_graph_conv(rng, 4, 3)
-    sub = induce_subgraph(g, np.arange(7))
+    sub = induce_subgraph(g, (np.arange(7),))
     full, _ = nn.graph_conv_forward(
         feats, renormalized_propagation(g.adjacency), p)
     for v in range(7):
@@ -203,7 +249,7 @@ def test_node_estimate_singleton():
     rng = np.random.default_rng(4)
     g, feats = random_graph(rng, 6, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
-    sub = induce_subgraph(g, np.array([2]))
+    sub = induce_subgraph(g, (np.array([2]),))
     est = node_estimate(2, g, sub, feats, p, e=1.0)
     prop_vv = renormalized_propagation(g.adjacency).to_dense()[2, 2]
     want = prop_vv * feats[2] @ p.weights + p.bias
@@ -214,7 +260,7 @@ def test_node_estimate_contract_errors():
     rng = np.random.default_rng(5)
     g, feats = random_graph(rng, 6, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
-    sub = induce_subgraph(g, np.array([0, 1]))
+    sub = induce_subgraph(g, (np.array([0, 1]),))
     with pytest.raises(ContractError):
         node_estimate(4, g, sub, feats, p, e=1.0)  # vertex not in batch
     e = np.zeros((6, 6))
@@ -227,7 +273,7 @@ def test_node_estimate_rejects_a_batch_beyond_the_graph():
     g, feats = random_graph(rng, 8, d=2)
     small, _ = random_graph(rng, 4, d=2)
     p = nn.make_graph_conv(rng, 2, 2)
-    sub = induce_subgraph(g, np.array([1, 6]))
+    sub = induce_subgraph(g, (np.array([1, 6]),))
     with pytest.raises(ContractError, match="order 4"):
         node_estimate(1, small, sub, feats, p, e=1.0)
 
@@ -259,7 +305,7 @@ def exhaustive_two_batch_expectation(g, feats, p, e_mode):
         batches = [list(perm[:2]), [perm[2]]]
         for batch in batches:
             ids = np.array(sorted(batch))
-            sub = induce_subgraph(g, ids)
+            sub = induce_subgraph(g, (ids,))
             for v in ids:
                 acc[v] += node_estimate(int(v), g, sub, feats, p, e=e)
     return acc / len(perms), e
