@@ -46,16 +46,13 @@ def main():
         result = train_model(
             ds, cfg, epochs=args.epochs, batch=32, base_lr=0.01,
             l2=0.001, bn_momentum=0.9, seed=args.seed,
-            graph_k=10, graph_sigma=1.0,
         )
-        cm = evaluate_part(result.model, ds, "test", batch=32,
-                           graph_k=10, graph_sigma=1.0)
+        cm = evaluate_part(result.model, ds, "test", batch=32)
         print(f"== {arch}: test OA {overall_accuracy(cm):.2f} ==")
         print(report_text(cm))
 
         all_ids = np.arange(cube.height * cube.width)
-        preds = predict_pixels(result.model, ds.cube, all_ids, batch=32,
-                               graph_k=10, graph_sigma=1.0)
+        preds = predict_pixels(result.model, ds.cube, all_ids, batch=32)
         pred_map = (preds + 1).reshape(cube.height, cube.width)
         map_path = os.path.join(args.out_dir, f"map_{arch}.ppm")
         write_ppm(map_path, class_map_rgb(pred_map))

@@ -208,7 +208,8 @@ def _load_ds(cfg: RunConfig) -> Dataset:
 
 
 def _model_cfg(cfg: RunConfig, ds: Dataset) -> ModelConfig:
-    return infer_model_config(ds, **dataclasses.asdict(cfg.model))
+    return infer_model_config(ds, **dataclasses.asdict(cfg.model),
+                              graph_k=cfg.graph.k, graph_sigma=cfg.graph.sigma)
 
 
 def _train(cfg: RunConfig, ds: Dataset, seed=None):
@@ -217,7 +218,6 @@ def _train(cfg: RunConfig, ds: Dataset, seed=None):
         ds, _model_cfg(cfg, ds), epochs=t.epochs, batch=t.batch,
         base_lr=t.base_lr, l2=t.l2, bn_momentum=t.bn_momentum,
         seed=t.seed if seed is None else seed,
-        graph_k=cfg.graph.k, graph_sigma=cfg.graph.sigma,
     )
 
 
@@ -293,10 +293,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
     _require(cfg, "checkpoint")
-    ds = _load_ds(cfg)
     mdl = load_model(cfg.paths.checkpoint)
-    cm = evaluate_part(mdl, ds, part, batch=cfg.train.batch,
-                       graph_k=cfg.graph.k, graph_sigma=cfg.graph.sigma)
+    cm = evaluate_part(mdl, _load_ds(cfg), part, batch=cfg.train.batch)
     out = _out_dir(cfg)
     csv_path = os.path.join(out, f"report_{part}.csv")
     txt_path = os.path.join(out, f"report_{part}.txt")
@@ -326,8 +324,7 @@ def cmd_predict_map(cfg: RunConfig) -> int:
         check_labels_match(cube, truth)
     h, w = cube.height, cube.width
     preds = predict_pixels(mdl, cube, np.arange(h * w),
-                           batch=cfg.train.batch, graph_k=cfg.graph.k,
-                           graph_sigma=cfg.graph.sigma)
+                           batch=cfg.train.batch)
     pred_map = (preds + 1).reshape(h, w)
     out = _out_dir(cfg)
     map_path = os.path.join(out, "map.ppm")
@@ -345,15 +342,16 @@ def cmd_predict_map(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
     ds = _load_ds(cfg)
-    if _model_cfg(cfg, ds).uses_graph:  # the whole grid, before any cell
-        n_train = ds.part_pixels("train")[0].size
-        for k in k_grid:
-            if not 1 <= k < n_train:
-                raise ConfigError(f"--k-grid value {k} is outside "
-                                  f"1 <= k < {n_train} (train pixels)")
-        for sigma in sigma_grid:
-            if not sigma > 0:
-                raise ConfigError(f"--sigma-grid value {sigma} must be > 0")
+    n_train = ds.part_pixels("train")[0].size
+    uses_graph = _model_cfg(cfg, ds).uses_graph  # whole grid, before any cell
+    for k in k_grid:
+        if k < 1 or (uses_graph and k >= n_train):
+            raise ConfigError(f"--k-grid value {k} is outside "
+                              f"1 <= k < {n_train} (train pixels)")
+    for sigma in sigma_grid:
+        if not 0 < sigma < np.inf:
+            raise ConfigError(f"--sigma-grid value {sigma} must be positive "
+                              "and finite")
     out = _out_dir(cfg)
     rows = []
     for ki, k in enumerate(k_grid):
@@ -363,8 +361,7 @@ def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
             cell.graph.sigma = float(sigma)
             result = _train(cell, ds, seed=[cfg.train.seed, ki, si])
             cm = evaluate_part(result.model, ds, "test",
-                               batch=cell.train.batch, graph_k=cell.graph.k,
-                               graph_sigma=cell.graph.sigma)
+                               batch=cell.train.batch)
             oa = overall_accuracy(cm)
             rows.append((int(k), float(sigma), oa))
             print(f"k={k} sigma={sigma}: test OA {oa:.2f}")

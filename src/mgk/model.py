@@ -20,8 +20,10 @@ both branches.
 The model takes its inputs as arrays: the graph branch reads a batch's
 vertex features and the propagation operator of the batch's graph, the
 spatial branch its image patches, and the loss its one-hot labels. A
-``Model``'s layer table is kept in layer order, the order of the
-checkpoint's blocks and of the sidecar's ``layer_order``.
+``Model``'s layer table is kept in layer order, the order ``build`` gives
+and of the checkpoint's blocks. ``ModelConfig`` also holds the (k, sigma)
+of the KNN graphs its graph branch was trained on, which inference uses
+for its chunk graphs; the sidecar is the config alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class ModelConfig:
     cnn_channels: tuple = (32, 64, 128)
     fusion_fc: int = 128
     patch_size: int = 7
+    graph_k: int = 10
+    graph_sigma: float = 1.0
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -61,9 +65,13 @@ class ModelConfig:
         if len(self.cnn_channels) != 3:
             raise ConfigError("cnn_channels must list three block widths")
         for name in ("input_bands", "classes", "gcn_hidden", "fusion_fc",
-                     "patch_size"):
+                     "patch_size", "graph_k"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        self.graph_sigma = float(self.graph_sigma)
+        if not 0.0 < self.graph_sigma < np.inf:
+            raise ConfigError("graph_sigma must be positive and finite, got "
+                              f"{self.graph_sigma}")
         if min(self.cnn_channels) < 1:
             raise ConfigError("cnn_channels must be >= 1")
         if self.patch_size % 2 == 0:
@@ -389,9 +397,8 @@ def save_model(path, model: Model) -> None:
     """Binary parameter checkpoint plus a JSON sidecar at path + '.json'."""
     with open(path, "wb") as fh:
         nn.save_params(fh, list(model.layers.values()))
-    sidecar = {"config": asdict(model.cfg), "layer_order": list(model.layers)}
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
+        json.dump({"config": asdict(model.cfg)}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -407,13 +414,14 @@ def _require_keys(obj, keys, what: str) -> None:
             raise FormatError(f"{what} has unknown key {key!r}")
 
 
-def _read_sidecar(path) -> tuple:
-    """The sidecar's ``ModelConfig`` and layer order. A FormatError names
-    the key that is missing, unknown, or of the wrong JSON type; the config
-    values are then checked as ``ModelConfig`` checks them."""
+def _read_sidecar(path) -> ModelConfig:
+    """The sidecar's ``ModelConfig``. A FormatError names the key that is
+    missing, unknown, or of the wrong JSON type, so a sidecar written
+    before the config held ``graph_k`` is refused; the config values are
+    then checked as ``ModelConfig`` checks them."""
     name = str(path) + ".json"
     sidecar = read_json(name, f"unparseable sidecar {name}")
-    _require_keys(sidecar, ("config", "layer_order"), "sidecar")
+    _require_keys(sidecar, ("config",), "sidecar")
     config = sidecar["config"]
     _require_keys(config, [f.name for f in fields(ModelConfig)],
                   "sidecar 'config'")
@@ -424,33 +432,27 @@ def _read_sidecar(path) -> tuple:
             want = "a list of 3 integers"
             ok = (isinstance(value, list) and len(value) == 3
                   and all(_is_json_int(c) for c in value))
+        elif key == "graph_sigma":
+            want, ok = "a number", type(value) is float or _is_json_int(value)
         else:
             want, ok = "an integer", _is_json_int(value)
         if not ok:
             raise FormatError(f"sidecar config {key!r} must be {want}, "
                               f"got {value!r}")
-    order = sidecar["layer_order"]
-    if not (isinstance(order, list)
-            and all(isinstance(n, str) for n in order)):
-        raise FormatError("sidecar 'layer_order' must be a list of "
-                          f"strings, got {order!r}")
-    return ModelConfig(**config), order
+    return ModelConfig(**config)
 
 
 def load_model(path) -> Model:
-    cfg, order = _read_sidecar(path)
+    cfg = _read_sidecar(path)
     with open(path, "rb") as fh:
         params = nn.load_params(fh)
-    if len(params) != len(order):
-        raise ContractError(
-            f"checkpoint has {len(params)} layers, sidecar lists "
-            f"{len(order)}"
-        )
     rebuilt = build(cfg, seed=0)
-    if list(rebuilt.layers) != order:
-        raise ContractError("sidecar layer order does not match architecture")
-    for name, loaded, fresh in zip(order, params,
-                                   (rebuilt.layers[n] for n in order)):
+    if len(params) != len(rebuilt.layers):
+        raise ContractError(
+            f"checkpoint has {len(params)} layers, {cfg.architecture} has "
+            f"{len(rebuilt.layers)}"
+        )
+    for (name, fresh), loaded in zip(list(rebuilt.layers.items()), params):
         if loaded.kind != fresh.kind:
             raise ContractError(
                 f"layer {name} has kind {loaded.kind!r}, expected "

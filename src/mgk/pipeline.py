@@ -6,16 +6,14 @@ the model its batch as arrays: features, one-hot labels, patches, and the
 propagation operator of the subgraph the batch induces (for ``gcn``, the
 whole training graph). One ``induce_subgraph`` call per epoch induces
 every batch at once, and each step takes its batch's diagonal block of
-that operator. Inference is inductive: ``predict_pixels`` reads
-only the normalized cube, and each inference chunk builds its own small
-KNN graph among the chunk's pixels from the (k, sigma) its caller passes.
-For graph-only models, up to ``PREDICT_GROUP_ROWS`` rows of full chunks
-are built as one stacked, block-diagonal graph and run through one
-forward; the logits are bitwise those of one chunk at a time.
-The checkpoint does not record the training graph's (k, sigma), so
-inference must be given the values used in training.
-Everything downstream of a seed is deterministic, including the training
-log and checkpoint bytes.
+that operator. Inference is inductive: ``predict_pixels`` reads only the
+normalized cube, and each inference chunk builds its own small KNN graph
+among the chunk's pixels with the (k, sigma) of the model's config, the
+values its training graph was built with. For graph-only models, up to
+``PREDICT_GROUP_ROWS`` rows of full chunks are built as one stacked,
+block-diagonal graph and run through one forward; the logits are bitwise
+those of one chunk at a time. Everything downstream of a seed is
+deterministic, including the training log and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ class TrainResult:
 
 def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
                 batch: int, base_lr: float, l2: float, bn_momentum: float,
-                seed: int, graph_k: int, graph_sigma: float) -> TrainResult:
+                seed: int) -> TrainResult:
     """Seeded end-to-end training on the dataset's train pixels.
 
     gcn trains full batch (one batch per epoch covering every train pixel);
@@ -163,12 +161,16 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     if budget < 2:
         raise ContractError(f"training needs >= 2 nodes per batch, got "
                             f"{n_train} train pixels at batch {batch}")
+    if model_cfg.uses_graph and model_cfg.graph_k >= n_train:
+        raise ContractError(f"graph_k={model_cfg.graph_k} is not below the "
+                            f"{n_train} train pixels")
     labels_hot = _one_hot(train_classes, model_cfg.classes)
 
     x_train = graph = None
     if model_cfg.uses_graph:
         x_train = ds.cube.pixels(train_ids)
-        graph = build_knn_rbf_graph(x_train, graph_k, graph_sigma)
+        graph = build_knn_rbf_graph(x_train, model_cfg.graph_k,
+                                    model_cfg.graph_sigma)
     patches_train = None
     if model_cfg.uses_patches:
         patches_train = extract_patches(ds.cube, train_ids,
@@ -216,23 +218,21 @@ def infer_model_config(ds: Dataset, architecture: str, *, input_bands=0,
 
 
 def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
-                   batch: int, graph_k: int, graph_sigma: float
-                   ) -> np.ndarray:
+                   batch: int) -> np.ndarray:
     """Zero-based predicted classes for arbitrary pixels of a normalized
     cube, chunked.
 
     Chunks of ``batch`` pixels follow the given pixel order; graph
     architectures get a fresh within-chunk KNN graph per chunk, built with
-    ``graph_k`` and ``graph_sigma``, which must be the values the model was
-    trained with. Full chunks run in groups of up to ``PREDICT_GROUP_ROWS``
-    rows (at least one chunk): one stacked KNN build and one eval-mode
-    forward per group, over the block-diagonal operator of its chunks. A
-    short trailing chunk is a group of its own. Patch architectures keep
-    one chunk per group, since their conv temporaries grow with the rows,
-    and so do one-pixel chunks: numpy multiplies a single row as a vector,
-    whose sums may differ in the last bit from a matrix product's. Each
-    chunk keeps its own graph and eval mode acts row by row, so the logits
-    do not depend on the grouping.
+    the config's ``graph_k`` and ``graph_sigma``. Full chunks run in groups
+    of up to ``PREDICT_GROUP_ROWS`` rows (at least one chunk): one stacked
+    KNN build and one eval-mode forward per group, over the block-diagonal
+    operator of its chunks. A short trailing chunk is a group of its own.
+    Patch architectures keep one chunk per group, since their conv
+    temporaries grow with the rows, and so do one-pixel chunks: numpy
+    multiplies a single row as a vector, whose sums may differ in the last
+    bit from a matrix product's. Each chunk keeps its own graph and eval
+    mode acts row by row, so the logits do not depend on the grouping.
     """
     if batch < 1:
         raise ContractError(f"inference batch must be >= 1, got {batch}")
@@ -252,19 +252,18 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
         prop = feats = None
         if cfg.uses_graph:
             feats = cube.pixels(ids)
-            prop = chunk_prop(feats.reshape(-1, c, feats.shape[1]), graph_k,
-                              graph_sigma)
+            prop = chunk_prop(feats.reshape(-1, c, feats.shape[1]),
+                              cfg.graph_k, cfg.graph_sigma)
         p = extract_patches(cube, ids, cfg.patch_size) \
             if cfg.uses_patches else None
         out[start:stop] = predict(mdl, feats, prop, p)
     return out
 
 
-def evaluate_part(mdl: Model, ds: Dataset, part: str, *, batch: int,
-                  graph_k: int, graph_sigma: float) -> ConfusionMatrix:
+def evaluate_part(mdl: Model, ds: Dataset, part: str, *,
+                  batch: int) -> ConfusionMatrix:
     ids, classes = ds.part_pixels(part)
-    preds = predict_pixels(mdl, ds.cube, ids, batch=batch, graph_k=graph_k,
-                           graph_sigma=graph_sigma)
+    preds = predict_pixels(mdl, ds.cube, ids, batch=batch)
     return accumulate(classes, preds, mdl.cfg.classes)
 
 

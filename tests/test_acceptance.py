@@ -381,10 +381,8 @@ def desk_scene():
 def _desk_train(ds, arch, epochs, seed=0):
     cfg = infer_model_config(ds, arch)
     result = train_model(ds, cfg, epochs=epochs, batch=32, base_lr=0.01,
-                         l2=0.001, bn_momentum=0.9, seed=seed, graph_k=10,
-                         graph_sigma=1.0)
-    cm = evaluate_part(result.model, ds, "test", batch=32, graph_k=10,
-                       graph_sigma=1.0)
+                         l2=0.001, bn_momentum=0.9, seed=seed)
+    cm = evaluate_part(result.model, ds, "test", batch=32)
     return result, overall_accuracy(cm)
 
 
@@ -429,7 +427,7 @@ def test_acceptance_09_seeded_runs_are_byte_identical(desk_scene, tmp_path):
     for tag in ("a", "b"):
         result = train_model(desk_scene, cfg, epochs=5, batch=32,
                              base_lr=0.01, l2=0.001, bn_momentum=0.9,
-                             seed=123, graph_k=10, graph_sigma=1.0)
+                             seed=123)
         path = str(tmp_path / f"{tag}.mgkp")
         save_model(path, result.model)
         with open(path, "rb") as fh:
@@ -456,10 +454,8 @@ def test_acceptance_10_real_dataset_stretch_target():
                       os.path.join(root, "split.json"))
     cfg = infer_model_config(ds, "minigcn")
     result = train_model(ds, cfg, epochs=200, batch=32, base_lr=0.001,
-                         l2=0.001, bn_momentum=0.9, seed=0, graph_k=10,
-                         graph_sigma=1.0)
-    cm = evaluate_part(result.model, ds, "test", batch=32, graph_k=10,
-                       graph_sigma=1.0)
+                         l2=0.001, bn_momentum=0.9, seed=0)
+    cm = evaluate_part(result.model, ds, "test", batch=32)
     oa = overall_accuracy(cm)
     ok = abs(oa - 75.11) <= 3.0
     _verdict(10, ok, f"user-supplied benchmark scene: minigcn OA {oa:.2f} "

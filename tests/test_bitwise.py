@@ -29,39 +29,39 @@ from mgk.pipeline import (dataset_from_parts, format_log_rows,
 # 33 train pixels at batch 8: four full batches and a one-node tail that
 # joins the batch before it; gcn trains all 33 as one batch.
 TRAIN_KW = dict(epochs=2, batch=8, base_lr=0.01, l2=0.001, bn_momentum=0.9,
-                seed=29, graph_k=5, graph_sigma=1.0)
+                seed=29)
 
 RECORDED_PLATFORM = (
     'numpy 2.4.6, scipy-openblas 0.3.31.188.0, SkylakeX, BLAS threads 1')
 RECORDED = {
     'gcn': (
         '52ef523fe2e112068c340dde69ae448705f7b8abb1f329ccef7e9962b3d563ea',
-        '477ed221e2099ed34bd516b0f0806fa489c5b56c6c752173b7ddaf3fe062ef16',
+        'c567617491831f1dd1e82ca87b59dd64f044baf5da9ff2bb009c5a12b0914c8f',
         '1c6fdc2e6d8da544d61fdc108fd1fd652c19d65f6ff9652336fb29755a0ab334',
     ),
     'minigcn': (
         'e350f6b120460461d6f76fd834ca90aaf83cbfe678c1b57cb2dc5ec5922b19e4',
-        '0413a2fb5e2cc62f5c747f6ec3a5d95bfa2388f74f6b6275a340ad95a15ce177',
+        'd304f22afa19ac9fd57f76c0345bdf230f9b5672274a7f3759417178b706887f',
         '29e4747e9d43ab71e522f96ae5e7ca6ec8281badbfc3656b89222c6a86640b85',
     ),
     'cnn2d': (
         '86b6c81c9b8e21a4e672e6022b328a6ee29420e2f37b1afe63ed4d8921f40c73',
-        '69e958519b22d308c221a224dea0cf16396d79b1a18ab23a1e7e1dc3616f09f9',
+        '260cc5841236d145710db5a04dd2082795c5c4e922fa5a884d2a8ee70872ef7c',
         '82c2a714f9e84a7d6899f75c3f19948a4ab8b211690234af64efae91e0ce4a31',
     ),
     'funet-a': (
         '66406fd1a178339f6ddd424d61c2838ebdb609ffec077bb4269bc9b1a935e4c8',
-        '88180826603881dabd6eaba790f5a0be192b9da979d6cb010e74ea4be5c566d0',
+        'ff95afdcac9a86a1f2ed1aebaf6562dcedbe739ff92ee7cb8c631b3945c725a9',
         '08c43671f81c9cb0688ee2283f3f22b0a8a41798399266ac643da23c19c1fed1',
     ),
     'funet-m': (
         '905e554f2d4557117872efa71b3b808b68bc4c7a0d75b05695a9838a330bc452',
-        '27e0bffab177b25dc5cea87f18359ea065883a1a34153ee05a6c5af6b6bf2f03',
+        '7324fa1fd8a674be87cbf065bb07bb717168438369c8d412574d2f4e0bf4c44b',
         'f0a2b347c993a8e74017405fefdaeb042b535b832d0c9f0e9aad9a897a3a853e',
     ),
     'funet-c': (
         'ee0a1d29ee56d3e582e5d454a14869dd6ddf7d711e35a7aafdf23fdc99b97520',
-        '7abe7abb1ba42d086236055809ea0e49a74faafd862501045f2349b2c1afa1f7',
+        'ee78f1f9b9d0fa7e924d24e0195d062fc6136736bd875c06f0c87b3c9fa2a675',
         'f94bfa39d8b065de0eb6301a6e10e332ee0f344df3ff0ed866e5ab51d1e04cbf',
     ),
 }
@@ -94,7 +94,8 @@ def _scene():
 
 def train_digests(arch, ds, tmp_dir):
     """(checkpoint, sidecar, log) SHA-256 hex digests of one seeded run."""
-    result = train_model(ds, infer_model_config(ds, arch), **TRAIN_KW)
+    result = train_model(ds, infer_model_config(ds, arch, graph_k=5),
+                         **TRAIN_KW)
     path = os.path.join(tmp_dir, f"{arch}.mgkp")
     save_model(path, result.model)
     out = []

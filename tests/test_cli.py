@@ -230,6 +230,11 @@ def test_split_without_classes_exits_1(scene_dir, tmp_path, capsys,
     ("--train.base_lr=nan", "base_lr must be positive and finite, got nan"),
     ("--model.cnn_channels=8,16,32", "funet-a needs matching branch widths; "
      "spatial branch emits 32, spectral emits 12"),
+    ("--graph.k=0", "graph_k must be >= 1"),
+    ("--graph.sigma=0", "graph_sigma must be positive and finite, got 0.0"),
+    ("--graph.sigma=nan", "graph_sigma must be positive and finite, got nan"),
+    ("--graph.sigma=inf", "graph_sigma must be positive and finite, got inf"),
+    ("--graph.k=24", "graph_k=24 is not below the 24 train pixels"),
 ])
 def test_values_that_cannot_train_exit_1_before_any_work(
         scene_dir, tmp_path, capsys, monkeypatch, flag, message):
@@ -478,6 +483,41 @@ def test_predict_map_needs_only_the_cube(scene_dir, trained, tmp_path,
     assert not (out / "truth.ppm").exists()
 
 
+def test_inference_builds_its_chunk_graphs_with_the_training_graph(
+        scene_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                 f"--paths.output={tmp_path}", *FAST_MODEL,
+                 "--train.epochs=2", "--train.batch=16",
+                 "--train.base_lr=0.01", "--graph.k=4",
+                 "--graph.sigma=0.5"]) == 0
+    config = json.loads((tmp_path / "m.mgkp.json").read_text())["config"]
+    assert (config["graph_k"], config["graph_sigma"]) == (4, 0.5)
+    build, built = mgk.pipeline.build_knn_rbf_graph, []
+
+    def spy(features, k, sigma):
+        built.append((features.shape[1], k, sigma))
+        return build(features, k, sigma)
+
+    monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", spy)
+    outs = []
+    # given or not, an inference graph flag is not read
+    for graph_flags in ([], ["--graph.k=9", "--graph.sigma=3"]):
+        out = tmp_path / f"run{len(outs)}"
+        argv = [*data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                f"--paths.output={out}", "--train.batch=10", *graph_flags]
+        assert main(["predict-map", *argv]) == 0
+        assert main(["eval", *argv]) == 0
+        outs.append(out)
+    capsys.readouterr()
+    # the 144-pixel map ends in a 4-pixel chunk, whose k is clamped to 3
+    assert (4, 3, 0.5) in built
+    assert all(k == min(4, c - 1) and sigma == 0.5 for c, k, sigma in built)
+    for name in ("map.ppm", "report_test.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_predict_map_rejects_labels_of_another_shape(scene_dir, trained,
                                                    tmp_path, capsys,
                                                    monkeypatch):
@@ -546,16 +586,29 @@ def _set(doc, path, value):
     (("config", "dropout"), 0.5, "sidecar 'config' has unknown key 'dropout'"),
     (("config", "classes"), _DROP, "sidecar 'config' is missing 'classes'"),
     (("config",), [], "sidecar 'config' must be a JSON object, got []"),
-    (("layer_order",), _DROP, "sidecar is missing 'layer_order'"),
-    (("layer_order",), [1, 2],
-     "sidecar 'layer_order' must be a list of strings, got [1, 2]"),
+    # a sidecar written before the config held the inference graph
+    (("layer_order",), ["gcn.bn_in"], "sidecar has unknown key 'layer_order'"),
+    (("config", "graph_k"), _DROP, "sidecar 'config' is missing 'graph_k'"),
     (("extra",), 1, "sidecar has unknown key 'extra'"),
+    (("config",), _DROP, "sidecar is missing 'config'"),
+    (("config", "graph_sigma"), "1.0",
+     "sidecar config 'graph_sigma' must be a number, got '1.0'"),
+    (("config", "graph_sigma"), True,
+     "sidecar config 'graph_sigma' must be a number, got True"),
+    (("config", "graph_sigma"), None,
+     "sidecar config 'graph_sigma' must be a number, got None"),
 ])
 @pytest.mark.parametrize("command", ["predict-map", "eval"])
 def test_malformed_sidecar_exits_2_naming_the_field(
         scene_dir, trained, tmp_path, capsys, monkeypatch, command, path,
         value, message):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was read before the checkpoint")
+
+    monkeypatch.setattr(mgk.cli, "load_dataset", no_data)
+    monkeypatch.setattr(mgk.cli, "load_cube", no_data)
     _, ckpt = trained
     bad = tmp_path / "bad.mgkp"
     bad.write_bytes(ckpt.read_bytes())
@@ -669,6 +722,7 @@ def test_write_legend_refuses_classes_beyond_the_palette(tmp_path):
     ("--k-grid", "5,0", "0"),
     ("--k-grid", "5,24", "24"),
     ("--sigma-grid", "1.0,-1", "-1.0"),
+    ("--sigma-grid", "1.0,inf", "inf"),
 ])
 def test_sweep_checks_the_whole_grid_before_the_first_cell(
         scene_dir, tmp_path, capsys, monkeypatch, grid_flag, grid, bad):
@@ -680,6 +734,20 @@ def test_sweep_checks_the_whole_grid_before_the_first_cell(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {grid_flag} value {bad} ")
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_checks_a_graph_free_grid_before_the_first_cell(
+        scene_dir, tmp_path, capsys, monkeypatch):
+    # every cell's model config holds its k, so cnn2d refuses k = 0 too
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--k-grid", "5,0", *data_flags(scene_dir),
+                 f"--paths.output={out}", *FAST_MODEL, *FAST_TRAIN,
+                 "--model.architecture=cnn2d", "--train.epochs=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --k-grid value 0 ")
     assert not (out / "sweep.csv").exists()
 
 

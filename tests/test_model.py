@@ -348,16 +348,15 @@ def test_checkpoint_round_trip_is_bit_exact(arch, tmp_path):
 
 def test_sidecar_text_is_pinned(tmp_path):
     cfg = ModelConfig("gcn", 5, 3, gcn_hidden=4, cnn_channels=(2, 3, 4),
-                      fusion_fc=6, patch_size=3)
+                      fusion_fc=6, patch_size=3, graph_k=7, graph_sigma=2)
     save_model(tmp_path / "m.mgkp", build(cfg, seed=0))
     assert (tmp_path / "m.mgkp.json").read_text() == (
         '{\n "config": {\n  "architecture": "gcn",\n  "classes": 3,\n'
         '  "cnn_channels": [\n   2,\n   3,\n   4\n  ],\n'
-        '  "fusion_fc": 6,\n  "gcn_hidden": 4,\n  "input_bands": 5,\n'
-        '  "patch_size": 3\n },\n "layer_order": [\n  "gcn.bn_in",\n'
-        '  "gcn.conv",\n  "gcn.bn_out",\n  "head.fc1",\n  "head.bn",\n'
-        '  "head.fc2"\n ]\n}\n')
-    assert load_model(tmp_path / "m.mgkp").cfg.cnn_channels == (2, 3, 4)
+        '  "fusion_fc": 6,\n  "gcn_hidden": 4,\n  "graph_k": 7,\n'
+        '  "graph_sigma": 2.0,\n  "input_bands": 5,\n  "patch_size": 3\n'
+        ' }\n}\n')
+    assert load_model(tmp_path / "m.mgkp").cfg == cfg
 
 
 def test_checkpoint_rejects_sidecar_mismatch(tmp_path):
@@ -366,10 +365,17 @@ def test_checkpoint_rejects_sidecar_mismatch(tmp_path):
     save_model(path, model)
     sidecar = (tmp_path / "model.mgkp.json")
     text = sidecar.read_text()
-    sidecar.write_text(text.replace('"gcn"', '"minigcn"').replace(
-        '"gcn.', '"xxx.'))
-    with pytest.raises(ContractError):
+    sidecar.write_text(text.replace('"gcn_hidden": 4', '"gcn_hidden": 5'))
+    with pytest.raises(ContractError, match="^layer gcn.conv.weights has "
+                       r"shape \(5, 4\), expected \(5, 5\)$"):
         load_model(path)
+    sidecar.write_text(text.replace('"gcn"', '"cnn2d"'))
+    with pytest.raises(ContractError,
+                       match="^checkpoint has 6 layers, cnn2d has 9$"):
+        load_model(path)
+    # gcn and minigcn share one layout, so the swap loads
+    sidecar.write_text(text.replace('"gcn"', '"minigcn"'))
+    assert load_model(path).cfg.architecture == "minigcn"
 
 
 def full_model_gradcheck(arch, seed=0, kernel_relief=True):

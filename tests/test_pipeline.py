@@ -20,7 +20,7 @@ from mgk.pipeline import (Dataset, chunk_prop, dataset_from_parts,
 from mgk.sampler import partition_epoch
 
 TRAIN_KW = dict(epochs=3, batch=16, base_lr=0.01, l2=0.001, bn_momentum=0.9,
-                seed=11, graph_k=5, graph_sigma=1.0)
+                seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def small_ds():
 def small_cfg(ds, arch="minigcn"):
     return infer_model_config(ds, arch, gcn_hidden=12, cnn_channels=(4, 6,
                                                                      12),
-                              fusion_fc=8, patch_size=3)
+                              fusion_fc=8, patch_size=3, graph_k=5)
 
 
 def test_dataset_rejects_grid_cube_mismatch():
@@ -111,10 +111,8 @@ def test_different_seed_changes_weights(small_ds):
 def test_training_converges_and_train_oa_at_least_test_oa(small_ds):
     cfg = small_cfg(small_ds)
     result = train_model(small_ds, cfg, **{**TRAIN_KW, "epochs": 12})
-    train_cm = evaluate_part(result.model, small_ds, "train", batch=16,
-                             graph_k=5, graph_sigma=1.0)
-    test_cm = evaluate_part(result.model, small_ds, "test", batch=16,
-                            graph_k=5, graph_sigma=1.0)
+    train_cm = evaluate_part(result.model, small_ds, "train", batch=16)
+    test_cm = evaluate_part(result.model, small_ds, "test", batch=16)
     assert overall_accuracy(train_cm) >= 95.0
     assert overall_accuracy(train_cm) >= overall_accuracy(test_cm) - 1e-9
 
@@ -177,10 +175,8 @@ def test_cnn2d_predictions_do_not_depend_on_chunking(small_ds):
     cfg = small_cfg(small_ds, arch="cnn2d")
     result = train_model(small_ds, cfg, **TRAIN_KW)
     ids, _ = small_ds.part_pixels("test")
-    a = predict_pixels(result.model, small_ds.cube, ids, batch=7, graph_k=5,
-                       graph_sigma=1.0)
-    b = predict_pixels(result.model, small_ds.cube, ids, batch=ids.size,
-                       graph_k=5, graph_sigma=1.0)
+    a = predict_pixels(result.model, small_ds.cube, ids, batch=7)
+    b = predict_pixels(result.model, small_ds.cube, ids, batch=ids.size)
     assert np.array_equal(a, b)
     assert a.size == ids.size
 
@@ -190,8 +186,7 @@ def test_predict_pixels_handles_trailing_singleton_chunk(small_ds):
     result = train_model(small_ds, cfg, **TRAIN_KW)
     ids, _ = small_ds.part_pixels("test")
     take = ids[: (ids.size // 16) * 16 + 1]  # leaves a final chunk of one
-    preds = predict_pixels(result.model, small_ds.cube, take, batch=16,
-                           graph_k=5, graph_sigma=1.0)
+    preds = predict_pixels(result.model, small_ds.cube, take, batch=16)
     assert preds.size == take.size
     assert preds.min() >= 0 and preds.max() < 3
 
@@ -223,8 +218,7 @@ def _logged_prediction(mdl, cube, ids, batch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mgk.model, "forward", logged_forward)
         mp.setattr(mgk.pipeline, "predict", counted_predict)
-        preds = predict_pixels(mdl, cube, ids, batch=batch,
-                               graph_k=TRAIN_KW["graph_k"], graph_sigma=1.0)
+        preds = predict_pixels(mdl, cube, ids, batch=batch)
     return preds, np.concatenate(logits), len(calls)
 
 
@@ -234,7 +228,7 @@ def test_grouped_inference_matches_one_chunk_groups(map_ds, arch):
                       **{**TRAIN_KW, "epochs": 1}).model
     full = 2048  # two groups at every batch below
     for batch in (16, 32, 1024):
-        for tail in (1, 2, TRAIN_KW["graph_k"]):
+        for tail in (1, 2, mdl.cfg.graph_k):
             ids = np.arange(full + tail)
             preds, logits, calls = _logged_prediction(mdl, map_ds.cube,
                                                       ids, batch)
@@ -276,8 +270,7 @@ def test_grouped_inference_peaks_no_higher_than_one_wide_chunk(map_ds):
     for batch in (32, 1024):
         tracemalloc.start()
         try:
-            predict_pixels(mdl, map_ds.cube, ids, batch=batch, graph_k=5,
-                           graph_sigma=1.0)
+            predict_pixels(mdl, map_ds.cube, ids, batch=batch)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -298,8 +291,7 @@ def test_chunk_prop_clamps_k_and_gives_singletons_the_identity():
 def test_evaluate_part_counts_every_pixel(small_ds):
     cfg = small_cfg(small_ds)
     result = train_model(small_ds, cfg, **TRAIN_KW)
-    cm = evaluate_part(result.model, small_ds, "test", batch=16, graph_k=5,
-                       graph_sigma=1.0)
+    cm = evaluate_part(result.model, small_ds, "test", batch=16)
     ids, _ = small_ds.part_pixels("test")
     assert cm.total == ids.size
 
