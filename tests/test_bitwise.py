@@ -1,35 +1,49 @@
-"""Byte identity of training across changes that must not move any bit.
+"""Byte identity of training and inference across changes that must not
+move any bit.
 
 Each architecture trains for two epochs on a tiny synthetic scene; the
 SHA-256 of its checkpoint, its sidecar and its formatted training log must
-equal the digests below. A speed-up that reorders a floating-point sum, or
-rounds through another temporary, fails here instead of slipping through.
+equal the digests below. The trained model then predicts every pixel of
+the scene, and the SHA-256 of its eval-mode logits and of its predicted
+classes must equal theirs. A speed-up that reorders a floating-point sum,
+or rounds through another temporary, fails here instead of slipping
+through.
 
 Other numpy versions, BLAS builds, BLAS kernels and BLAS thread counts
 round some products differently, so the digests only bind on the platform
 they were recorded on; elsewhere the test skips and names both platforms.
 To re-record after a change that accepts new bits, run
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_bitwise.py`` (the
-suite's one BLAS thread) and paste its output over ``RECORDED``.
+suite's one BLAS thread) and paste its output over ``RECORDED`` and
+``RECORDED_INFERENCE``.
 """
 
 import ctypes
 import glob
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mgk import pipeline
 from mgk.data import synth_scene
-from mgk.model import ARCHITECTURES, save_model
+from mgk.model import ARCHITECTURES, forward, save_model
 from mgk.pipeline import (dataset_from_parts, format_log_rows,
-                          infer_model_config, train_model)
+                          infer_model_config, predict_pixels, train_model)
 
 # 33 train pixels at batch 8: four full batches and a one-node tail that
 # joins the batch before it; gcn trains all 33 as one batch.
 TRAIN_KW = dict(epochs=2, batch=8, base_lr=0.01, l2=0.001, bn_momentum=0.9,
                 seed=29)
+
+# Inference over the scene's 144 pixels at batch 10, with 64-row groups:
+# graph models run their 14 full chunks in three groups, the last one
+# short, and every model runs a trailing 4-pixel chunk; patch models run
+# one chunk per group. funet-c also runs one-pixel chunks.
+PREDICT_CASES = [(arch, 10) for arch in ARCHITECTURES] + [("funet-c", 1)]
+PREDICT_GROUP_ROWS = 64
 
 RECORDED_PLATFORM = (
     'numpy 2.4.6, scipy-openblas 0.3.31.188.0, SkylakeX, BLAS threads 1')
@@ -65,6 +79,36 @@ RECORDED = {
         'f94bfa39d8b065de0eb6301a6e10e332ee0f344df3ff0ed866e5ab51d1e04cbf',
     ),
 }
+RECORDED_INFERENCE = {
+    'gcn@10': (
+        'e67c0b9ff5d53eb53483d252fa9a793d03eaf03f7eaf8e96f6c5ef12892a12a1',
+        '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
+    ),
+    'minigcn@10': (
+        'a50505778424256a57e4c1c5f8d347e056c79b026fbdf96417314c53d3f92754',
+        '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
+    ),
+    'cnn2d@10': (
+        'c2f80e67b5115fe012afd5162483fde0e864a646e69e526e5e5bf3f3dc8d4c30',
+        '469c4a821fb8faead36ca6abe1dd618d5f8fff25399414c21e8ce91dcd50b0c4',
+    ),
+    'funet-a@10': (
+        '27317c0e63fe17ab330955be93928062f2e12aad6cfda10b52676cc12243466d',
+        '469c4a821fb8faead36ca6abe1dd618d5f8fff25399414c21e8ce91dcd50b0c4',
+    ),
+    'funet-m@10': (
+        '4819f469f746fbcc140c54961aa91d2f4b55918050e1827fa4f05f23efe482f2',
+        '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
+    ),
+    'funet-c@10': (
+        'bab6baaf480d4981e9828cce5c0fc27ec67a3c32d800827b9a2e73b68d6e9e88',
+        '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
+    ),
+    'funet-c@1': (
+        '259896191999a1fcb0df4b7b9596b270ea48441c8e0c28c93e7674130e72013b',
+        '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
+    ),
+}
 
 
 def blas_platform() -> str:
@@ -92,10 +136,14 @@ def _scene():
     return dataset_from_parts(cube, grid, split)
 
 
-def train_digests(arch, ds, tmp_dir):
+def train(arch, ds):
+    return train_model(ds, infer_model_config(ds, arch, graph_k=5),
+                       **TRAIN_KW)
+
+
+def train_digests(result, tmp_dir):
     """(checkpoint, sidecar, log) SHA-256 hex digests of one seeded run."""
-    result = train_model(ds, infer_model_config(ds, arch, graph_k=5),
-                         **TRAIN_KW)
+    arch = result.model.cfg.architecture
     path = os.path.join(tmp_dir, f"{arch}.mgkp")
     save_model(path, result.model)
     out = []
@@ -107,34 +155,93 @@ def train_digests(arch, ds, tmp_dir):
     return tuple(out)
 
 
+def inference_digests(mdl, ds, batch):
+    """(logits, classes) SHA-256 hex digests of ``predict_pixels`` over
+    every pixel of the scene. The logits are taken through a spy on the
+    pipeline's ``predict`` that runs the eval-mode forward itself; the
+    classes come from a run through the real ``predict``."""
+    ids = np.arange(ds.cube.height * ds.cube.width)
+    logits = []
+
+    def spy_predict(mdl, features=None, prop=None, patches=None):
+        out, _ = forward(mdl, features, prop, patches, mode="eval")
+        logits.append(out.copy())
+        return np.argmax(out, axis=1)
+
+    with mock.patch.object(pipeline, "PREDICT_GROUP_ROWS",
+                           PREDICT_GROUP_ROWS):
+        with mock.patch.object(pipeline, "predict", spy_predict):
+            spied = predict_pixels(mdl, ds.cube, ids, batch=batch)
+        classes = predict_pixels(mdl, ds.cube, ids, batch=batch)
+    assert np.array_equal(spied, classes)
+    logits = np.ascontiguousarray(np.concatenate(logits), dtype="<f8")
+    assert logits.shape == (ids.size, mdl.cfg.classes)
+    classes = np.ascontiguousarray(classes, dtype="<i8")
+    return (hashlib.sha256(logits.tobytes()).hexdigest(),
+            hashlib.sha256(classes.tobytes()).hexdigest())
+
+
+def require_recorded_platform():
+    here = blas_platform()
+    if here != RECORDED_PLATFORM:
+        pytest.skip(f"digests were recorded on {RECORDED_PLATFORM}; this is "
+                    f"{here}, which may round differently")
+
+
 @pytest.fixture(scope="module")
 def scene():
     return _scene()
 
 
+@pytest.fixture(scope="module")
+def trained(scene):
+    """Each architecture's seeded run, trained once for the module."""
+    cache = {}
+
+    def get(arch):
+        if arch not in cache:
+            cache[arch] = train(arch, scene)
+        return cache[arch]
+    return get
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_training_bytes_match_recorded_digests(arch, scene, tmp_path):
-    here = blas_platform()
-    if here != RECORDED_PLATFORM:
-        pytest.skip(f"digests were recorded on {RECORDED_PLATFORM}; this is "
-                    f"{here}, which may round differently")
-    got = train_digests(arch, scene, str(tmp_path))
+def test_training_bytes_match_recorded_digests(arch, trained, tmp_path):
+    require_recorded_platform()
+    got = train_digests(trained(arch), str(tmp_path))
     want = RECORDED[arch]
     for what, g, w in zip(("checkpoint", "sidecar", "train log"), got, want):
         assert g == w, f"{arch} {what} bytes changed"
+
+
+@pytest.mark.parametrize("arch, batch", PREDICT_CASES)
+def test_inference_bits_match_recorded_digests(arch, batch, scene, trained):
+    require_recorded_platform()
+    got = inference_digests(trained(arch).model, scene, batch)
+    want = RECORDED_INFERENCE[f"{arch}@{batch}"]
+    for what, g, w in zip(("eval logits", "predicted classes"), got, want):
+        assert g == w, f"{arch} at batch {batch}: {what} changed"
 
 
 if __name__ == "__main__":
     import tempfile
 
     ds = _scene()
-    with tempfile.TemporaryDirectory() as tmp:
-        print(f"RECORDED_PLATFORM = (\n    {blas_platform()!r})")
-        print("RECORDED = {")
-        for arch in ARCHITECTURES:
-            digests = train_digests(arch, ds, tmp)
-            print(f"    {arch!r}: (")
+    results = {arch: train(arch, ds) for arch in ARCHITECTURES}
+
+    def show(name, rows):
+        print(f"{name} = {{")
+        for key, digests in rows:
+            print(f"    {key!r}: (")
             for d in digests:
                 print(f"        {d!r},")
             print("    ),")
         print("}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"RECORDED_PLATFORM = (\n    {blas_platform()!r})")
+        show("RECORDED", [(arch, train_digests(results[arch], tmp))
+                          for arch in ARCHITECTURES])
+    show("RECORDED_INFERENCE", [
+        (f"{arch}@{batch}", inference_digests(results[arch].model, ds, batch))
+        for arch, batch in PREDICT_CASES])
