@@ -17,11 +17,12 @@ product of another row count (OpenBLAS 0.3.31 does for chunk sizes c that
 are not a multiple of 8), so that constant fixes the output bits. The
 distance work on a Gram block (fill, k-th distance partition, candidate
 selection) runs in sub-blocks of at most ``KNN_BLOCK_ENTRIES`` entries
-that stay in cache; it is row-local, so the output does not depend on that
-constant. Each row keeps its k nearest (lower vertex index first among
-equal distances); a block's candidates are sorted only when a tie at some
-row's k-th distance gives that row more than k. Each edge is weighted from
-the distance its block computed.
+that stay in cache, each filled into one reused buffer; it is row-local,
+so the output does not depend on that constant. Each row keeps its k
+nearest (lower vertex index first among equal distances); a block's
+candidates are sorted only when a tie at some row's k-th distance gives
+that row more than k. Each edge is weighted from the distance its block
+computed.
 
 A ``Graph`` is its order and adjacency. Graph convolution propagates
 through ``renormalized_propagation`` of an adjacency (self-loops added,
@@ -127,10 +128,12 @@ def _knn_edges(x, k: int) -> tuple:
     dst = np.empty(chunks * c * k, dtype=np.int64)
     dist = np.empty(chunks * c * k)
     blocks = _blocks(chunks, c, c, KNN_GRAM_ENTRIES)
-    # one buffer, sized for the first (largest) Gram block, holds each
-    # block in turn, so that two are never alive at once
+    # buffers sized for the first (largest) Gram block and sub-block hold
+    # each block and sub-block in turn, so that two are never alive at once
     q0, q1, start, stop = blocks[0]
     buffer = np.empty((q1 - q0, stop - start, c))
+    p0, p1, s0, s1 = _blocks(q1 - q0, stop - start, c, KNN_BLOCK_ENTRIES)[0]
+    fill = np.empty((p1 - p0) * (s1 - s0) * c)
     for q0, q1, start, stop in blocks:
         xb = x[q0:q1]
         gram = np.matmul(xb[:, start:stop], xb.transpose(0, 2, 1),
@@ -143,7 +146,8 @@ def _knn_edges(x, k: int) -> tuple:
             # its chunk: (sq_i + sq_j) - 2 gram, summed in that order
             g = gram[p0:p1, s0:s1]
             g *= 2.0
-            d2 = sq_rows[p0:p1, s0:s1] + sq_cols[p0:p1]
+            d2 = fill[:g.size].reshape(g.shape)
+            np.add(sq_rows[p0:p1, s0:s1], sq_cols[p0:p1], out=d2)
             d2 -= g
             d2 = d2.reshape(-1, c)
             np.maximum(d2, 0.0, out=d2)

@@ -11,7 +11,8 @@ against dense operands never materialize the full matrix. The first
 product builds a jagged-diagonal plan of the expanded matrix and caches it
 on the instance; every product is then one gather and one contiguous add
 per term rank, summing each row in ``terms`` order, so results are bitwise
-the same whether the plan was just built or cached.
+the same whether the plan was just built or cached. The ranks gather
+their terms into one buffer per product.
 
 The eigendecomposition is LAPACK's ``eigh`` (through numpy) plus a fixed
 eigenvector sign rule. It is the exact reference that spectral filtering is
@@ -208,11 +209,12 @@ class SparseSymMatrix:
         The first call builds the jagged-diagonal plan (``_jagged_plan``: one
         stable sort of the up to 2·nnz terms and O(nnz) index work, kept as one
         int64 and one float64 per term) and caches it on the instance; each
-        call then does one gather and one contiguous add per term rank and one
-        row gather at the end, so a cached and a fresh plan give
-        bitwise-identical results. On a 4800-node KNN operator (k = 10) the
-        plan costs less than half of one 64-column product, so an operator used
-        twice, as in a training step's forward and backward pass, pays it once.
+        call then does one gather (into one buffer) and one contiguous add per
+        term rank and one row gather at the end, so a cached and a fresh plan
+        give bitwise-identical results. On a 4800-node KNN operator (k = 10)
+        the plan costs less than half of one 64-column product, so an operator
+        used twice, as in a training step's forward and backward pass, pays it
+        once.
         """
         b = np.asarray(b, dtype=np.float64)
         squeeze = b.ndim == 1
@@ -227,8 +229,10 @@ class SparseSymMatrix:
             self._plan = self._jagged_plan()
         ranks, inverse = self._plan
         out = np.zeros((self.dim, b.shape[1]))
+        # ranks come widest first; with in-range indices "clip" is unbuffered
+        buffer = np.empty((ranks[0][0] if ranks else 0, b.shape[1]))
         for w, src, val in ranks:
-            terms = b[src]
+            terms = np.take(b, src, axis=0, out=buffer[:w], mode="clip")
             terms *= val
             out[:w] += terms
         out = out[inverse]

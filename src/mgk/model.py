@@ -201,15 +201,28 @@ def fuse_backward(dout, h_cnn, h_gcn, kind: str):
 
 # ------------------------------------------------------------------ branches
 
+class _NoTapes:
+    """Eval mode's tape table: it keeps nothing, so temporaries die early."""
+
+    def __setitem__(self, name, tape):
+        pass
+
+    def update(self, tapes):
+        pass
+
+
+_NO_TAPES = _NoTapes()
+
+
 def gcn_branch_forward(model: Model, x, prop, mode="eval", bn_momentum=0.9):
     L = model.layers
-    tapes = {}
+    tapes = {} if mode == "train" else _NO_TAPES
     h, tapes["gcn.bn_in"] = nn.batch_norm_forward(x, L["gcn.bn_in"], mode,
                                                   bn_momentum)
     h, tapes["gcn.conv"] = nn.graph_conv_forward(h, prop, L["gcn.conv"])
     h, tapes["gcn.bn_out"] = nn.batch_norm_forward(h, L["gcn.bn_out"], mode,
                                                    bn_momentum)
-    h, tapes["gcn.relu"] = nn.relu_forward(h)
+    h, tapes["gcn.relu"] = nn.relu_forward(h, mode)
     return h, tapes
 
 
@@ -233,14 +246,14 @@ def cnn_branch_forward(model: Model, patches, mode="eval", bn_momentum=0.9):
             f"{cfg.patch_size}x{cfg.patch_size}x{cfg.input_bands}"
         )
     L = model.layers
-    tapes = {}
+    tapes = {} if mode == "train" else _NO_TAPES
     h = patches
     for blk in ("cnn.block1", "cnn.block2", "cnn.block3"):
         h, tapes[f"{blk}.conv"] = nn.conv2d_forward(h, L[f"{blk}.conv"])
         h, tapes[f"{blk}.bn"] = nn.batch_norm_forward(h, L[f"{blk}.bn"],
                                                       mode, bn_momentum)
-        h, tapes[f"{blk}.pool"] = nn.maxpool2x2_forward(h)
-        h, tapes[f"{blk}.relu"] = nn.relu_forward(h)
+        h, tapes[f"{blk}.pool"] = nn.maxpool2x2_forward(h, mode)
+        h, tapes[f"{blk}.relu"] = nn.relu_forward(h, mode)
     tapes["cnn.flatten_shape"] = h.shape
     return h.reshape(h.shape[0], -1), tapes
 
@@ -262,11 +275,11 @@ def _cnn_branch_backward(dflat, tapes, grads):
 
 def head_forward(model: Model, h, mode="eval", bn_momentum=0.9):
     L = model.layers
-    tapes = {}
+    tapes = {} if mode == "train" else _NO_TAPES
     h, tapes["head.fc1"] = nn.fully_connected_forward(h, L["head.fc1"])
     h, tapes["head.bn"] = nn.batch_norm_forward(h, L["head.bn"], mode,
                                                 bn_momentum)
-    h, tapes["head.relu"] = nn.relu_forward(h)
+    h, tapes["head.relu"] = nn.relu_forward(h, mode)
     logits, tapes["head.fc2"] = nn.fully_connected_forward(h, L["head.fc2"])
     return logits, tapes
 
@@ -316,13 +329,14 @@ def forward(model: Model, features=None, prop=None, patches=None,
     features and ``prop``, the propagation operator of its graph; a patch
     architecture reads its ``(rows, size, size, bands)`` patches. Eval mode
     is side-effect free (running stats untouched) and returns
-    (logits, None).
+    (logits, None): it keeps no tapes, and works in place only in arrays
+    that it allocated, never in its inputs.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     _check_inputs(model, features, prop, patches)
     cfg = model.cfg
-    tapes = {}
+    tapes = {} if mode == "train" else _NO_TAPES
     h_cnn = h_gcn = None
     if cfg.uses_patches:
         h_cnn, t = cnn_branch_forward(model, patches, mode, bn_momentum)

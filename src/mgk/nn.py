@@ -2,7 +2,9 @@
 
 Every forward returns ``(out, tape)`` where the tape holds exactly what the
 matching backward needs; backward returns ``(dx, grads)`` with grads keyed
-by the LayerParams field names. ``conv2d_param_grads`` and
+by the LayerParams field names. Batch norm, ReLU and max pooling take a
+``mode``: in eval mode they keep no tape, mask or argmax index, and batch
+norm and ReLU work in place. ``conv2d_param_grads`` and
 ``batch_norm_param_grads`` return the same grads without ``dx``, for a
 model's first layers, whose input gradient nothing reads. No autograd, no
 framework: the layer set is small enough that explicit gradients stay
@@ -80,8 +82,13 @@ class TapeEntry:
     """Cache produced by a train-mode forward, consumed by backward."""
 
     kind: str
-    mode: str
     cache: tuple = field(default=())
+
+
+def _is_eval(mode) -> bool:
+    if mode not in ("train", "eval"):
+        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
+    return mode == "eval"
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -139,8 +146,9 @@ def graph_conv_forward(h, prop, p: LayerParams):
             f"features {h.shape} do not match weights {p.weights.shape}"
         )
     s = multiply(prop, h)
-    out = s @ p.weights + p.bias
-    tape = TapeEntry("graph_conv", "train", (h, s, prop, p.weights))
+    out = s @ p.weights
+    out += p.bias
+    tape = TapeEntry("graph_conv", (h, s, prop, p.weights))
     return out, tape
 
 
@@ -163,8 +171,9 @@ def fully_connected_forward(x, p: LayerParams):
         raise ShapeError(
             f"input {x.shape} does not match weights {p.weights.shape}"
         )
-    out = x @ p.weights + p.bias
-    return out, TapeEntry("fc", "train", (x, p.weights))
+    out = x @ p.weights
+    out += p.bias
+    return out, TapeEntry("fc", (x, p.weights))
 
 
 def fully_connected_backward(dout, tape: TapeEntry):
@@ -176,10 +185,13 @@ def fully_connected_backward(dout, tape: TapeEntry):
 
 # ---------------------------------------------------------------------- relu
 
-def relu_forward(x):
+def relu_forward(x, mode="train"):
+    """max(x, 0); eval mode keeps no mask and clamps x in place."""
     x = np.asarray(x, dtype=np.float64)
+    if _is_eval(mode):
+        return np.maximum(x, 0.0, out=x), None
     out = np.maximum(x, 0.0)
-    return out, TapeEntry("relu", "train", (x > 0.0,))
+    return out, TapeEntry("relu", (x > 0.0,))
 
 
 def relu_backward(dout, tape: TapeEntry):
@@ -210,13 +222,16 @@ def conv2d_forward(x, p: LayerParams):
             f"input channels {x.shape[3]} do not match kernel {p.weights.shape}"
         )
     b, h, w, _ = x.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    cols = _im2col(xp, kh, kw)
+    cols = x  # a 1x1 kernel's columns are its unpadded input
+    if kh > 1 or kw > 1:
+        ph, pw = kh // 2, kw // 2
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        cols = _im2col(xp, kh, kw)
     wmat = p.weights.reshape(kh * kw * c_in, c_out)
-    out = cols.reshape(-1, kh * kw * c_in) @ wmat + p.bias
+    out = cols.reshape(-1, kh * kw * c_in) @ wmat
+    out += p.bias
     out = out.reshape(b, h, w, c_out)
-    tape = TapeEntry("conv2d", "train", (cols, p.weights.shape, wmat, x.shape))
+    tape = TapeEntry("conv2d", (cols, p.weights.shape, wmat, x.shape))
     return out, tape
 
 
@@ -250,13 +265,15 @@ def conv2d_backward(dout, tape: TapeEntry):
 
 # ------------------------------------------------------------------- maxpool
 
-def maxpool2x2_forward(x):
+def maxpool2x2_forward(x, mode="train"):
     """2x2/stride-2 max pooling with ceil-mode output (7 -> 4 -> 2 -> 1).
 
     Odd trailing rows/columns pool over the surviving elements; ties route
     the gradient to the first window element in row-major order, and a NaN
-    wins its window, the first NaN if there are several.
+    wins its window, the first NaN if there are several. Eval mode selects
+    alike but keeps no argmax index.
     """
+    train = not _is_eval(mode)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"pool input must be 4-D (B,H,W,C), got {x.shape}")
@@ -273,7 +290,7 @@ def maxpool2x2_forward(x):
     # takes the window only if it is greater, or NaN while the running max
     # is not, so `take` is "out is not NaN and q <= out fails"
     out = win[:, :, 0, :, 0, :]
-    arg = np.zeros(out.shape, dtype=np.intp)
+    arg = np.zeros(out.shape, dtype=np.intp) if train else None
     keep = np.empty(out.shape, dtype=bool)
     take = np.empty(out.shape, dtype=bool)
     for k, (i, j) in enumerate(((0, 1), (1, 0), (1, 1)), start=1):
@@ -282,8 +299,9 @@ def maxpool2x2_forward(x):
         np.equal(out, out, out=take)
         np.greater(take, keep, out=take)
         out = np.where(take, q, out)
-        np.maximum(arg, take * k, out=arg)  # k exceeds every earlier index
-    return out, TapeEntry("maxpool", "train", (arg, x.shape))
+        if train:  # k exceeds every earlier index
+            np.maximum(arg, take * k, out=arg)
+    return out, (TapeEntry("maxpool", (arg, x.shape)) if train else None)
 
 
 def maxpool2x2_backward(dout, tape: TapeEntry):
@@ -314,7 +332,8 @@ def batch_norm_forward(x, p: LayerParams, mode="train", momentum=0.9):
     """Normalize per feature/channel; train mode updates running stats.
 
     Running stats move as r <- momentum * r + (1 - momentum) * batch_stat
-    using the biased batch variance. Eval mode is side-effect free.
+    using the biased batch variance. Eval mode is side-effect free and
+    keeps no tape; it works in the one array that holds x - mean.
     """
     x = np.asarray(x, dtype=np.float64)
     axes = _bn_axes(x)
@@ -324,12 +343,13 @@ def batch_norm_forward(x, p: LayerParams, mode="train", momentum=0.9):
             f"batch norm width {p.bn_gamma.shape} does not match input "
             f"shape {x.shape}"
         )
-    if mode == "eval":
+    if _is_eval(mode):
         inv = 1.0 / np.sqrt(p.bn_running_var + BN_EPS)
-        out = p.bn_gamma * (x - p.bn_running_mean) * inv + p.bn_beta
-        return out, TapeEntry("batch_norm", "eval")
-    if mode != "train":
-        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
+        out = np.subtract(x, p.bn_running_mean)
+        np.multiply(p.bn_gamma, out, out=out)
+        out *= inv
+        out += p.bn_beta
+        return out, None
     if x.shape[0] < 2:
         raise ContractError("batch norm training requires batch size >= 2")
     m = x.size // width
@@ -345,7 +365,7 @@ def batch_norm_forward(x, p: LayerParams, mode="train", momentum=0.9):
     out += p.bn_beta
     p.bn_running_mean = momentum * p.bn_running_mean + (1.0 - momentum) * mean
     p.bn_running_var = momentum * p.bn_running_var + (1.0 - momentum) * var
-    tape = TapeEntry("batch_norm", "train", (xhat, inv, p.bn_gamma, axes, m))
+    tape = TapeEntry("batch_norm", (xhat, inv, p.bn_gamma, axes, m))
     return out, tape
 
 
@@ -407,7 +427,7 @@ def softmax_cross_entropy(logits, labels):
     probs = expd / total
     b = logits.shape[0]
     loss = float(-np.sum(labels * (shifted - np.log(total))) / b)
-    tape = TapeEntry("softmax_ce", "train", (probs, labels, b))
+    tape = TapeEntry("softmax_ce", (probs, labels, b))
     return loss, probs, tape
 
 
@@ -421,8 +441,6 @@ def _check_tape(tape: TapeEntry, kind: str):
     if tape is None or tape.kind != kind:
         got = None if tape is None else tape.kind
         raise ContractError(f"backward for {kind} got tape of kind {got!r}")
-    if tape.mode != "train":
-        raise ContractError(f"backward requires a train-mode tape for {kind}")
 
 
 # ------------------------------------------------------- parameter checkpoint

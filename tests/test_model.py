@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FD_H, fd_grad, random_graph, rel_err
 from mgk.errors import ConfigError, ContractError, ShapeError
+from mgk import nn
 from mgk.model import (ARCHITECTURES, Model, ModelConfig, build,
                        cnn_branch_forward, forward, fuse, fuse_backward,
                        gcn_branch_forward, head_forward, load_model,
@@ -278,6 +281,74 @@ def test_gcn_path_is_permutation_equivariant(seed):
     from conftest import dense_to_sparse
     logits_p, _ = forward(model, feats[perm], dense_to_sparse(dense), None)
     assert rel_err(logits_p, logits[perm]) <= 1e-12
+
+
+def randomize_batch_norms(model, rng):
+    """Running stats and affine terms off their identity defaults, so that
+    every term of an eval batch norm moves the bits."""
+    for _, layer in model.named_params():
+        if layer.kind == "batch_norm":
+            width = layer.bn_gamma.size
+            layer.bn_gamma = rng.normal(size=width)
+            layer.bn_beta = rng.normal(size=width)
+            layer.bn_running_mean = rng.normal(size=width)
+            layer.bn_running_var = rng.uniform(0.5, 2.0, size=width)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_eval_forward_writes_into_none_of_its_inputs(arch):
+    rng = np.random.default_rng(21)
+    model = build(toy_cfg(arch), seed=12)
+    randomize_batch_norms(model, rng)
+    feats = prop = patches = None
+    if model.cfg.uses_graph:
+        feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"],
+                                     TOY["classes"])
+    if model.cfg.uses_patches:
+        patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    inputs = [a for a in (feats, patches) if a is not None]
+    if prop is not None:
+        inputs += [prop.rows, prop.cols, prop.vals]
+    before = [a.copy() for a in inputs]
+    logits, tapes = forward(model, feats, prop, patches, mode="eval")
+    assert tapes is None
+    for a, kept in zip(inputs, before):
+        assert np.array_equal(a.view(np.uint64), kept.view(np.uint64))
+        assert not np.shares_memory(logits, a)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_eval_forward_keeps_no_layer_tape_past_the_next_layer(arch,
+                                                              monkeypatch):
+    rng = np.random.default_rng(22)
+    model = build(toy_cfg(arch), seed=13)
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    if not model.cfg.uses_graph:
+        feats = prop = None
+    if not model.cfg.uses_patches:
+        patches = None
+    tapes = []  # weak references, one per product layer's tape
+
+    def spying(layer):
+        def spy(*args):
+            kept.append(sum(ref() is not None for ref in tapes))
+            out, tape = layer(*args)
+            tapes.append(weakref.ref(tape))
+            return out, tape
+        return spy
+
+    for name in ("graph_conv_forward", "fully_connected_forward",
+                 "conv2d_forward"):
+        monkeypatch.setattr(nn, name, spying(getattr(nn, name)))
+    for mode in ("eval", "train"):
+        kept = []  # live earlier tapes as each product layer starts
+        tapes.clear()
+        forward(model, feats, prop, patches, mode=mode)
+        # eval mode frees each tape before the next product layer runs;
+        # train mode keeps them all for backward
+        want = [0] * len(kept) if mode == "eval" else list(range(len(kept)))
+        assert len(kept) >= 2 and kept == want, mode
 
 
 def test_eval_forward_is_side_effect_free():

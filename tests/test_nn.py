@@ -66,6 +66,25 @@ def test_conv2d_1x1_is_elementwise():
     assert np.allclose(out, 2.5 * x + 0.25, atol=1e-12)
 
 
+@given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+       st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_conv2d_1x1_forward_is_bitwise_the_padded_im2col_product(
+        b, h, w, c_in, c_out, seed):
+    # a 1x1 kernel takes the input as its columns, without np.pad or
+    # im2col; the product and the backward see the same values
+    rng = np.random.default_rng(seed)
+    p = nn.make_conv2d(rng, 1, 1, c_in, c_out)
+    p.bias[:] = rng.normal(size=c_out)
+    x = rng.normal(size=(b, h, w, c_in))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    cols = nn._im2col(np.pad(x, ((0, 0), (0, 0), (0, 0), (0, 0))), 1, 1)
+    want = (cols.reshape(-1, c_in) @ p.weights.reshape(c_in, c_out)
+            + p.bias).reshape(b, h, w, c_out)
+    got, tape = nn.conv2d_forward(x, p)
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(tape.cache[0]), bits(cols))
+
+
 def test_conv2d_3x3_ones_kernel_zero_padding():
     p = nn.make_conv2d(np.random.default_rng(0), 3, 3, 1, 1)
     p.weights[:] = 1.0
@@ -178,7 +197,7 @@ def ref_maxpool2x2_forward(x):
     win = win.reshape(b, h2, w2, 4, c)
     arg = win.argmax(axis=3)
     out = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, nn.TapeEntry("maxpool", "train", (arg, x.shape))
+    return out, nn.TapeEntry("maxpool", (arg, x.shape))
 
 
 def _nans(rng, n):
@@ -212,6 +231,10 @@ def test_maxpool_matches_reference_bitwise(b, h, w, c, seed, values, n_nan,
     got, tape = nn.maxpool2x2_forward(x)
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
+    # eval mode selects by the same passes and keeps no argmax index
+    got_eval, no_tape = nn.maxpool2x2_forward(x, "eval")
+    assert no_tape is None
+    assert np.array_equal(bits(got_eval), bits(want))
     (arg, xshape), (ref_arg, ref_xshape) = tape.cache, ref_tape.cache
     assert arg.dtype == ref_arg.dtype and xshape == ref_xshape
     assert np.array_equal(arg, ref_arg)
@@ -229,6 +252,23 @@ def test_relu_idempotent():
     assert np.array_equal(once, twice)
 
 
+def test_relu_eval_clamps_in_place_with_train_modes_bits():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(4, 5))
+    x[0, :3] = (-0.0, np.nan, -np.inf)
+    want, _ = nn.relu_forward(x.copy())
+    got, tape = nn.relu_forward(x, "eval")
+    assert got is x and tape is None
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_eval_layers_refuse_an_unknown_mode():
+    x = np.ones((2, 2, 2, 1))
+    for layer in (nn.relu_forward, nn.maxpool2x2_forward):
+        with pytest.raises(ContractError, match="mode"):
+            layer(x, "test")
+
+
 def test_batch_norm_train_normalizes():
     rng = np.random.default_rng(7)
     p = nn.make_batch_norm(3)
@@ -244,6 +284,28 @@ def test_batch_norm_eval_identity_stats():
     out, _ = nn.batch_norm_forward(x, p, mode="eval")
     # identity up to the 1e-5 variance epsilon
     assert np.max(np.abs(out - x)) <= 1e-4
+
+
+@given(st.sampled_from([(1, 3), (7, 130), (1, 1, 1, 4), (3, 4, 4, 9)]),
+       st.integers(0, 2**32 - 1))
+def test_batch_norm_eval_matches_reference_bitwise(shape, seed):
+    rng = np.random.default_rng(seed)
+    width = shape[-1]
+    p = nn.make_batch_norm(width)
+    p.bn_gamma = rng.normal(size=width)
+    p.bn_beta = rng.normal(size=width)
+    p.bn_running_mean = rng.normal(size=width)
+    p.bn_running_var = rng.uniform(0.0, 3.0, size=width)
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x_before = x.copy()
+    # eval batch norm as it first ran, one temporary per term
+    inv = 1.0 / np.sqrt(p.bn_running_var + nn.BN_EPS)
+    want = p.bn_gamma * (x - p.bn_running_mean) * inv + p.bn_beta
+    got, tape = nn.batch_norm_forward(x, p, mode="eval")
+    assert tape is None
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(x), bits(x_before))
 
 
 def test_batch_norm_running_stats_momentum():

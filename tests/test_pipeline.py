@@ -18,6 +18,7 @@ from mgk.pipeline import (Dataset, chunk_prop, dataset_from_parts,
                           fold_singleton_tail, format_log_rows,
                           infer_model_config, predict_pixels, train_model)
 from mgk.sampler import partition_epoch
+from test_model import randomize_batch_norms
 
 TRAIN_KW = dict(epochs=3, batch=16, base_lr=0.01, l2=0.001, bn_momentum=0.9,
                 seed=11)
@@ -189,6 +190,20 @@ def test_predict_pixels_handles_trailing_singleton_chunk(small_ds):
     preds = predict_pixels(result.model, small_ds.cube, take, batch=16)
     assert preds.size == take.size
     assert preds.min() >= 0 and preds.max() < 3
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_predict_pixels_writes_into_none_of_its_inputs(small_ds, arch):
+    mdl = build(small_cfg(small_ds, arch), seed=3)
+    randomize_batch_norms(mdl, np.random.default_rng(4))
+    cube = small_ds.cube.values
+    before = cube.copy()
+    ids = np.arange(cube.shape[0] * cube.shape[1])[::-1].copy()
+    ids_before = ids.copy()
+    for batch in (1, 10):
+        predict_pixels(mdl, small_ds.cube, ids, batch=batch)
+    assert np.array_equal(cube.view(np.uint32), before.view(np.uint32))
+    assert np.array_equal(ids, ids_before)
 
 
 @pytest.fixture(scope="module")
