@@ -7,21 +7,19 @@ numpy autodiff substrate with exact spectral-filter references.
 
 from .errors import (ConfigError, ContractError, FormatError, MgkError,
                      NumericError, ShapeError)
-from .linalg import SparseSymMatrix, multiply, symmetric_eigendecomposition
+from .linalg import SparseSymMatrix, symmetric_eigendecomposition
 from .graph import (Graph, build_knn_rbf_graph, chebyshev_scaled, laplacian,
                     renormalized_propagation, sym_normalized_laplacian)
 from .spectral import (chebyshev_filter, first_order_as_chebyshev,
-                       first_order_filter, graph_fourier,
-                       inverse_graph_fourier, spectral_filter)
+                       first_order_filter, spectral_filter)
 from .sampler import (SubgraphBatch, estimator_bias_diagnostic,
                       induce_subgraph, partition_epoch)
 from .optim import AdamState, adam_step, schedule_lr
-from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patch,
-                   extract_patches, load_cube, load_labels, load_split,
-                   normalize_bands, save_cube, save_labels, save_split,
-                   synth_scene)
+from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
+                   load_cube, load_labels, load_split, normalize_bands,
+                   save_cube, save_labels, save_split, synth_scene)
 from .metrics import (ConfusionMatrix, UndefinedKappaError, accumulate,
-                      average_accuracy, kappa, merge, overall_accuracy,
+                      average_accuracy, kappa, overall_accuracy,
                       per_class_accuracy)
 from .model import (ARCHITECTURES, Model, ModelConfig, build, forward,
                     load_model, loss_and_grads, predict, save_model)
@@ -34,18 +32,18 @@ __version__ = "0.1.0"
 __all__ = [
     "MgkError", "ShapeError", "ContractError", "NumericError", "ConfigError",
     "FormatError", "UndefinedKappaError",
-    "SparseSymMatrix", "multiply", "symmetric_eigendecomposition",
+    "SparseSymMatrix", "symmetric_eigendecomposition",
     "Graph", "build_knn_rbf_graph", "laplacian", "sym_normalized_laplacian",
     "renormalized_propagation", "chebyshev_scaled",
     "spectral_filter", "chebyshev_filter", "first_order_filter",
-    "first_order_as_chebyshev", "graph_fourier", "inverse_graph_fourier",
+    "first_order_as_chebyshev",
     "SubgraphBatch", "partition_epoch", "induce_subgraph",
     "estimator_bias_diagnostic",
     "AdamState", "adam_step", "schedule_lr",
     "SpectralCube", "LabelGrid", "SplitSpec", "load_cube", "save_cube",
     "load_labels", "save_labels", "load_split", "save_split",
-    "normalize_bands", "extract_patch", "extract_patches", "synth_scene",
-    "ConfusionMatrix", "accumulate", "merge", "overall_accuracy",
+    "normalize_bands", "extract_patches", "synth_scene",
+    "ConfusionMatrix", "accumulate", "overall_accuracy",
     "per_class_accuracy", "average_accuracy", "kappa",
     "ARCHITECTURES", "ModelConfig", "Model", "build", "forward",
     "loss_and_grads", "predict", "save_model", "load_model",

@@ -26,9 +26,9 @@ from .errors import ConfigError, FormatError, MgkError
 from .graph import build_knn_rbf_graph
 from .metrics import overall_accuracy, report_text, write_report_csv
 from .model import ModelConfig, load_model, save_model
-from .pipeline import (Dataset, check_labels_match, evaluate_part,
-                       format_log_rows, infer_model_config, load_dataset,
-                       predict_pixels, train_model)
+from .pipeline import (Dataset, check_inference_batch, check_labels_match,
+                       evaluate_part, format_log_rows, infer_model_config,
+                       load_dataset, predict_pixels, train_model)
 
 SEED_ENV_VAR = "MGK_SEED"
 
@@ -292,6 +292,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
+    check_inference_batch(cfg.train.batch)
     _require(cfg, "checkpoint")
     mdl = load_model(cfg.paths.checkpoint)
     cm = evaluate_part(mdl, _load_ds(cfg), part, batch=cfg.train.batch)
@@ -310,6 +311,7 @@ def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
 
 
 def cmd_predict_map(cfg: RunConfig) -> int:
+    check_inference_batch(cfg.train.batch)
     _require(cfg, "cube", "checkpoint")
     mdl = load_model(cfg.paths.checkpoint)
     if mdl.cfg.classes > len(PALETTE):

@@ -326,20 +326,6 @@ def normalize_bands(cube: SpectralCube) -> SpectralCube:
 
 # ----------------------------------------------------------------- patching
 
-def extract_patch(cube: SpectralCube, row: int, col: int, size: int = 7
-                  ) -> np.ndarray:
-    """(size, size, bands) float64 patch centered at (row, col).
-
-    The one-pixel case of ``extract_patches``.
-    """
-    if not (0 <= row < cube.height and 0 <= col < cube.width):
-        raise ContractError(
-            f"center ({row}, {col}) outside image "
-            f"{cube.height}x{cube.width}"
-        )
-    return extract_patches(cube, [row * cube.width + col], size)[0]
-
-
 def extract_patches(cube: SpectralCube, pixel_ids, size: int = 7
                     ) -> np.ndarray:
     """(len(pixel_ids), size, size, bands) float64 patches centered at

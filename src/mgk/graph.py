@@ -109,7 +109,7 @@ def build_knn_rbf_graph(features, k: int, sigma: float) -> Graph:
     keys, first = np.unique(lo * n + hi, return_index=True)
     w = np.exp(-dist[first] / (sigma * sigma))
 
-    adj = SparseSymMatrix(n, keys // n, keys % n, w, require_nonnegative=True)
+    adj = SparseSymMatrix(n, keys // n, keys % n, w)
     return Graph(n=n, adjacency=adj)
 
 

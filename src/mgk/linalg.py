@@ -1,23 +1,22 @@
-"""Dense/sparse matrix primitives and a symmetric eigendecomposition.
+"""The sparse symmetric matrix and its exact eigendecomposition.
 
-Dense matrices are plain 2-D float64 numpy arrays. ``SparseSymMatrix`` stores
-each entry of a symmetric matrix once (row <= col) as read-only coordinate
-triplets in one canonical order, copies of its inputs; triplets already in
-that order are taken without a sort; ``terms`` expands them into the full
-matrix, the stored entries then their mirrors, for every method that reads
-it. ``diagonal_blocks`` cuts a block-diagonal matrix into its blocks, each
-a shifted slice of the triplets, so no block needs a sort. Products
-against dense operands never materialize the full matrix. The first
-product builds a jagged-diagonal plan of the expanded matrix and caches it
-on the instance; every product is then one gather and one contiguous add
-per term rank, summing each row in ``terms`` order, so results are bitwise
-the same whether the plan was just built or cached. The ranks gather
-their terms into one buffer per product.
+``SparseSymMatrix`` stores each entry of a symmetric matrix once
+(row <= col) as read-only coordinate triplets in one canonical order, copies
+of its inputs; triplets already in that order are taken without a sort;
+``terms`` expands them into the full matrix, the stored entries then their
+mirrors, for every method that reads it. ``diagonal_blocks`` cuts a
+block-diagonal matrix into its blocks, each a shifted slice of the triplets,
+so no block needs a sort. A product ``s @ b`` against a dense operand never
+materializes the full matrix. The first product builds a jagged-diagonal
+plan of the expanded matrix and caches it on the instance; every product is
+then one gather and one contiguous add per term rank, summing each row in
+``terms`` order, so results are bitwise the same whether the plan was just
+built or cached. The ranks gather their terms into one buffer per product.
 
-The eigendecomposition is LAPACK's ``eigh`` (through numpy) plus a fixed
-eigenvector sign rule. It is the exact reference that spectral filtering is
-checked against; it densifies its input, so a dimension cap bounds that
-n x n copy, and it is meant for verification, not training.
+The eigendecomposition is LAPACK's ``eigh`` (through numpy) of a densified
+``SparseSymMatrix`` plus a fixed eigenvector sign rule. It is the exact
+reference that spectral filtering is checked against; a dimension cap bounds
+its n x n copy, and it is meant for verification, not training.
 """
 
 from __future__ import annotations
@@ -29,17 +28,6 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 DEFAULT_EIG_DIM_CAP = 2048
-SYMMETRY_TOL = 1e-10
-
-
-def as_dense(values) -> np.ndarray:
-    """Coerce input to a 2-D float64 array, validating finiteness."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ContractError("matrix entries must be finite")
-    return a
 
 
 class SparseSymMatrix:
@@ -56,7 +44,7 @@ class SparseSymMatrix:
 
     __slots__ = ("dim", "rows", "cols", "vals", "_plan")
 
-    def __init__(self, dim, rows, cols, vals, *, require_nonnegative=False):
+    def __init__(self, dim, rows, cols, vals):
         dim = int(dim)
         if dim < 1:
             raise ContractError(f"dim must be >= 1, got {dim}")
@@ -74,8 +62,6 @@ class SparseSymMatrix:
             raise ContractError(f"triplet indices out of range for dim={dim}")
         if not np.all(np.isfinite(vals)):
             raise ContractError("matrix entries must be finite")
-        if require_nonnegative and vals.size and vals.min() < 0.0:
-            raise ContractError("adjacency weights must be >= 0")
         # equal keys are duplicates and raise, so the sort need not be stable
         key = lo * dim + hi
         if np.all(key[1:] > key[:-1]):
@@ -238,21 +224,12 @@ class SparseSymMatrix:
         out = out[inverse]
         return out[:, 0] if squeeze else out
 
+    def __matmul__(self, b) -> np.ndarray:
+        # looked up per call, so a wrapper put on ``matmul`` also sees ``@``
+        return self.matmul(b)
+
     def __repr__(self):
         return f"SparseSymMatrix(dim={self.dim}, nnz={self.nnz})"
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product supporting dense and sparse-symmetric left operands."""
-    if isinstance(a, SparseSymMatrix):
-        return a.matmul(b)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"unsupported operand ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -263,35 +240,22 @@ class EigenPair:
     values: np.ndarray
 
 
-def symmetric_eigendecomposition(s, *,
+def symmetric_eigendecomposition(s: SparseSymMatrix, *,
                                  dim_cap=DEFAULT_EIG_DIM_CAP) -> EigenPair:
-    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
+    """Full eigendecomposition of a SparseSymMatrix by LAPACK ``eigh``.
 
-    Accepts a dense array or a SparseSymMatrix (densified internally).
     Eigenvalues are returned in ascending order; each eigenvector is signed
     so its first component of magnitude > 1e-12 is positive, making the
-    decomposition fully deterministic. ``dim_cap`` is checked before a
-    SparseSymMatrix is densified and before the solver runs: both hold
-    n x n float64 arrays, so the cap bounds that memory on a route meant
-    for verification, not for training-sized graphs.
+    decomposition fully deterministic. ``dim_cap`` is checked before the
+    matrix is densified: that copy and the solver hold n x n float64
+    arrays, so the cap bounds their memory on a route meant for
+    verification, not for training-sized graphs.
     """
-    if isinstance(s, SparseSymMatrix):
-        n = s.dim
-    else:
-        a = as_dense(s)
-        if a.shape[0] != a.shape[1]:
-            raise ShapeError(f"expected a square matrix, got {a.shape}")
-        if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
-            raise ContractError(
-                f"input must be symmetric within {SYMMETRY_TOL}"
-            )
-        n = a.shape[0]
-    if n > dim_cap:
+    if s.dim > dim_cap:
         raise ContractError(
-            f"dimension {n} exceeds the eigensolver cap {dim_cap}"
+            f"dimension {s.dim} exceeds the eigensolver cap {dim_cap}"
         )
-    a = s.to_dense() if isinstance(s, SparseSymMatrix) else 0.5 * (a + a.T)
-    values, vectors = np.linalg.eigh(a)
+    values, vectors = np.linalg.eigh(s.to_dense())
     # sign convention: first component with |x| > 1e-12 made positive;
     # every column has unit norm, so every column has one
     for col in vectors.T:

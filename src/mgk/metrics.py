@@ -63,15 +63,6 @@ def accumulate(y_true, y_pred, num_classes: int) -> ConfusionMatrix:
     return ConfusionMatrix(counts=counts)
 
 
-def merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
-    if a.num_classes != b.num_classes:
-        raise ShapeError(
-            f"cannot merge {a.num_classes}-class and {b.num_classes}-class "
-            "matrices"
-        )
-    return ConfusionMatrix(counts=a.counts + b.counts)
-
-
 def overall_accuracy(cm: ConfusionMatrix) -> float:
     """Percent of samples on the diagonal."""
     if cm.total == 0:
@@ -114,16 +105,14 @@ def kappa(cm: ConfusionMatrix) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def report_text(cm: ConfusionMatrix, class_names=None) -> str:
+def report_text(cm: ConfusionMatrix) -> str:
     """Human-readable per-class table plus the three summary metrics."""
     acc = per_class_accuracy(cm)
     rows = cm.counts.sum(axis=1)
-    if class_names is None:
-        class_names = [f"class {i + 1}" for i in range(cm.num_classes)]
     lines = [f"{'class':<18}{'samples':>9}{'recall %':>10}"]
-    for name, n, a in zip(class_names, rows, acc):
+    for i, (n, a) in enumerate(zip(rows, acc), start=1):
         shown = "n/a" if np.isnan(a) else f"{a:.2f}"
-        lines.append(f"{name:<18}{int(n):>9}{shown:>10}")
+        lines.append(f"{f'class {i}':<18}{int(n):>9}{shown:>10}")
     lines.append("")
     lines.append(f"overall accuracy   {overall_accuracy(cm):.2f}")
     lines.append(f"average accuracy   {average_accuracy(cm):.2f}")

@@ -12,7 +12,9 @@ auditable, and the whole stack is checked against central finite
 differences in the tests.
 
 All math runs in float64. Image tensors are laid out (batch, height, width,
-channels); vertex features are (batch, features).
+channels); vertex features are (batch, features). Graph conv applies its
+operator with ``@``: a ``SparseSymMatrix`` in training and inference, or a
+dense array in ``mgk bench``'s N² reference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError
-from .linalg import multiply
 
 BN_EPS = 1e-5
 LAYER_KINDS = ("graph_conv", "conv2d", "fc", "batch_norm")
@@ -145,7 +146,7 @@ def graph_conv_forward(h, prop, p: LayerParams):
         raise ShapeError(
             f"features {h.shape} do not match weights {p.weights.shape}"
         )
-    s = multiply(prop, h)
+    s = prop @ h
     out = s @ p.weights
     out += p.bias
     tape = TapeEntry("graph_conv", (h, s, prop, p.weights))
@@ -159,7 +160,7 @@ def graph_conv_backward(dout, tape: TapeEntry):
     dw = s.T @ dout
     db = dout.sum(axis=0)
     ds = dout @ w.T
-    dh = multiply(prop, ds)  # prop is symmetric, so prop^T = prop
+    dh = prop @ ds  # prop is symmetric, so prop^T = prop
     return dh, {"weights": dw, "bias": db}
 
 

@@ -217,6 +217,12 @@ def infer_model_config(ds: Dataset, architecture: str, *, input_bands=0,
                        classes=classes or ds.num_classes, **fields)
 
 
+def check_inference_batch(batch: int) -> None:
+    """Refuse an inference chunk size below one pixel."""
+    if batch < 1:
+        raise ContractError(f"inference batch must be >= 1, got {batch}")
+
+
 def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
                    batch: int) -> np.ndarray:
     """Zero-based predicted classes for arbitrary pixels of a normalized
@@ -234,8 +240,7 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     bit from a matrix product's. Each chunk keeps its own graph and eval
     mode acts row by row, so the logits do not depend on the grouping.
     """
-    if batch < 1:
-        raise ContractError(f"inference batch must be >= 1, got {batch}")
+    check_inference_batch(batch)
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
     cfg = mdl.cfg
     size = pixel_ids.size

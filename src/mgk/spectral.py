@@ -2,8 +2,9 @@
 
 Three routes from slowest/exact to cheapest/approximate:
 
-* ``spectral_filter``     -- exact: eigendecompose L, scale the transform
-                             coefficients, transform back.
+* ``spectral_filter``     -- exact: eigendecompose L (a SparseSymMatrix,
+                             densified), scale the transform coefficients,
+                             transform back.
 * ``chebyshev_filter``    -- polynomial approximation via the Chebyshev
                              recurrence on the rescaled operator; never
                              forms a dense polynomial of L.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .graph import Graph, _normalized_adjacency
-from .linalg import EigenPair, SparseSymMatrix, symmetric_eigendecomposition
+from .linalg import SparseSymMatrix, symmetric_eigendecomposition
 
 
 def _coefficients(theta) -> np.ndarray:
@@ -45,21 +46,7 @@ def _as_signal(f, n: int) -> tuple[np.ndarray, bool]:
     return f, squeeze
 
 
-def graph_fourier(f, eig: EigenPair) -> np.ndarray:
-    """Analysis transform U^T f."""
-    sig, squeeze = _as_signal(f, eig.vectors.shape[0])
-    out = eig.vectors.T @ sig
-    return out[:, 0] if squeeze else out
-
-
-def inverse_graph_fourier(fhat, eig: EigenPair) -> np.ndarray:
-    """Synthesis transform U fhat."""
-    sig, squeeze = _as_signal(fhat, eig.vectors.shape[0])
-    out = eig.vectors @ sig
-    return out[:, 0] if squeeze else out
-
-
-def spectral_filter(f, theta, l) -> np.ndarray:
+def spectral_filter(f, theta, l: SparseSymMatrix) -> np.ndarray:
     """Exact filtering U diag(theta) U^T f via full eigendecomposition;
     theta holds one coefficient per eigenvalue."""
     theta = _coefficients(theta)

@@ -541,6 +541,12 @@ def test_inference_batch_below_one_is_refused(scene_dir, trained, tmp_path,
                                               capsys, monkeypatch, command,
                                               batch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was read before the batch was checked")
+
+    monkeypatch.setattr(mgk.cli, "load_dataset", no_data)
+    monkeypatch.setattr(mgk.cli, "load_cube", no_data)
     _, ckpt = trained
     out = tmp_path / "refused"
     argv = [command, *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgk.data import (LabelGrid, SpectralCube, SplitSpec, extract_patch,
-                      extract_patches, load_cube, load_labels, load_split,
-                      normalize_bands, save_cube, save_labels, save_split,
-                      synth_scene)
+from mgk.data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
+                      load_cube, load_labels, load_split, normalize_bands,
+                      save_cube, save_labels, save_split, synth_scene)
 from mgk.errors import ConfigError, ContractError, FormatError
 
 
@@ -34,7 +33,7 @@ def ref_normalize_bands(cube):
 
 
 def ref_extract_patches(cube, pixel_ids, size):
-    """The per-pixel extract_patch loop that the one gather replaced, kept
+    """The per-pixel patch loop that the one gather replaced, kept
     as the reference for its bytes."""
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
     out = np.empty((pixel_ids.size, size, size, cube.bands))
@@ -239,39 +238,6 @@ def test_normalize_bands_idempotent(seed):
     assert np.array_equal(once.values, twice.values)
 
 
-def test_extract_patch_interior_exact_window():
-    rng = np.random.default_rng(2)
-    cube = random_cube(rng, h=9, w=9, d=2)
-    patch = extract_patch(cube, 4, 4, size=7)
-    assert np.allclose(patch, cube.values[1:8, 1:8, :].astype(np.float64))
-
-
-def test_extract_patch_corner_replicates():
-    rng = np.random.default_rng(3)
-    cube = random_cube(rng, h=5, w=5, d=1)
-    patch = extract_patch(cube, 0, 0, size=7)
-    # rows/cols 0..3 of the patch replicate image row/col 0
-    assert np.all(patch[0] == patch[3])
-    assert np.all(patch[:, 0] == patch[:, 3])
-    assert patch[3, 3, 0] == pytest.approx(float(cube.values[0, 0, 0]))
-
-
-def test_extract_patch_degenerate_single_pixel():
-    cube = SpectralCube(values=np.full((1, 1, 2), 3.0, dtype=np.float32))
-    patch = extract_patch(cube, 0, 0, size=7)
-    assert patch.shape == (7, 7, 2)
-    assert np.all(patch == 3.0)
-
-
-def test_extract_patch_center_out_of_range():
-    rng = np.random.default_rng(4)
-    cube = random_cube(rng)
-    with pytest.raises(ContractError):
-        extract_patch(cube, 4, 0, size=3)
-    with pytest.raises(ContractError):
-        extract_patch(cube, 0, 0, size=4)  # even size
-
-
 def test_patch_centers_reassemble_cube():
     rng = np.random.default_rng(5)
     cube = random_cube(rng, h=3, w=4, d=2)
@@ -298,9 +264,6 @@ def test_patch_gather_covers_corners_edges_and_small_images(h, w, size):
     every = np.arange(h * w)  # corners, edges and the interior
     assert same_bits(extract_patches(cube, every, size),
                      ref_extract_patches(cube, every, size))
-    for pid in every:
-        assert same_bits(extract_patch(cube, pid // w, pid % w, size),
-                         ref_extract_patches(cube, [pid], size)[0])
     empty = extract_patches(cube, [], size)
     assert same_bits(empty, ref_extract_patches(cube, [], size))
     assert empty.shape == (0, size, size, 2)

@@ -29,8 +29,7 @@ def argsort_knn_rbf_graph(features, k, sigma):
     hi = np.maximum(src, dst)
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
     w = np.exp(-d2[pairs[:, 0], pairs[:, 1]] / (sigma * sigma))
-    adj = SparseSymMatrix(n, pairs[:, 0], pairs[:, 1], w,
-                          require_nonnegative=True)
+    adj = SparseSymMatrix(n, pairs[:, 0], pairs[:, 1], w)
     return adj, renormalized_propagation(adj)
 
 
@@ -110,8 +109,7 @@ def selecting_row_reference(features, k, sigma):
     selected[np.arange(n)[:, None], nearest] = True
     lo, hi = np.nonzero(np.triu(selected | selected.T))
     d = np.where(selected[lo, hi], d2[lo, hi], d2[hi, lo])
-    adj = SparseSymMatrix(n, lo, hi, np.exp(-d / (sigma * sigma)),
-                          require_nonnegative=True)
+    adj = SparseSymMatrix(n, lo, hi, np.exp(-d / (sigma * sigma)))
     return adj, renormalized_propagation(adj)
 
 
@@ -462,8 +460,7 @@ def test_builders_match_the_concatenating_reference(seed, n, pattern,
         elif pattern == "empty":
             upper[:] = False
         rr, cc = np.nonzero(upper)
-        adj = SparseSymMatrix(n, rr, cc, rng.uniform(0.1, 1.0, rr.size),
-                              require_nonnegative=True)
+        adj = SparseSymMatrix(n, rr, cc, rng.uniform(0.1, 1.0, rr.size))
     # a diagonal on some rows only: chebyshev_scaled fills in the others
     on = np.nonzero(rng.random(n) < 0.5)[0]
     partial = SparseSymMatrix(

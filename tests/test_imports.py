@@ -1,10 +1,13 @@
 """Every module-level import in the package and the scripts is used, and
-the package exports exactly what its ``__init__.py`` binds.
+the package exports exactly what its ``__init__.py`` binds, and nothing
+that only its own unit tests use.
 
 The unused-import rule of a linter, with the standard library only: an
 imported name counts as used when the module's code loads it anywhere.
 The package's ``__init__.py`` is left out, since it imports to re-export;
-its ``__all__`` must list each public name it binds once, and no other.
+its ``__all__`` must list each public name it binds once, and no other,
+and each of those names must be loaded by the package, a script or the
+acceptance spec, so that no export lives only for its own unit tests.
 """
 
 import ast
@@ -18,6 +21,20 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(path for path in [*(ROOT / "src" / "mgk").glob("*.py"),
                                    *(ROOT / "scripts").glob("*.py")]
                  if path.name != "__init__.py")
+SPEC = ROOT / "tests" / "test_acceptance.py"
+
+
+def loaded_names(source: str) -> set:
+    """Names the module's code loads, bare (``f``) or as an attribute
+    (``m.f``)."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return loaded
 
 
 def unused_imports(source: str) -> list:
@@ -71,3 +88,14 @@ def test_all_lists_each_public_name_of_the_package_once():
     assert len(set(mgk.__all__)) == len(mgk.__all__)
     assert sorted(mgk.__all__) == sorted(
         public_bindings(init.read_text(encoding="utf-8")))
+
+
+def test_loaded_names_counts_bare_and_attribute_loads():
+    source = "import m\nx = 1\nm.f(y)\nm.g = x\n"
+    assert loaded_names(source) == {"m", "f", "y", "x"}
+
+
+def test_every_export_is_used_outside_init_and_unit_tests():
+    used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                         for path in [*SOURCES, SPEC]))
+    assert sorted(set(mgk.__all__) - used) == []

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mgk.errors import ContractError, ShapeError
 from mgk.metrics import (ConfusionMatrix, UndefinedKappaError, accumulate,
-                         average_accuracy, kappa, merge, overall_accuracy,
+                         average_accuracy, kappa, overall_accuracy,
                          per_class_accuracy, report_text, write_report_csv)
 
 # Reference Indian Pines results (16 classes, 50/15 train pixels per class):
@@ -95,14 +95,6 @@ def test_accumulate_rejects_mismatch_and_range():
         accumulate([0, 1], [0], num_classes=2)
     with pytest.raises(ContractError, match="3"):
         accumulate([0, 3], [0, 0], num_classes=3)
-
-
-def test_merge_is_additive():
-    a = accumulate([0, 1], [0, 1], num_classes=2)
-    b = accumulate([1, 1], [0, 1], num_classes=2)
-    m = merge(a, b)
-    assert np.array_equal(m.counts, a.counts + b.counts)
-    assert np.array_equal(merge(b, a).counts, m.counts)
 
 
 def test_overall_accuracy_simple():

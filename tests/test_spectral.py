@@ -6,10 +6,9 @@ from conftest import random_graph
 from mgk.errors import ContractError, ShapeError
 from mgk.graph import (build_knn_rbf_graph, chebyshev_scaled, laplacian,
                        sym_normalized_laplacian)
-from mgk.linalg import EigenPair, symmetric_eigendecomposition
+from mgk.linalg import symmetric_eigendecomposition
 from mgk.spectral import (chebyshev_filter, first_order_as_chebyshev,
-                          first_order_filter, graph_fourier,
-                          inverse_graph_fourier, spectral_filter)
+                          first_order_filter, spectral_filter)
 
 
 def test_filters_refuse_empty_or_non_finite_coefficients():
@@ -18,33 +17,6 @@ def test_filters_refuse_empty_or_non_finite_coefficients():
         for route in (spectral_filter, chebyshev_filter):
             with pytest.raises(ContractError, match="coefficient"):
                 route(np.ones(2), theta, lap)
-
-
-def test_graph_fourier_identity_basis():
-    pair = EigenPair(vectors=np.eye(3), values=np.zeros(3))
-    f = np.array([[1.0], [2.0], [3.0]])
-    assert np.array_equal(graph_fourier(f, pair), f)
-
-
-def test_graph_fourier_eigenvector_maps_to_unit():
-    rng = np.random.default_rng(0)
-    g, _ = random_graph(rng, 6)
-    pair = symmetric_eigendecomposition(laplacian(g))
-    f = pair.vectors[:, [0]]
-    hat = graph_fourier(f, pair)
-    want = np.zeros((6, 1))
-    want[0, 0] = 1.0
-    assert np.max(np.abs(hat - want)) <= 1e-9
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_graph_fourier_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    g, _ = random_graph(rng, 6)
-    pair = symmetric_eigendecomposition(laplacian(g))
-    f = rng.normal(size=(6, 1))
-    back = inverse_graph_fourier(graph_fourier(f, pair), pair)
-    assert np.max(np.abs(back - f)) <= 1e-9
 
 
 def test_spectral_filter_identity():
