@@ -1,22 +1,20 @@
 """Wall-time scaling measurement for the two training regimes.
 
 For each graph size N the harness builds a KNN graph on seeded random
-points with ``build_knn_rbf_graph`` (untimed), then times one graph-conv
-layer forward+backward as training runs it:
+points with ``build_knn_rbf_graph`` (untimed), then times:
 
-* ``full-gcn``  -- the whole graph through the dense propagation matrix,
-  the N^2 D reference; under mode ``full-gcn-sparse``, what ``gcn``
-  training runs every epoch: ``induce_subgraph`` of the one-batch
-  partition of every vertex, then one pass, which builds the new
-  operator's product plan.
-* ``minigcn``   -- one training epoch as training runs it: a
-  ``partition_epoch`` draw, one ``induce_subgraph`` call on its batches,
-  then one pass per batch on its diagonal block of the epoch operator
-  (linear in N for a fixed budget).
+* ``full-gcn``  -- one graph-conv layer forward+backward through the
+  whole graph's dense propagation matrix, the N^2 D reference; under mode
+  ``full-gcn-sparse``, the epoch ``gcn`` training runs: ``train_epoch``
+  at budget N, one step on the one-batch partition's induced operator.
+* ``minigcn``   -- the epoch ``minigcn`` training runs: ``train_epoch``
+  at budget m, one ``induce_subgraph`` call, then one step per batch on
+  its diagonal block (linear in N for a fixed budget).
 
-Per-pass seconds come from timeit-style autoranged inner loops so the
-measurements stay above clock resolution; the least-squares slope of
-log(time) against log(N) is the headline number.
+A step is the whole ``minigcn`` model's (d bands, p hidden units, seeded
+random labels) forward, backward and Adam step; each size's timed calls
+train one model on one partition. Per-pass seconds come from autoranged
+inner loops; the slope of log(time) against log(N) is the headline.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .graph import build_knn_rbf_graph, renormalized_propagation
 from . import nn
-from .sampler import induce_subgraph, partition_epoch
+from .model import ModelConfig, build
+from .optim import AdamState
+from .pipeline import train_epoch
 
 BENCH_MODES = ("full-gcn", "minigcn")
 CSV_FIELDS = ("mode", "n", "d", "p", "m", "repeat", "seconds")
@@ -101,12 +101,6 @@ def fit_loglog_slope(ns, ts) -> float:
     return float(slope)
 
 
-def _layer_pass(prop, h, params, dout):
-    out, tape = nn.graph_conv_forward(h, prop, params)
-    nn.graph_conv_backward(dout, tape)
-    return out
-
-
 def check_scaling_args(modes, n_grid, d: int, p: int, m: int,
                        repeats: int) -> tuple:
     """Refuse, naming the value, any argument that one of ``modes`` could
@@ -126,49 +120,47 @@ def check_scaling_args(modes, n_grid, d: int, p: int, m: int,
         raise ContractError(f"d and p must be >= 1, got d={d}, p={p}")
     if repeats < 3:
         raise ContractError(f"need >= 3 repeats for medians, got {repeats}")
-    if "minigcn" in modes and not (1 <= m <= n_grid[0]):
-        raise ContractError(f"budget m={m} must satisfy 1 <= m <= "
+    # train-mode batch norm cannot take a one-node batch
+    if "minigcn" in modes and not (2 <= m <= n_grid[0]):
+        raise ContractError(f"budget m={m} must satisfy 2 <= m <= "
                             f"{n_grid[0]}, the smallest n")
     return n_grid
 
 
 def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
                 m: int = 32, repeats: int = 5, seed=0) -> ScalingReport:
-    """Time forward+backward passes across the size grid for one mode."""
+    """Time training passes across the size grid for one mode."""
     n_grid = check_scaling_args((mode,), n_grid, d, p, m, repeats)
     report = ScalingReport()
     rng = np.random.default_rng(seed)
+    # 16 label classes, as in the Indian Pines scene
+    cfg = ModelConfig("minigcn", input_bands=d, classes=16, gcn_hidden=p)
+    full = mode == "full-gcn"
     for n in n_grid:
         g = build_knn_rbf_graph(rng.random((n, 3)), GRAPH_K, 1.0)
         h = rng.standard_normal((n, d))
-        params = nn.make_graph_conv(rng, d, p)
-        dout = rng.standard_normal((n, p))
-        if mode == "full-gcn":
+        timed = {}
+        if full:
+            params = nn.make_graph_conv(rng, d, p)
+            dout = rng.standard_normal((n, p))
             dense = renormalized_propagation(g.adjacency).to_dense()
-            samples = _time_pass(lambda: _layer_pass(dense, h, params, dout),
-                                 repeats)
-            every = (np.arange(n),)
-            sparse_samples = _time_pass(
-                lambda: _layer_pass(induce_subgraph(g, every).prop_s, h,
-                                    params, dout), repeats)
-            for r, s in enumerate(sparse_samples):
-                report.rows.append(BenchRow("full-gcn-sparse", n, d, p, 0,
-                                            r, s))
-        else:
-            part_seed = rng.integers(2 ** 63)
 
-            def epoch_pass():
-                batches = partition_epoch(n, m, part_seed)
-                blocks = induce_subgraph(g, batches).prop_s.diagonal_blocks(
-                    [ids.size for ids in batches])
-                for ids, prop in zip(batches, blocks):
-                    _layer_pass(prop, h[ids], params, dout[ids])
+            def dense_pass():
+                _, tape = nn.graph_conv_forward(h, dense, params)
+                nn.graph_conv_backward(dout, tape)
 
-            samples = _time_pass(epoch_pass, repeats)
-        for r, s in enumerate(samples):
-            report.rows.append(
-                BenchRow(mode, n, d, p, m if mode == "minigcn" else 0, r, s)
-            )
+            timed[mode] = _time_pass(dense_pass, repeats)
+        labels = np.eye(cfg.classes)[rng.integers(cfg.classes, size=n)]
+        mdl, state = build(cfg, seed=rng.integers(2 ** 63)), AdamState()
+        part_seed = rng.integers(2 ** 63)
+        # the trainer's default rate, weight decay and batch norm momentum
+        timed["full-gcn-sparse" if full else mode] = _time_pass(
+            lambda: train_epoch(mdl, state, g, h, labels, None,
+                                n if full else m, part_seed, 0.001,
+                                l2=0.001, bn_momentum=0.9), repeats)
+        for name, samples in timed.items():
+            report.rows += [BenchRow(name, n, d, p, 0 if full else m, r, s)
+                            for r, s in enumerate(samples)]
     report.slopes = slopes_from_rows(report.rows)
     return report
 

@@ -50,10 +50,10 @@ class ModelSection:
     architecture: str = "minigcn"
     input_bands: int = 0  # 0 = infer from the cube
     classes: int = 0      # 0 = infer from the split
-    gcn_hidden: int = 128
-    cnn_channels: tuple = (32, 64, 128)
-    fusion_fc: int = 128
-    patch_size: int = 7
+    gcn_hidden: int = ModelConfig.gcn_hidden
+    cnn_channels: tuple = ModelConfig.cnn_channels
+    fusion_fc: int = ModelConfig.fusion_fc
+    patch_size: int = ModelConfig.patch_size
 
 
 @dataclass
@@ -68,8 +68,8 @@ class TrainSection:
 
 @dataclass
 class GraphSection:
-    k: int = 10
-    sigma: float = 1.0
+    k: int = ModelConfig.graph_k
+    sigma: float = ModelConfig.graph_sigma
 
 
 @dataclass

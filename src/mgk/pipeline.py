@@ -4,8 +4,8 @@ This is the glue between the file formats and the math modules. The
 training graph is built on training pixels only. Each training step hands
 the model its batch as arrays: features, one-hot labels, patches, and the
 propagation operator of the subgraph the batch induces (for ``gcn``, the
-whole training graph). One ``induce_subgraph`` call per epoch induces
-every batch at once, and each step takes its batch's diagonal block of
+whole training graph). ``train_epoch`` induces an epoch's batches in one
+``induce_subgraph`` call, and each step takes its batch's diagonal block of
 that operator. Inference is inductive: ``predict_pixels`` reads only the
 normalized cube, and each inference chunk builds its own small KNN graph
 among the chunk's pixels with the (k, sigma) of the model's config, the
@@ -119,6 +119,40 @@ def fold_singleton_tail(batches: tuple) -> tuple:
     return batches
 
 
+def train_epoch(mdl: Model, state: AdamState, graph, features, labels_hot,
+                patches, budget, seed, lr, *, l2, bn_momentum) -> tuple:
+    """One training epoch over n nodes, in place on ``mdl`` and ``state``.
+
+    Draws the epoch's ``partition_epoch(n, budget, seed)`` and folds a
+    one-node tail into the batch before it. A graph model (``graph`` not
+    None) induces all batches in one ``induce_subgraph`` call and steps on
+    their diagonal blocks of its operator. Each batch takes one
+    ``loss_and_grads`` on its rows of ``features``, ``labels_hot`` and
+    ``patches`` (either may be None when the model does not use it), then
+    one ``adam_step`` at rate ``lr``. Returns the epoch's loss sum, each
+    batch's mean loss weighted by its size, and the n predicted classes.
+    ``train_model`` and ``mgk bench`` both run their epochs through here.
+    """
+    n = labels_hot.shape[0]
+    batches = fold_singleton_tail(partition_epoch(n, budget, seed))
+    props = [None] * len(batches)
+    if graph is not None:
+        props = induce_subgraph(graph, batches).prop_s.diagonal_blocks(
+            [ids.size for ids in batches])
+    loss_sum = 0.0
+    preds = np.empty(n, dtype=np.int64)
+    for ids, prop in zip(batches, props):
+        feats = features[ids] if graph is not None else None
+        p = patches[ids] if patches is not None else None
+        loss, grads, logits = loss_and_grads(
+            mdl, labels_hot[ids], feats, prop, p, l2=l2,
+            bn_momentum=bn_momentum)
+        adam_step(mdl.named_params(), grads, state, lr)
+        loss_sum += loss * ids.size
+        preds[ids] = np.argmax(logits, axis=1)
+    return loss_sum, preds
+
+
 @dataclass
 class TrainResult:
     model: Model
@@ -182,28 +216,14 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
 
     log_rows = []
     for epoch, lr in enumerate(lrs):
-        batches = fold_singleton_tail(
-            partition_epoch(n_train, budget, seeds[1 + epoch]))
-        props = [None] * len(batches)
-        if graph is not None:
-            props = induce_subgraph(graph, batches).prop_s.diagonal_blocks(
-                [ids.size for ids in batches])
-        epoch_loss = 0.0
-        preds = np.empty(n_train, dtype=np.int64)
-        for ids, prop in zip(batches, props):
-            feats = x_train[ids] if graph is not None else None
-            p = patches_train[ids] if patches_train is not None else None
-            try:
-                loss, grads, logits = loss_and_grads(
-                    mdl, labels_hot[ids], feats, prop, p, l2=l2,
-                    bn_momentum=bn_momentum)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}: {exc}") from exc
-            adam_step(mdl.named_params(), grads, state, lr)
-            epoch_loss += loss * ids.size
-            preds[ids] = np.argmax(logits, axis=1)
+        try:
+            loss_sum, preds = train_epoch(
+                mdl, state, graph, x_train, labels_hot, patches_train,
+                budget, seeds[1 + epoch], lr, l2=l2, bn_momentum=bn_momentum)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}: {exc}") from exc
         cm = accumulate(train_classes, preds, model_cfg.classes)
-        log_rows.append((epoch, lr, epoch_loss / n_train,
+        log_rows.append((epoch, lr, loss_sum / n_train,
                          overall_accuracy(cm)))
     return TrainResult(model=mdl, log_rows=log_rows)
 

@@ -5,22 +5,25 @@ Each architecture trains for two epochs on a tiny synthetic scene; the
 SHA-256 of its checkpoint, its sidecar and its formatted training log must
 equal the digests below. The trained model then predicts every pixel of
 the scene, and the SHA-256 of its eval-mode logits and of its predicted
-classes must equal theirs. A speed-up that reorders a floating-point sum,
-or rounds through another temporary, fails here instead of slipping
-through.
+classes must equal theirs, and so must the SHA-256 of the text and CSV
+reports that ``eval`` writes for its test pixels. The bytes of the
+``bias.csv`` that ``bias`` writes for the scene's training graph are
+pinned too. A speed-up that reorders a floating-point sum, or rounds
+through another temporary, fails here instead of slipping through.
 
 Other numpy versions, BLAS builds, BLAS kernels and BLAS thread counts
 round some products differently, so the digests only bind on the platform
 they were recorded on; elsewhere the test skips and names both platforms.
 To re-record after a change that accepts new bits, run
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_bitwise.py`` (the
-suite's one BLAS thread) and paste its output over ``RECORDED`` and
-``RECORDED_INFERENCE``.
+suite's one BLAS thread) and paste its output over ``RECORDED``,
+``RECORDED_INFERENCE``, ``RECORDED_EVAL`` and ``RECORDED_BIAS``.
 """
 
 import ctypes
 import glob
 import hashlib
+import io
 import os
 from unittest import mock
 
@@ -29,9 +32,12 @@ import pytest
 
 from mgk import pipeline
 from mgk.data import synth_scene
+from mgk.graph import build_knn_rbf_graph
+from mgk.metrics import report_text, write_report_csv
 from mgk.model import ARCHITECTURES, forward, save_model
-from mgk.pipeline import (dataset_from_parts, format_log_rows,
+from mgk.pipeline import (dataset_from_parts, evaluate_part, format_log_rows,
                           infer_model_config, predict_pixels, train_model)
+from mgk.sampler import estimator_bias_diagnostic, write_bias_csv
 
 # 33 train pixels at batch 8: four full batches and a one-node tail that
 # joins the batch before it; gcn trains all 33 as one batch.
@@ -44,6 +50,13 @@ TRAIN_KW = dict(epochs=2, batch=8, base_lr=0.01, l2=0.001, bn_momentum=0.9,
 # one chunk per group. funet-c also runs one-pixel chunks.
 PREDICT_CASES = [(arch, 10) for arch in ARCHITECTURES] + [("funet-c", 1)]
 PREDICT_GROUP_ROWS = 64
+
+# The eval reports cover the scene's test pixels at batch 10. The bias
+# diagnostic runs on the 33-pixel training graph at k=5 and sigma=1, at
+# budget 8 over 50 trials from seed 29.
+EVAL_BATCH = 10
+BIAS_GRAPH = (5, 1.0)
+BIAS_RUN = (8, 50, 29)
 
 RECORDED_PLATFORM = (
     'numpy 2.4.6, scipy-openblas 0.3.31.188.0, SkylakeX, BLAS threads 1')
@@ -109,6 +122,35 @@ RECORDED_INFERENCE = {
         '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
     ),
 }
+
+RECORDED_EVAL = {
+    'gcn': (
+        '9891cdd8e0de860ddc124cdbb954249fd27151557732dd801cd168d73fbb5b61',
+        '09a2d446db0c739601affba48c4b61935cdb7292c0559ad7f1ac68c2c87a275c',
+    ),
+    'minigcn': (
+        '9891cdd8e0de860ddc124cdbb954249fd27151557732dd801cd168d73fbb5b61',
+        '09a2d446db0c739601affba48c4b61935cdb7292c0559ad7f1ac68c2c87a275c',
+    ),
+    'cnn2d': (
+        '7b365a2764aebb30f49175518c5a987479b49ad12b3e231ce348be9dc540ad76',
+        'a0886987374abd7108b9c8c673b33ab682bc9f0b1702b819d33a207d0416f00b',
+    ),
+    'funet-a': (
+        '7b365a2764aebb30f49175518c5a987479b49ad12b3e231ce348be9dc540ad76',
+        'a0886987374abd7108b9c8c673b33ab682bc9f0b1702b819d33a207d0416f00b',
+    ),
+    'funet-m': (
+        '9891cdd8e0de860ddc124cdbb954249fd27151557732dd801cd168d73fbb5b61',
+        '09a2d446db0c739601affba48c4b61935cdb7292c0559ad7f1ac68c2c87a275c',
+    ),
+    'funet-c': (
+        '9891cdd8e0de860ddc124cdbb954249fd27151557732dd801cd168d73fbb5b61',
+        '09a2d446db0c739601affba48c4b61935cdb7292c0559ad7f1ac68c2c87a275c',
+    ),
+}
+RECORDED_BIAS = (
+    '6c38862ba8f71b417a2684b1cdcd74b2f93cf3b910378215f686b94eff6a8146')
 
 
 def blas_platform() -> str:
@@ -181,6 +223,26 @@ def inference_digests(mdl, ds, batch):
             hashlib.sha256(classes.tobytes()).hexdigest())
 
 
+def eval_report_digests(mdl, ds):
+    """(report text, report CSV) SHA-256 hex digests of the test-pixel
+    reports, made as ``eval`` makes its ``report_test`` files."""
+    cm = evaluate_part(mdl, ds, "test", batch=EVAL_BATCH)
+    csv_text = io.StringIO()
+    write_report_csv(cm, csv_text)
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (report_text(cm), csv_text.getvalue()))
+
+
+def bias_digest(ds):
+    """SHA-256 hex digest of ``bias.csv``, made as ``bias`` makes it."""
+    feats = ds.cube.pixels(ds.part_pixels("train")[0])
+    g = build_knn_rbf_graph(feats, *BIAS_GRAPH)
+    report = estimator_bias_diagnostic(g, *BIAS_RUN, features=feats)
+    buf = io.StringIO()
+    write_bias_csv(report, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def require_recorded_platform():
     here = blas_platform()
     if here != RECORDED_PLATFORM:
@@ -223,6 +285,20 @@ def test_inference_bits_match_recorded_digests(arch, batch, scene, trained):
         assert g == w, f"{arch} at batch {batch}: {what} changed"
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_eval_reports_match_recorded_digests(arch, scene, trained):
+    require_recorded_platform()
+    got = eval_report_digests(trained(arch).model, scene)
+    for what, g, w in zip(("report text", "report CSV"), got,
+                          RECORDED_EVAL[arch]):
+        assert g == w, f"{arch} eval {what} bytes changed"
+
+
+def test_bias_csv_matches_recorded_digest(scene):
+    require_recorded_platform()
+    assert bias_digest(scene) == RECORDED_BIAS, "bias.csv bytes changed"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -245,3 +321,6 @@ if __name__ == "__main__":
     show("RECORDED_INFERENCE", [
         (f"{arch}@{batch}", inference_digests(results[arch].model, ds, batch))
         for arch, batch in PREDICT_CASES])
+    show("RECORDED_EVAL", [(arch, eval_report_digests(results[arch].model, ds))
+                           for arch in ARCHITECTURES])
+    print(f"RECORDED_BIAS = (\n    {bias_digest(ds)!r})")

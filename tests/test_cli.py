@@ -839,6 +839,7 @@ def test_bench_times_every_mode_into_one_csv(tmp_path, capsys, monkeypatch):
     (["--n-grid", "8,64"], "n=8"),
     (["--d", "0"], "d=0"),
     (["--repeats", "2"], "got 2"),
+    (["--m", "1"], "m=1"),
 ])
 def test_bench_checks_every_mode_before_the_first_timing(
         tmp_path, capsys, monkeypatch, flags, named):

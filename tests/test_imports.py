@@ -8,6 +8,8 @@ The package's ``__init__.py`` is left out, since it imports to re-export;
 its ``__all__`` must list each public name it binds once, and no other,
 and each of those names must be loaded by the package, a script or the
 acceptance spec, so that no export lives only for its own unit tests.
+The bench times the trainer's own epoch, ``pipeline.train_epoch``, so it
+may neither import nor load the steps an epoch is made of.
 """
 
 import ast
@@ -22,6 +24,9 @@ SOURCES = sorted(path for path in [*(ROOT / "src" / "mgk").glob("*.py"),
                                    *(ROOT / "scripts").glob("*.py")]
                  if path.name != "__init__.py")
 SPEC = ROOT / "tests" / "test_acceptance.py"
+BENCH = ROOT / "src" / "mgk" / "bench.py"
+EPOCH_STEPS = ("partition_epoch", "induce_subgraph", "loss_and_grads",
+               "adam_step")
 
 
 def loaded_names(source: str) -> set:
@@ -99,3 +104,27 @@ def test_every_export_is_used_outside_init_and_unit_tests():
     used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
                          for path in [*SOURCES, SPEC]))
     assert sorted(set(mgk.__all__) - used) == []
+
+
+def imported_names(source: str) -> set:
+    """Names that the module's imports, at any depth, take from a module:
+    each part of ``import a.b`` and each name of ``from m import c``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {part for a in node.names for part in a.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_imported_names_covers_nested_and_aliased_imports():
+    source = "import a.b\ndef f():\n    from .c import d as e, g\n"
+    assert imported_names(source) == {"a", "b", "d", "g"}
+
+
+def test_bench_takes_no_step_of_the_training_epoch():
+    # a second copy of the training step in the bench would need these
+    source = BENCH.read_text(encoding="utf-8")
+    used = imported_names(source) | loaded_names(source)
+    assert sorted(set(EPOCH_STEPS) & used) == []

@@ -162,6 +162,35 @@ def test_minigcn_training_builds_only_the_batch_operators(small_ds):
         assert not got[joins].any()
 
 
+def test_train_model_runs_one_train_epoch_per_epoch(small_ds, monkeypatch):
+    # the graph is built before the first epoch, and each epoch is one
+    # train_epoch call on it, whose loss sum over the 24 train pixels gives
+    # the logged loss
+    real_graph = mgk.pipeline.build_knn_rbf_graph
+    real_epoch = mgk.pipeline.train_epoch
+    graphs, calls = [], []
+
+    def spy_graph(*args):
+        graphs.append(real_graph(*args))
+        return graphs[-1]
+
+    def spy_epoch(*args, **kwargs):
+        loss_sum, preds = real_epoch(*args, **kwargs)
+        graph, budget, lr = args[2], args[6], args[8]
+        calls.append((len(graphs), graph, budget, lr, loss_sum))
+        return loss_sum, preds
+
+    monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", spy_graph)
+    monkeypatch.setattr(mgk.pipeline, "train_epoch", spy_epoch)
+    result = train_model(small_ds, small_cfg(small_ds), **TRAIN_KW)
+    assert len(calls) == len(result.log_rows) == TRAIN_KW["epochs"]
+    for (built, graph, budget, lr, loss_sum), (_, logged_lr, loss, _) \
+            in zip(calls, result.log_rows):
+        assert (built, budget, lr) == (1, 16, logged_lr)
+        assert graph is graphs[0]
+        assert loss == loss_sum / 24
+
+
 def test_gcn_architecture_trains_full_batch(small_ds):
     cfg = small_cfg(small_ds, arch="gcn")
     result = train_model(small_ds, cfg, **{**TRAIN_KW, "batch": 5})
