@@ -106,13 +106,10 @@ class ModelConfig:
         return s * s * self.cnn_channels[2]
 
     def head_input_width(self) -> int:
-        if self.architecture in ("gcn", "minigcn"):
-            return self.gcn_hidden
-        if self.architecture == "cnn2d":
-            return self.cnn_flat_width()
-        if self.architecture == "funet-c":
-            return self.cnn_flat_width() + self.gcn_hidden
-        return self.gcn_hidden
+        if self.fusion_kind in ("additive", "multiplicative"):
+            return self.gcn_hidden  # the branches' common width
+        return (self.cnn_flat_width() * self.uses_patches
+                + self.gcn_hidden * self.uses_graph)
 
 
 class Model:
@@ -125,13 +122,6 @@ class Model:
 
     def named_params(self):
         return list(self.layers.items())
-
-    def num_params(self) -> int:
-        total = 0
-        for _, layer in self.named_params():
-            for fieldname in nn.TRAINABLE_FIELDS[layer.kind]:
-                total += getattr(layer, fieldname).size
-        return total
 
     def copy(self) -> "Model":
         return Model(self.cfg, {k: v.copy() for k, v in self.layers.items()})
@@ -347,7 +337,7 @@ def forward(model: Model, features=None, prop=None, patches=None,
         tapes.update(t)
     if cfg.fusion_kind is not None:
         fused = fuse(h_cnn, h_gcn, cfg.fusion_kind)
-        tapes["fusion"] = (h_cnn, h_gcn, cfg.fusion_kind)
+        tapes["fusion"] = (h_cnn, h_gcn)
     else:
         fused = h_cnn if h_gcn is None else h_gcn
     logits, t = head_forward(model, fused, mode, bn_momentum)
@@ -375,15 +365,14 @@ def loss_and_grads(model: Model, labels, features=None, prop=None,
     dlogits = nn.softmax_cross_entropy_backward(ce_tape)
     dfused = _head_backward(dlogits, tapes, grads)
     cfg = model.cfg
+    d_cnn = d_gcn = dfused
     if cfg.fusion_kind is not None:
-        h_cnn, h_gcn, kind = tapes["fusion"]
-        d_cnn, d_gcn = fuse_backward(dfused, h_cnn, h_gcn, kind)
+        d_cnn, d_gcn = fuse_backward(dfused, *tapes["fusion"],
+                                     cfg.fusion_kind)
+    if cfg.uses_patches:
         _cnn_branch_backward(d_cnn, tapes, grads)
+    if cfg.uses_graph:
         _gcn_branch_backward(d_gcn, tapes, grads)
-    elif cfg.uses_graph:
-        _gcn_branch_backward(dfused, tapes, grads)
-    else:
-        _cnn_branch_backward(dfused, tapes, grads)
     if l2 > 0:
         for name, layer in model.named_params():
             if layer.kind == "batch_norm":

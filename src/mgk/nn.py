@@ -1,10 +1,12 @@
 """Neural layers with hand-written forward/backward passes.
 
-Every forward returns ``(out, tape)`` where the tape holds exactly what the
-matching backward needs; backward returns ``(dx, grads)`` with grads keyed
-by the LayerParams field names. Batch norm, ReLU and max pooling take a
-``mode``: in eval mode they keep no tape, mask or argmax index, and batch
-norm and ReLU work in place. ``conv2d_param_grads`` and
+Every forward returns ``(out, tape)`` where the tape holds only what the
+matching backward reads; backward returns ``(dx, grads)`` with grads keyed
+by the LayerParams field names. fc, graph conv and conv2d share one product
+step, ``x @ W + b``, and its weight and bias gradients: graph conv applies
+it to ``prop @ h``, conv2d to its im2col columns. Batch norm, ReLU and max
+pooling take a ``mode``: in eval mode they keep no tape, mask or argmax
+index, and batch norm and ReLU work in place. ``conv2d_param_grads`` and
 ``batch_norm_param_grads`` return the same grads without ``dx``, for a
 model's first layers, whose input gradient nothing reads. No autograd, no
 framework: the layer set is small enough that explicit gradients stay
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,21 +31,16 @@ import numpy as np
 from .errors import ContractError, FormatError, ShapeError
 
 BN_EPS = 1e-5
-LAYER_KINDS = ("graph_conv", "conv2d", "fc", "batch_norm")
 
-# arrays serialized per kind, in order; also the trainable prefix
+# the layer kinds and the arrays each serializes, in order; its first two
+# arrays are the trainable ones
 _ARRAY_FIELDS = {
     "graph_conv": ("weights", "bias"),
     "conv2d": ("weights", "bias"),
     "fc": ("weights", "bias"),
     "batch_norm": ("bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var"),
 }
-TRAINABLE_FIELDS = {
-    "graph_conv": ("weights", "bias"),
-    "conv2d": ("weights", "bias"),
-    "fc": ("weights", "bias"),
-    "batch_norm": ("bn_gamma", "bn_beta"),
-}
+TRAINABLE_FIELDS = {kind: names[:2] for kind, names in _ARRAY_FIELDS.items()}
 
 
 @dataclass
@@ -59,7 +56,7 @@ class LayerParams:
     bn_running_var: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _ARRAY_FIELDS:
             raise ContractError(f"unknown layer kind {self.kind!r}")
         for name in _ARRAY_FIELDS[self.kind]:
             arr = getattr(self, name)
@@ -107,11 +104,7 @@ def make_fc(rng, d_in: int, d_out: int) -> LayerParams:
 
 
 def make_graph_conv(rng, d_in: int, d_out: int) -> LayerParams:
-    return LayerParams(
-        kind="graph_conv",
-        weights=glorot_uniform(rng, d_in, d_out, (d_in, d_out)),
-        bias=np.zeros(d_out),
-    )
+    return replace(make_fc(rng, d_in, d_out), kind="graph_conv")
 
 
 def make_conv2d(rng, kh: int, kw: int, c_in: int, c_out: int) -> LayerParams:
@@ -135,10 +128,25 @@ def make_batch_norm(width: int) -> LayerParams:
     )
 
 
+# ------------------------------------------------------------- product step
+
+def _affine(x, w, bias):
+    """x @ w + bias, with the bias added in place."""
+    out = x @ w
+    out += bias
+    return out
+
+
+def _affine_param_grads(dout, x) -> dict:
+    """The weights and bias gradients of ``_affine(x, w, bias)``."""
+    return {"weights": x.T @ dout, "bias": dout.sum(axis=0)}
+
+
 # ---------------------------------------------------------------- graph conv
 
 def graph_conv_forward(h, prop, p: LayerParams):
-    """out = prop @ h @ W + b. With prop = I this is exactly an FC layer."""
+    """out = (prop @ h) @ W + b: the product step on propagated features,
+    so with prop = I this is exactly an FC layer."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeError(f"vertex features must be 2-D, got {h.shape}")
@@ -147,21 +155,16 @@ def graph_conv_forward(h, prop, p: LayerParams):
             f"features {h.shape} do not match weights {p.weights.shape}"
         )
     s = prop @ h
-    out = s @ p.weights
-    out += p.bias
-    tape = TapeEntry("graph_conv", (h, s, prop, p.weights))
-    return out, tape
+    tape = TapeEntry("graph_conv", (s, prop, p.weights))
+    return _affine(s, p.weights, p.bias), tape
 
 
 def graph_conv_backward(dout, tape: TapeEntry):
     _check_tape(tape, "graph_conv")
-    h, s, prop, w = tape.cache
+    s, prop, w = tape.cache
     dout = np.asarray(dout, dtype=np.float64)
-    dw = s.T @ dout
-    db = dout.sum(axis=0)
-    ds = dout @ w.T
-    dh = prop @ ds  # prop is symmetric, so prop^T = prop
-    return dh, {"weights": dw, "bias": db}
+    # prop is symmetric, so prop^T = prop
+    return prop @ (dout @ w.T), _affine_param_grads(dout, s)
 
 
 # ------------------------------------------------------------------------ fc
@@ -172,16 +175,14 @@ def fully_connected_forward(x, p: LayerParams):
         raise ShapeError(
             f"input {x.shape} does not match weights {p.weights.shape}"
         )
-    out = x @ p.weights
-    out += p.bias
-    return out, TapeEntry("fc", (x, p.weights))
+    return _affine(x, p.weights, p.bias), TapeEntry("fc", (x, p.weights))
 
 
 def fully_connected_backward(dout, tape: TapeEntry):
     _check_tape(tape, "fc")
     x, w = tape.cache
     dout = np.asarray(dout, dtype=np.float64)
-    return dout @ w.T, {"weights": x.T @ dout, "bias": dout.sum(axis=0)}
+    return dout @ w.T, _affine_param_grads(dout, x)
 
 
 # ---------------------------------------------------------------------- relu
@@ -229,8 +230,7 @@ def conv2d_forward(x, p: LayerParams):
         xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
         cols = _im2col(xp, kh, kw)
     wmat = p.weights.reshape(kh * kw * c_in, c_out)
-    out = cols.reshape(-1, kh * kw * c_in) @ wmat
-    out += p.bias
+    out = _affine(cols.reshape(-1, kh * kw * c_in), wmat, p.bias)
     out = out.reshape(b, h, w, c_out)
     tape = TapeEntry("conv2d", (cols, p.weights.shape, wmat, x.shape))
     return out, tape
@@ -243,8 +243,9 @@ def conv2d_param_grads(dout, tape: TapeEntry) -> dict:
     cols, wshape, _, _ = tape.cache
     kh, kw, c_in, c_out = wshape
     dflat = np.asarray(dout, dtype=np.float64).reshape(-1, c_out)
-    dw = (cols.reshape(-1, kh * kw * c_in).T @ dflat).reshape(wshape)
-    return {"weights": dw, "bias": dflat.sum(axis=0)}
+    grads = _affine_param_grads(dflat, cols.reshape(-1, kh * kw * c_in))
+    grads["weights"] = grads["weights"].reshape(wshape)
+    return grads
 
 
 def conv2d_backward(dout, tape: TapeEntry):

@@ -132,7 +132,6 @@ class BiasReport:
     through a 1-wide probe weight so bias is a single number per vertex.
     """
 
-    vertex_ids: np.ndarray
     target: np.ndarray
     modes: dict
 
@@ -218,7 +217,7 @@ def estimator_bias_diagnostic(g: Graph, m: int, trials: int, seed,
         mc_mean = first[mode] + shift
         modes[mode] = BiasStats(mc_mean=mc_mean, bias=mc_mean - target,
                                 variance=var, stderr=np.sqrt(var / trials))
-    return BiasReport(vertex_ids=np.arange(n), target=target, modes=modes)
+    return BiasReport(target=target, modes=modes)
 
 
 BIAS_CSV_FIELDS = ("vertex_id", "target", "mc_mean", "bias", "stderr", "mode")
@@ -230,6 +229,5 @@ def write_bias_csv(report: BiasReport, fh) -> None:
     writer.writerow(BIAS_CSV_FIELDS)
     for mode, stats in report.modes.items():
         columns = (report.target, stats.mc_mean, stats.bias, stats.stderr)
-        for i in report.vertex_ids:
-            writer.writerow([int(i), *(repr(float(c[i])) for c in columns),
-                             mode])
+        for i, row in enumerate(zip(*columns)):
+            writer.writerow([i, *(repr(float(c)) for c in row), mode])

@@ -8,8 +8,10 @@ The package's ``__init__.py`` is left out, since it imports to re-export;
 its ``__all__`` must list each public name it binds once, and no other,
 and each of those names must be loaded by the package, a script or the
 acceptance spec, so that no export lives only for its own unit tests.
-The bench times the trainer's own epoch, ``pipeline.train_epoch``, so it
-may neither import nor load the steps an epoch is made of.
+The same holds for each public method or property of a public class,
+which ``perfbench/``'s harness may load too. The bench times the
+trainer's own epoch, ``pipeline.train_epoch``, so it may neither import
+nor load the steps an epoch is made of.
 """
 
 import ast
@@ -24,6 +26,7 @@ SOURCES = sorted(path for path in [*(ROOT / "src" / "mgk").glob("*.py"),
                                    *(ROOT / "scripts").glob("*.py")]
                  if path.name != "__init__.py")
 SPEC = ROOT / "tests" / "test_acceptance.py"
+HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 BENCH = ROOT / "src" / "mgk" / "bench.py"
 EPOCH_STEPS = ("partition_epoch", "induce_subgraph", "loss_and_grads",
                "adam_step")
@@ -104,6 +107,36 @@ def test_every_export_is_used_outside_init_and_unit_tests():
     used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
                          for path in [*SOURCES, SPEC]))
     assert sorted(set(mgk.__all__) - used) == []
+
+
+def public_methods(source: str) -> list:
+    """``Class.name`` of each method or property, without a leading
+    underscore, of each top-level class without one."""
+    return [f"{node.name}.{item.name}"
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
+def test_public_methods_skips_private_classes_and_methods():
+    source = ("class A:\n    x = 1\n    def f(self): pass\n"
+              "    @property\n    def g(self): pass\n"
+              "    def _h(self): pass\n"
+              "class _B:\n    def f(self): pass\n"
+              "def k():\n    pass\n")
+    assert public_methods(source) == ["A.f", "A.g"]
+
+
+def test_every_public_method_is_used_outside_unit_tests():
+    # a private class is exempt: argparse and item assignment call its hooks
+    used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                         for path in [*SOURCES, *HARNESS, SPEC]))
+    unused = [name for path in SOURCES
+              for name in public_methods(path.read_text(encoding="utf-8"))
+              if name.split(".")[1] not in used]
+    assert unused == []
 
 
 def imported_names(source: str) -> set:

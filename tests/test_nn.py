@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import bits, dense_to_sparse, fd_grad, rel_err
 from mgk.errors import ContractError, FormatError, ShapeError
+from mgk.graph import build_knn_rbf_graph, renormalized_propagation
 from mgk.linalg import SparseSymMatrix
 from mgk.model import build, loss_and_grads
 from mgk import model as mgk_model, nn
@@ -54,6 +56,37 @@ def test_graph_conv_with_identity_prop_is_fc():
     fc_p = nn.LayerParams(kind="fc", weights=p.weights, bias=p.bias)
     fc_out, _ = nn.fully_connected_forward(h, fc_p)
     assert np.array_equal(gc_out, fc_out)
+    # on a KNN operator it is fc on the propagated features, bit for bit,
+    # and its input gradient is prop @ fc's
+    feats = rng.normal(size=(12, 3))
+    prop = renormalized_propagation(build_knn_rbf_graph(feats, 4,
+                                                        1.0).adjacency)
+    h = rng.normal(size=(12, 3))
+    dout = rng.normal(size=(12, 4))
+    gc_out, gc_tape = nn.graph_conv_forward(h, prop, p)
+    fc_out, fc_tape = nn.fully_connected_forward(prop @ h, fc_p)
+    assert np.array_equal(bits(gc_out), bits(fc_out))
+    dh, gc_grads = nn.graph_conv_backward(dout, gc_tape)
+    dx, fc_grads = nn.fully_connected_backward(dout, fc_tape)
+    assert np.array_equal(bits(dh), bits(prop @ dx))
+    for name in ("weights", "bias"):
+        assert np.array_equal(bits(gc_grads[name]), bits(fc_grads[name]))
+
+
+def test_graph_conv_train_tape_keeps_no_reference_to_its_input():
+    # backward reads prop @ h, never h, so the tape lets h go
+    rng = np.random.default_rng(3)
+    p = nn.make_graph_conv(rng, 3, 4)
+    feats = rng.normal(size=(8, 3))
+    prop = renormalized_propagation(build_knn_rbf_graph(feats, 3,
+                                                        1.0).adjacency)
+    h = rng.normal(size=(8, 3))
+    ref = weakref.ref(h)
+    _, tape = nn.graph_conv_forward(h, prop, p)
+    del h
+    assert ref() is None
+    dh, _ = nn.graph_conv_backward(np.ones((8, 4)), tape)
+    assert dh.shape == (8, 3)
 
 
 def test_conv2d_1x1_is_elementwise():
