@@ -53,7 +53,11 @@ class BenchRow:
 @dataclass
 class ScalingReport:
     rows: list = field(default_factory=list)
-    slopes: dict = field(default_factory=dict)
+
+    @property
+    def slopes(self) -> dict:
+        """Log-log slope per mode, fitted to the medians of ``rows``."""
+        return slopes_from_rows(self.rows)
 
 
 def _autorange(sample, min_sample=0.02):
@@ -161,7 +165,6 @@ def run_scaling(mode: str, n_grid=DEFAULT_N_GRID, d: int = 64, p: int = 16,
         for name, samples in timed.items():
             report.rows += [BenchRow(name, n, d, p, 0 if full else m, r, s)
                             for r, s in enumerate(samples)]
-    report.slopes = slopes_from_rows(report.rows)
     return report
 
 

@@ -212,13 +212,9 @@ def _model_cfg(cfg: RunConfig, ds: Dataset) -> ModelConfig:
                               graph_k=cfg.graph.k, graph_sigma=cfg.graph.sigma)
 
 
-def _train(cfg: RunConfig, ds: Dataset, seed=None):
-    t = cfg.train
-    return train_model(
-        ds, _model_cfg(cfg, ds), epochs=t.epochs, batch=t.batch,
-        base_lr=t.base_lr, l2=t.l2, bn_momentum=t.bn_momentum,
-        seed=t.seed if seed is None else seed,
-    )
+def _train(cfg: RunConfig, ds: Dataset):
+    return train_model(ds, _model_cfg(cfg, ds),
+                       **dataclasses.asdict(cfg.train))
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -273,7 +269,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args) -> int:
     _require(cfg, "checkpoint")
     ds = _load_ds(cfg)
     result = _train(cfg, ds)
@@ -291,14 +287,14 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
+def cmd_eval(cfg: RunConfig, args) -> int:
     check_inference_batch(cfg.train.batch)
     _require(cfg, "checkpoint")
     mdl = load_model(cfg.paths.checkpoint)
-    cm = evaluate_part(mdl, _load_ds(cfg), part, batch=cfg.train.batch)
+    cm = evaluate_part(mdl, _load_ds(cfg), args.part, batch=cfg.train.batch)
     out = _out_dir(cfg)
-    csv_path = os.path.join(out, f"report_{part}.csv")
-    txt_path = os.path.join(out, f"report_{part}.txt")
+    csv_path = os.path.join(out, f"report_{args.part}.csv")
+    txt_path = os.path.join(out, f"report_{args.part}.txt")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         write_report_csv(cm, fh)
     text = report_text(cm)
@@ -310,7 +306,7 @@ def cmd_eval(cfg: RunConfig, part: str = "test") -> int:
     return 0
 
 
-def cmd_predict_map(cfg: RunConfig) -> int:
+def cmd_predict_map(cfg: RunConfig, args) -> int:
     check_inference_batch(cfg.train.batch)
     _require(cfg, "cube", "checkpoint")
     mdl = load_model(cfg.paths.checkpoint)
@@ -342,26 +338,27 @@ def cmd_predict_map(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> int:
     ds = _load_ds(cfg)
     n_train = ds.part_pixels("train")[0].size
     uses_graph = _model_cfg(cfg, ds).uses_graph  # whole grid, before any cell
-    for k in k_grid:
+    for k in args.k_grid:
         if k < 1 or (uses_graph and k >= n_train):
             raise ConfigError(f"--k-grid value {k} is outside "
                               f"1 <= k < {n_train} (train pixels)")
-    for sigma in sigma_grid:
+    for sigma in args.sigma_grid:
         if not 0 < sigma < np.inf:
             raise ConfigError(f"--sigma-grid value {sigma} must be positive "
                               "and finite")
     out = _out_dir(cfg)
     rows = []
-    for ki, k in enumerate(k_grid):
-        for si, sigma in enumerate(sigma_grid):
+    for ki, k in enumerate(args.k_grid):
+        for si, sigma in enumerate(args.sigma_grid):
             cell = copy.deepcopy(cfg)
             cell.graph.k = int(k)
             cell.graph.sigma = float(sigma)
-            result = _train(cell, ds, seed=[cfg.train.seed, ki, si])
+            cell.train.seed = [cfg.train.seed, ki, si]
+            result = _train(cell, ds)
             cm = evaluate_part(result.model, ds, "test",
                                batch=cell.train.batch)
             oa = overall_accuracy(cm)
@@ -376,20 +373,20 @@ def cmd_sweep(cfg: RunConfig, k_grid, sigma_grid) -> int:
     return 0
 
 
-def cmd_bias(cfg: RunConfig, budget, trials: int) -> int:
-    if trials < 2:
-        raise ConfigError(f"--trials must be >= 2, got {trials}")
+def cmd_bias(cfg: RunConfig, args) -> int:
+    if args.trials < 2:
+        raise ConfigError(f"--trials must be >= 2, got {args.trials}")
     ds = _load_ds(cfg)
     train_ids, _ = ds.part_pixels("train")
-    m = budget if budget else min(cfg.train.batch, train_ids.size)
+    m = args.budget if args.budget else min(cfg.train.batch, train_ids.size)
     if not 1 <= m <= train_ids.size:
-        flag = "--budget" if budget else "train.batch"
+        flag = "--budget" if args.budget else "train.batch"
         raise ConfigError(f"{flag} must satisfy 1 <= m <= "
                           f"{train_ids.size} train pixels, got {m}")
     feats = ds.cube.pixels(train_ids)
     g = build_knn_rbf_graph(feats, cfg.graph.k, cfg.graph.sigma)
     report = sampler_mod.estimator_bias_diagnostic(
-        g, m, trials, cfg.train.seed, features=feats
+        g, m, args.trials, cfg.train.seed, features=feats
     )
     out = _out_dir(cfg)
     bias_path = os.path.join(out, "bias.csv")
@@ -402,24 +399,20 @@ def cmd_bias(cfg: RunConfig, budget, trials: int) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig, modes, n_grid, d, p, m, repeats) -> int:
+def cmd_bench(cfg: RunConfig, args) -> int:
+    scaling = dict(n_grid=args.n_grid, d=args.d, p=args.p, m=args.m,
+                   repeats=args.repeats)
     # every mode's arguments are checked before the first one is timed
-    bench_mod.check_scaling_args(modes, n_grid, d, p, m, repeats)
-    out = _out_dir(cfg) if (cfg.paths.output or cfg.paths.checkpoint) else "."
-    all_rows = []
-    slopes = {}
-    for mode in modes:
-        report = bench_mod.run_scaling(
-            mode, n_grid=n_grid, d=d, p=p, m=m, repeats=repeats,
-            seed=cfg.train.seed,
-        )
-        all_rows.extend(report.rows)
-        slopes.update(report.slopes)
+    bench_mod.check_scaling_args(args.modes, **scaling)
+    out = _out_dir(cfg)
+    report = bench_mod.ScalingReport()
+    for mode in args.modes:
+        report.rows += bench_mod.run_scaling(mode, seed=cfg.train.seed,
+                                             **scaling).rows
     bench_path = os.path.join(out, "bench.csv")
-    merged = bench_mod.ScalingReport(rows=all_rows, slopes=slopes)
     with open(bench_path, "w", encoding="utf-8", newline="") as fh:
-        bench_mod.write_csv(merged, fh)
-    for mode, slope in slopes.items():
+        bench_mod.write_csv(report, fh)
+    for mode, slope in report.slopes.items():
         print(f"{mode}: log-log slope {slope:.3f}")
     print(f"wrote {bench_path}")
     return 0
@@ -447,30 +440,29 @@ def build_parser() -> _Parser:
                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
+    def command(name, handler):
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON config file; dotted flags override it")
+        p.set_defaults(handler=handler)
+        return p
 
-    with_config(sub.add_parser("train", allow_abbrev=False))
-    p_eval = sub.add_parser("eval", allow_abbrev=False)
-    with_config(p_eval)
-    p_eval.add_argument("--part", choices=("train", "test"), default="test")
-    with_config(sub.add_parser("predict-map", allow_abbrev=False))
+    command("train", cmd_train)
+    command("eval", cmd_eval).add_argument(
+        "--part", choices=("train", "test"), default="test")
+    command("predict-map", cmd_predict_map)
 
-    p_sweep = sub.add_parser("sweep", allow_abbrev=False)
-    with_config(p_sweep)
+    p_sweep = command("sweep", cmd_sweep)
     p_sweep.add_argument("--k-grid", type=_int_list, default=(5, 10, 15))
     p_sweep.add_argument("--sigma-grid", type=_float_list,
                          default=(0.5, 1.0, 2.0))
 
-    p_bias = sub.add_parser("bias", allow_abbrev=False)
-    with_config(p_bias)
+    p_bias = command("bias", cmd_bias)
     p_bias.add_argument("--budget", type=int, default=0,
                         help="node budget m (default: train.batch)")
     p_bias.add_argument("--trials", type=int, default=1000)
 
-    p_bench = sub.add_parser("bench", allow_abbrev=False)
-    with_config(p_bench)
+    p_bench = command("bench", cmd_bench)
     p_bench.add_argument("--modes", type=lambda s: tuple(s.split(",")),
                          default=("full-gcn", "minigcn"))
     p_bench.add_argument("--n-grid", type=_int_list,
@@ -499,21 +491,8 @@ def run(argv) -> int:
             raise ConfigError(f"unrecognized arguments: {extras}")
         args.seed = _env_seed(args.seed, "--seed")
         return cmd_synth(args)
-    cfg = load_run_config(args.config, parse_overrides(extras))
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "eval":
-        return cmd_eval(cfg, part=args.part)
-    if args.command == "predict-map":
-        return cmd_predict_map(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, args.k_grid, args.sigma_grid)
-    if args.command == "bias":
-        return cmd_bias(cfg, args.budget, args.trials)
-    if args.command == "bench":
-        return cmd_bench(cfg, args.modes, args.n_grid, args.d, args.p,
-                         args.m, args.repeats)
-    raise ConfigError(f"unknown command {args.command!r}")
+    return args.handler(load_run_config(args.config, parse_overrides(extras)),
+                        args)
 
 
 def main(argv=None) -> int:

@@ -295,6 +295,8 @@ def _check_inputs(model: Model, features, prop, patches):
                 "propagation operator"
             )
         shape = np.shape(features)
+        if len(shape) != 2:
+            raise ShapeError(f"features must be 2-D, got shape {shape}")
         if shape[1] != cfg.input_bands:
             raise ShapeError(
                 f"features have {shape[1]} bands, model expects "
@@ -304,7 +306,10 @@ def _check_inputs(model: Model, features, prop, patches):
     if cfg.uses_patches:
         if patches is None:
             raise ContractError(f"{cfg.architecture} needs image patches")
-        sizes.add(np.asarray(patches).shape[0])
+        shape = np.shape(patches)
+        if len(shape) != 4:
+            raise ShapeError(f"patches must be 4-D, got shape {shape}")
+        sizes.add(shape[0])
     if len(sizes) > 1:
         raise ContractError(
             f"patch rows and vertex rows disagree: {sorted(sizes)}"

@@ -81,10 +81,8 @@ class Dataset:
 
 
 def load_dataset(cube_path, labels_path, split_path) -> Dataset:
-    cube = normalize_bands(load_cube(cube_path))
-    grid = load_labels(labels_path)
-    split = load_split(split_path)
-    return Dataset(cube=cube, grid=grid, split=split)
+    return dataset_from_parts(load_cube(cube_path), load_labels(labels_path),
+                              load_split(split_path))
 
 
 def dataset_from_parts(cube, grid, split) -> Dataset:

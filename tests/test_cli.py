@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import inspect
 import json
 import os
 
@@ -854,6 +857,90 @@ def test_bench_checks_every_mode_before_the_first_timing(
     assert captured.out == ""
     assert named in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def train_model_calls(monkeypatch, then):
+    """Spy on the CLI's ``train_model``: each call's arguments, bound to
+    its signature, are appended to the returned list before ``then``
+    runs with them."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(mgk.pipeline.train_model)
+                     .bind(*args, **kwargs).arguments)
+        return then(*args, **kwargs)
+
+    monkeypatch.setattr(mgk.cli, "train_model", spy)
+    return calls
+
+
+class StopBeforeTraining(Exception):
+    pass
+
+
+def test_train_hands_train_model_every_train_field(scene_dir, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    chosen = dict(epochs=3, batch=8, base_lr=0.02, l2=0.005, bn_momentum=0.8,
+                  seed=5)
+    defaults = dataclasses.asdict(RunConfig().train)
+    assert set(chosen) == set(defaults)
+    assert all(chosen[name] != defaults[name] for name in chosen)
+
+    def stop(*args, **kwargs):
+        raise StopBeforeTraining
+
+    calls = train_model_calls(monkeypatch, stop)
+    with pytest.raises(StopBeforeTraining):
+        run(["train", *data_flags(scene_dir),
+             f"--paths.checkpoint={tmp_path / 'model.mgkp'}",
+             *(f"--train.{name}={value}" for name, value in chosen.items())])
+    (bound,) = calls
+    assert {name: value for name, value in bound.items()
+            if name not in ("ds", "model_cfg")} == chosen
+
+
+def test_sweep_trains_each_cell_with_its_seed_and_graph(scene_dir, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    calls = train_model_calls(monkeypatch, mgk.pipeline.train_model)
+    assert run(["sweep", "--k-grid", "5,8", "--sigma-grid", "0.5,1.0",
+                *data_flags(scene_dir), f"--paths.output={tmp_path}",
+                *FAST_MODEL, *FAST_TRAIN, "--train.epochs=1",
+                "--train.seed=3"]) == 0
+    capsys.readouterr()
+    cells = [(list(c["seed"]), c["model_cfg"].graph_k,
+              c["model_cfg"].graph_sigma) for c in calls]
+    assert cells == [([3, 0, 0], 5, 0.5), ([3, 0, 1], 5, 1.0),
+                     ([3, 1, 0], 8, 0.5), ([3, 1, 1], 8, 1.0)]
+
+
+def test_bench_prints_the_slopes_of_the_rows_it_wrote(tmp_path, capsys,
+                                                      monkeypatch):
+    # each timed pass gets its own seconds, so every mode fits its own slope
+    passes = []
+
+    def fake_timing(fn, repeats):
+        passes.append(fn)
+        return [len(passes) ** 2 * (1.0 + 0.1 * r) for r in range(repeats)]
+
+    monkeypatch.setattr(mgk.bench, "_time_pass", fake_timing)
+    out = tmp_path / "bench"
+    assert run(["bench", "--n-grid", "64,128,256", "--d", "8", "--p", "4",
+                "--m", "16", "--repeats", "3",
+                f"--paths.output={out}"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(out / "bench.csv", encoding="utf-8", newline="") as fh:
+        rows = [mgk.bench.BenchRow(
+            row["mode"], *(int(row[f]) for f in ("n", "d", "p", "m",
+                                                 "repeat")),
+            float(row["seconds"])) for row in csv.DictReader(fh)]
+    assert len(rows) == 3 * 3 * 3
+    slopes = mgk.bench.slopes_from_rows(rows)
+    assert list(slopes) == ["full-gcn", "full-gcn-sparse", "minigcn"]
+    assert printed == [f"{mode}: log-log slope {slope:.3f}"
+                       for mode, slope in slopes.items()] + [
+        f"wrote {out / 'bench.csv'}"]
 
 
 def test_class_map_rgb_palette_rules():

@@ -8,10 +8,11 @@ The package's ``__init__.py`` is left out, since it imports to re-export;
 its ``__all__`` must list each public name it binds once, and no other,
 and each of those names must be loaded by the package, a script or the
 acceptance spec, so that no export lives only for its own unit tests.
-The same holds for each public method or property of a public class,
-which ``perfbench/``'s harness may load too. The bench times the
-trainer's own epoch, ``pipeline.train_epoch``, so it may neither import
-nor load the steps an epoch is made of.
+The same holds for each public top-level function, class and constant
+of ``src/mgk`` and ``scripts/``, and for each public method or property
+of a public class, which ``perfbench/``'s harness may load too. The
+bench times the trainer's own epoch, ``pipeline.train_epoch``, so it may
+neither import nor load the steps an epoch is made of.
 """
 
 import ast
@@ -107,6 +108,34 @@ def test_every_export_is_used_outside_init_and_unit_tests():
     used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
                          for path in [*SOURCES, SPEC]))
     assert sorted(set(mgk.__all__) - used) == []
+
+
+def public_definitions(source: str) -> list:
+    """Names without a leading underscore that the module's top-level
+    ``def``, ``class`` and assignment statements bind."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in bound if not name.startswith("_")]
+
+
+def test_public_definitions_skips_imports_and_private_names():
+    source = ("import os\nfrom .a import b\nX = 1\n_Y = 2\n"
+              "def f():\n    w = 4\ndef _g(): pass\n"
+              "class C:\n    v = 5\nclass _D: pass\n")
+    assert public_definitions(source) == ["X", "f", "C"]
+
+
+def test_every_public_definition_is_used_outside_unit_tests():
+    used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                         for path in [*SOURCES, *HARNESS, SPEC]))
+    unused = [f"{path.name}:{name}" for path in SOURCES
+              for name in public_definitions(path.read_text(encoding="utf-8"))
+              if name not in used]
+    assert unused == []
 
 
 def public_methods(source: str) -> list:

@@ -175,6 +175,26 @@ def test_forward_validates_batch_contents():
         forward(build(toy_cfg("gcn")), feats, prop, None, mode="test")
 
 
+@pytest.mark.parametrize("arch, features, patches, named", [
+    ("minigcn", np.zeros(4), None, r"features .*\(4,\)"),
+    ("minigcn", np.zeros((2, 3, 5)), None, r"features .*\(2, 3, 5\)"),
+    ("funet-c", np.float64(1.0), "ok", r"features .*\(\)"),
+    ("cnn2d", None, np.float64(1.0), r"patches .*\(\)"),
+    ("cnn2d", None, np.zeros((2, 3, 3)), r"patches .*\(2, 3, 3\)"),
+    ("funet-a", "ok", np.zeros(6), r"patches .*\(6,\)"),
+], ids=["1d-features", "3d-features", "0d-features", "0d-patches",
+        "3d-patches", "1d-patches"])
+def test_forward_refuses_features_or_patches_of_the_wrong_rank(
+        arch, features, patches, named):
+    rng = np.random.default_rng(1)
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    features = feats if isinstance(features, str) else features
+    if isinstance(patches, str):
+        patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    with pytest.raises(ShapeError, match=named):
+        forward(build(toy_cfg(arch)), features, prop, patches=patches)
+
+
 def test_funet_a_forward_composes_from_branches():
     rng = np.random.default_rng(3)
     model = build(toy_cfg("funet-a"), seed=5)
