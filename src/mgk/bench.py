@@ -1,4 +1,4 @@
-"""Wall-time scaling measurement for the two training regimes.
+"""CPU-time scaling measurement for the two training regimes.
 
 For each graph size N the harness builds a KNN graph on seeded random
 points with ``build_knn_rbf_graph`` (untimed), then times:
@@ -13,8 +13,10 @@ points with ``build_knn_rbf_graph`` (untimed), then times:
 
 A step is the whole ``minigcn`` model's (d bands, p hidden units, seeded
 random labels) forward, backward and Adam step; each size's timed calls
-train one model on one partition. Per-pass seconds come from autoranged
-inner loops; the slope of log(time) against log(N) is the headline.
+train one model on one partition. Per-pass seconds are the process's CPU
+seconds (``time.process_time``) over autoranged inner loops, so time that
+another process holds the core is not counted; the slope of log(time)
+against log(N) is the headline.
 """
 
 from __future__ import annotations
@@ -74,12 +76,13 @@ def _autorange(sample, min_sample=0.02):
 
 
 def _time_pass(fn, repeats: int) -> list:
-    """Per-call seconds of ``fn()``, one value per repeat."""
+    """Per-call CPU seconds of ``fn()``, one value per repeat. The process's
+    CPU clock does not count time that another process holds the core."""
     def sample(inner):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(inner):
             fn()
-        return time.perf_counter() - t0
+        return time.process_time() - t0
 
     inner = _autorange(sample)
     samples = []

@@ -326,10 +326,11 @@ def normalize_bands(cube: SpectralCube) -> SpectralCube:
 
 # ----------------------------------------------------------------- patching
 
-def extract_patches(cube: SpectralCube, pixel_ids, size: int = 7
-                    ) -> np.ndarray:
-    """(len(pixel_ids), size, size, bands) float64 patches centered at
-    linear row-major pixel ids, in one gather.
+def patch_rows_cols(cube: SpectralCube, pixel_ids, size: int) -> tuple:
+    """The image rows and columns that the size x size patches centered at
+    linear row-major pixel ids read: ``(rr, cc)``, each ``(len(pixel_ids),
+    size)``, so that cell (a, b) of patch i is pixel ``(rr[i, a], cc[i,
+    b])``.
 
     Coordinates outside the image replicate the nearest edge pixel, so an
     image smaller than the patch repeats its edges. size must be odd.
@@ -338,8 +339,16 @@ def extract_patches(cube: SpectralCube, pixel_ids, size: int = 7
         raise ContractError(f"patch size must be odd and >= 1, got {size}")
     rows, cols = np.divmod(_pixel_ids(cube, pixel_ids), cube.width)
     offsets = np.arange(size) - size // 2
-    rr = np.clip(rows[:, None] + offsets, 0, cube.height - 1)
-    cc = np.clip(cols[:, None] + offsets, 0, cube.width - 1)
+    return (np.clip(rows[:, None] + offsets, 0, cube.height - 1),
+            np.clip(cols[:, None] + offsets, 0, cube.width - 1))
+
+
+def extract_patches(cube: SpectralCube, pixel_ids, size: int = 7
+                    ) -> np.ndarray:
+    """(len(pixel_ids), size, size, bands) float64 patches centered at
+    linear row-major pixel ids, in one gather of ``patch_rows_cols``'
+    pixels."""
+    rr, cc = patch_rows_cols(cube, pixel_ids, size)
     return cube.values[rr[:, :, None], cc[:, None, :]].astype(np.float64)
 
 

@@ -11,18 +11,21 @@ One builder takes ``(n, bands)`` features for one graph, or
 graph, vertex ``q*c + i`` being row i of chunk q; inference builds its
 chunk graphs that way. The builder never holds an n x n array. It takes
 Gram products over whole chunks, or rows of one chunk, at a time (at most
-``KNN_GRAM_ENTRIES`` entries), each one batched ``matmul`` so that a 2-D
-product cannot go to syrk. A BLAS may round a Gram entry differently in a
-product of another row count (OpenBLAS 0.3.31 does for chunk sizes c that
-are not a multiple of 8), so that constant fixes the output bits. The
-distance work on a Gram block (fill, k-th distance partition, candidate
-selection) runs in sub-blocks of at most ``KNN_BLOCK_ENTRIES`` entries
-that stay in cache, each filled into one reused buffer; it is row-local,
-so the output does not depend on that constant. Each row keeps its k
-nearest (lower vertex index first among equal distances); a block's
-candidates are sorted only when a tie at some row's k-th distance gives
-that row more than k. Each edge is weighted from the distance its block
-computed.
+``KNN_GRAM_ENTRIES`` entries), each one batched ``matmul``. numpy takes a
+whole chunk's product with its own transpose through syrk and then copies
+the computed triangle to the other, so each row of a Gram buffer of c >=
+128 columns is padded to an odd number of 64-byte lines: at a power-of-two
+row stride (8 KiB at c = 1024) that copy thrashes the cache. A BLAS may
+round a Gram entry differently in a product of another row count
+(OpenBLAS 0.3.31 does for chunk sizes c that are not a multiple of 8), so
+that constant fixes the output bits. The distance work on a Gram block
+(fill, k-th distance partition, candidate selection) runs in sub-blocks
+of at most ``KNN_BLOCK_ENTRIES`` entries that stay in cache, each filled
+into one reused buffer; it is row-local, so the output does not depend
+on that constant. Each row keeps its k nearest (lower vertex index first
+among equal distances); a block's candidates are sorted only when a tie
+at some row's k-th distance gives that row more than k. Each edge is
+weighted from the distance its block computed.
 
 A ``Graph`` is its order and adjacency. Graph convolution propagates
 through ``renormalized_propagation`` of an adjacency (self-loops added,
@@ -40,8 +43,8 @@ from .errors import ContractError, ShapeError
 from .linalg import SparseSymMatrix
 
 # Gram entries per batched product of the KNN build (one row if a chunk is
-# larger), 8 MiB of float64. The product's bits may depend on its row count,
-# so changing this may change the graph's bits.
+# larger), 8 MiB of float64 before each row's padding. The product's bits
+# may depend on its row count, so changing this may change the graph's bits.
 KNN_GRAM_ENTRIES = 1 << 20
 # Distances per sub-block of a Gram block: 1 MiB of float64 per temporary,
 # so the distance buffer and the partition's copy stay in a core's L2. The
@@ -131,13 +134,17 @@ def _knn_edges(x, k: int) -> tuple:
     # buffers sized for the first (largest) Gram block and sub-block hold
     # each block and sub-block in turn, so that two are never alive at once
     q0, q1, start, stop = blocks[0]
-    buffer = np.empty((q1 - q0, stop - start, c))
+    # rows of 16 or more 64-byte lines are padded to an odd number of lines
+    # (see the module docstring); shorter rows stay contiguous, which their
+    # sub-block arithmetic runs faster on
+    width = c if c < 128 else 8 * (-(-c // 8) | 1)
+    buffer = np.empty((q1 - q0, stop - start, width))
     p0, p1, s0, s1 = _blocks(q1 - q0, stop - start, c, KNN_BLOCK_ENTRIES)[0]
     fill = np.empty((p1 - p0) * (s1 - s0) * c)
     for q0, q1, start, stop in blocks:
         xb = x[q0:q1]
         gram = np.matmul(xb[:, start:stop], xb.transpose(0, 2, 1),
-                         out=buffer[:q1 - q0, :stop - start])
+                         out=buffer[:q1 - q0, :stop - start, :c])
         sq_cols = sq[q0:q1, None, :]
         sq_rows = sq[q0:q1, start:stop, None]
         for p0, p1, s0, s1 in _blocks(q1 - q0, stop - start, c,

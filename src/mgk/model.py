@@ -19,7 +19,10 @@ both branches.
 
 The model takes its inputs as arrays: the graph branch reads a batch's
 vertex features and the propagation operator of the batch's graph, the
-spatial branch its image patches, and the loss its one-hot labels. A
+spatial branch its image patches, and the loss its one-hot labels. In eval
+mode the spatial branch may instead read ``TapPatches``: the patches as
+image positions, whose block-1 tap products (``block1_taps``) are shared
+between the patches that overlap there; inference hands it those. A
 ``Model``'s layer table is kept in layer order, the order ``build`` gives
 and of the checkpoint's blocks. ``ModelConfig`` also holds the (k, sigma)
 of the KNN graphs its graph branch was trained on, which inference uses
@@ -191,6 +194,27 @@ def fuse_backward(dout, h_cnn, h_gcn, kind: str):
 
 # ------------------------------------------------------------------ branches
 
+@dataclass(frozen=True)
+class TapPatches:
+    """Patches as image positions, for an eval-mode forward: cell (a, b) of
+    patch n is position ``cells[n, a, b]``, and row p of ``taps`` is
+    position p's ``block1_taps`` under the model that reads them."""
+
+    taps: np.ndarray
+    cells: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of the patches, whose bands the taps do not hold."""
+        return self.cells.shape + (None,)
+
+
+def block1_taps(model: Model, pixels) -> np.ndarray:
+    """Block 1's tap products of ``(blocks, positions, bands)`` pixels: one
+    product per block, so a position's bits depend on its block alone."""
+    return nn.conv2d_taps(pixels, model.layers["cnn.block1.conv"])
+
+
 class _NoTapes:
     """Eval mode's tape table: it keeps nothing, so temporaries die early."""
 
@@ -226,20 +250,29 @@ def _gcn_branch_backward(dh, tapes, grads):
 
 
 def cnn_branch_forward(model: Model, patches, mode="eval", bn_momentum=0.9):
+    """The spatial branch on a ``(rows, size, size, bands)`` patch array, or
+    in eval mode on ``TapPatches``, whose block-1 conv sums shared tap
+    products instead of running its own product."""
     cfg = model.cfg
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 4 or patches.shape[1] != cfg.patch_size \
-            or patches.shape[2] != cfg.patch_size \
-            or patches.shape[3] != cfg.input_bands:
+    if not isinstance(patches, TapPatches):
+        patches = np.asarray(patches, dtype=np.float64)
+    elif mode != "eval":
+        raise ContractError("TapPatches feed eval-mode forwards only")
+    shape = np.shape(patches)
+    if len(shape) != 4 or shape[1:3] != (cfg.patch_size, cfg.patch_size) \
+            or shape[3] not in (cfg.input_bands, None):
         raise ShapeError(
-            f"patches {patches.shape} do not match configured "
+            f"patches {shape} do not match configured "
             f"{cfg.patch_size}x{cfg.patch_size}x{cfg.input_bands}"
         )
     L = model.layers
     tapes = {} if mode == "train" else _NO_TAPES
     h = patches
     for blk in ("cnn.block1", "cnn.block2", "cnn.block3"):
-        h, tapes[f"{blk}.conv"] = nn.conv2d_forward(h, L[f"{blk}.conv"])
+        if isinstance(h, TapPatches):
+            h = nn.conv2d_from_taps(h.taps, h.cells, L[f"{blk}.conv"])
+        else:
+            h, tapes[f"{blk}.conv"] = nn.conv2d_forward(h, L[f"{blk}.conv"])
         h, tapes[f"{blk}.bn"] = nn.batch_norm_forward(h, L[f"{blk}.bn"],
                                                       mode, bn_momentum)
         h, tapes[f"{blk}.pool"] = nn.maxpool2x2_forward(h, mode)
@@ -322,7 +355,8 @@ def forward(model: Model, features=None, prop=None, patches=None,
 
     A graph architecture reads the batch's ``(rows, bands)`` vertex
     features and ``prop``, the propagation operator of its graph; a patch
-    architecture reads its ``(rows, size, size, bands)`` patches. Eval mode
+    architecture reads its ``(rows, size, size, bands)`` patches, or in
+    eval mode its ``TapPatches``. Eval mode
     is side-effect free (running stats untouched) and returns
     (logits, None): it keeps no tapes, and works in place only in arrays
     that it allocated, never in its inputs.

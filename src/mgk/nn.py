@@ -4,9 +4,12 @@ Every forward returns ``(out, tape)`` where the tape holds only what the
 matching backward reads; backward returns ``(dx, grads)`` with grads keyed
 by the LayerParams field names. fc, graph conv and conv2d share one product
 step, ``x @ W + b``, and its weight and bias gradients: graph conv applies
-it to ``prop @ h``, conv2d to its im2col columns. Batch norm, ReLU and max
-pooling take a ``mode``: in eval mode they keep no tape, mask or argmax
-index, and batch norm and ReLU work in place. ``conv2d_param_grads`` and
+it to ``prop @ h``, conv2d to its im2col columns. For inference over
+overlapping patches, ``conv2d_taps`` multiplies each image position by
+every kernel tap once and ``conv2d_from_taps`` sums each patch's conv
+output from those products. Batch norm, ReLU and max pooling take a
+``mode``: in eval mode they keep no tape, mask or argmax index, and batch
+norm and ReLU work in place. ``conv2d_param_grads`` and
 ``batch_norm_param_grads`` return the same grads without ``dx``, for a
 model's first layers, whose input gradient nothing reads. No autograd, no
 framework: the layer set is small enough that explicit gradients stay
@@ -263,6 +266,44 @@ def conv2d_backward(dout, tape: TapeEntry):
                 dcols[..., (i * kw + j) * c_in:(i * kw + j + 1) * c_in]
     dx = dxp[:, ph:ph + h, pw:pw + w, :]
     return dx, grads
+
+
+def conv2d_taps(x, p: LayerParams) -> np.ndarray:
+    """Every kernel tap's product with every position of x: ``(blocks,
+    positions, kh*kw, c_out)`` for x ``(blocks, positions, c_in)``, tap
+    ``i*kw + j`` being ``x @ W[i, j]``. Each block is its own product, so a
+    position's bits depend on its block alone, not on the blocks beside it.
+    """
+    kh, kw, c_in, c_out = p.weights.shape
+    wall = p.weights.transpose(2, 0, 1, 3).reshape(c_in, kh * kw * c_out)
+    out = np.matmul(np.asarray(x, dtype=np.float64), wall)
+    return out.reshape(*out.shape[:2], kh * kw, c_out)
+
+
+def conv2d_from_taps(taps, cells, p: LayerParams) -> np.ndarray:
+    """``conv2d_forward`` of patches given as positions, from the
+    positions' ``conv2d_taps``, without a tape: cell (a, b) of patch n is
+    position ``cells[n, a, b]``, a row of ``taps`` ``(positions, kh*kw,
+    c_out)``.
+
+    Output cell (a, b) is the bias plus, in tap order, tap (i, j) of the
+    cell (a + i - kh//2, b + j - kw//2) for each tap whose cell lies inside
+    the patch: the patch's own zero padding drops the other taps. Patches
+    that overlap share their positions' products, so an image position is
+    multiplied by the kernel once, not once per patch that holds it.
+    """
+    kh, kw, _, c_out = p.weights.shape
+    n, h, w = cells.shape
+    out = np.empty((n, h, w, c_out))
+    out[...] = p.bias
+    for i in range(kh):
+        for j in range(kw):
+            di, dj = i - kh // 2, j - kw // 2
+            a0, a1 = max(0, -di), min(h, h - di)
+            b0, b1 = max(0, -dj), min(w, w - dj)
+            out[:, a0:a1, b0:b1] += taps[
+                cells[:, a0 + di:a1 + di, b0 + dj:b1 + dj], i * kw + j]
+    return out
 
 
 # ------------------------------------------------------------------- maxpool

@@ -12,8 +12,11 @@ among the chunk's pixels with the (k, sigma) of the model's config, the
 values its training graph was built with. For graph-only models, up to
 ``PREDICT_GROUP_ROWS`` rows of full chunks are built as one stacked,
 block-diagonal graph and run through one forward; the logits are bitwise
-those of one chunk at a time. Everything downstream of a seed is
-deterministic, including the training log and checkpoint bytes.
+those of one chunk at a time. Patch models do not cut patches for
+inference: block 1 of the spatial branch sums tap products that each image
+row gets once (``_RowTaps``), shared by every patch that overlaps the row.
+Everything downstream of a seed is deterministic, including the training
+log and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -23,18 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
-                   load_cube, load_labels, load_split, normalize_bands)
+                   load_cube, load_labels, load_split, normalize_bands,
+                   patch_rows_cols)
 from .errors import ConfigError, ContractError, NumericError
 from .graph import build_knn_rbf_graph, renormalized_propagation
 from .linalg import SparseSymMatrix
 from .metrics import ConfusionMatrix, accumulate, overall_accuracy
-from .model import Model, ModelConfig, build, loss_and_grads, predict
+from .model import (Model, ModelConfig, TapPatches, block1_taps, build,
+                    loss_and_grads, predict)
 from .optim import AdamState, adam_step, schedule_lr
 from .sampler import induce_subgraph, partition_epoch
 
 # Rows per inference group of a graph-only model's full chunks; at least
 # one chunk.
 PREDICT_GROUP_ROWS = 1024
+# The largest float64 patch tensor of the train pixels that training will
+# allocate, in bytes (2 GiB).
+PATCH_BYTES_MAX = 1 << 31
 
 
 def check_labels_match(cube: SpectralCube, grid: LabelGrid) -> None:
@@ -167,8 +175,9 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     batches, re-drawn each epoch; a one-node last batch joins the one before
     it. Graph architectures induce an epoch's batches in one call and step
     on its diagonal blocks, each bitwise its batch's own operator. Bitwise
-    reproducible for a fixed seed. Values that cannot train, and a model
-    that does not fit the data, are refused before any work.
+    reproducible for a fixed seed. Values that cannot train, a model that
+    does not fit the data, and a patch size whose train patches would take
+    more than ``PATCH_BYTES_MAX`` bytes are refused before any work.
     """
     if epochs < 0:
         raise ContractError(f"epochs must be >= 0, got {epochs}")
@@ -196,6 +205,12 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     if model_cfg.uses_graph and model_cfg.graph_k >= n_train:
         raise ContractError(f"graph_k={model_cfg.graph_k} is not below the "
                             f"{n_train} train pixels")
+    size = model_cfg.patch_size
+    patch_bytes = n_train * size * size * model_cfg.input_bands * 8
+    if model_cfg.uses_patches and patch_bytes > PATCH_BYTES_MAX:
+        raise ContractError(
+            f"model.patch_size={size} needs {patch_bytes} bytes of patches "
+            f"for the {n_train} train pixels; the limit is {PATCH_BYTES_MAX}")
     labels_hot = _one_hot(train_classes, model_cfg.classes)
 
     x_train = graph = None
@@ -241,6 +256,46 @@ def check_inference_batch(batch: int) -> None:
         raise ContractError(f"inference batch must be >= 1, got {batch}")
 
 
+class _RowTaps:
+    """Block 1's tap products of whole rows of a cube, kept for one model's
+    inference while the current group's patches read them.
+
+    A row is read as its pixels' 1x1 patches and multiplied in one product
+    of its own (``block1_taps``), so a position's bits depend on its row
+    alone: not on which pixels are asked for, in what order or chunks. The
+    rows live in the slots of one buffer, which grows to the most rows one
+    group reads; a row that the next group reads again keeps its slot.
+    """
+
+    def __init__(self, mdl: Model, cube: SpectralCube):
+        self.mdl, self.cube = mdl, cube
+        self.slot = np.full(cube.height, -1)  # each kept row's slot, or -1
+        self.rows = block1_taps(mdl, np.empty((0, cube.width, cube.bands)))
+
+    def patches(self, ids) -> TapPatches:
+        width = self.cube.width
+        rr, cc = patch_rows_cols(self.cube, ids, self.mdl.cfg.patch_size)
+        read = np.zeros(self.cube.height, dtype=bool)
+        read[rr] = True
+        self.slot[~read] = -1
+        new = np.flatnonzero(read & (self.slot < 0))
+        free = np.setdiff1d(np.arange(len(self.rows)), self.slot[read])
+        if free.size < new.size:
+            grow = np.empty((new.size - free.size,) + self.rows.shape[1:])
+            free = np.append(free, np.arange(len(self.rows),
+                                             len(self.rows) + len(grow)))
+            self.rows = np.concatenate([self.rows, grow])
+        self.slot[new] = free[:new.size]
+        if new.size:
+            pixels = extract_patches(
+                self.cube, (new[:, None] * width + np.arange(width)).ravel(),
+                1)
+            self.rows[self.slot[new]] = block1_taps(
+                self.mdl, pixels.reshape(new.size, width, -1))
+        cells = (self.slot[rr] * width)[:, :, None] + cc[:, None, :]
+        return TapPatches(self.rows.reshape(-1, *self.rows.shape[2:]), cells)
+
+
 def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
                    batch: int) -> np.ndarray:
     """Zero-based predicted classes for arbitrary pixels of a normalized
@@ -257,6 +312,11 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     multiplies a single row as a vector, whose sums may differ in the last
     bit from a matrix product's. Each chunk keeps its own graph and eval
     mode acts row by row, so the logits do not depend on the grouping.
+    A patch architecture's block 1 reads ``TapPatches`` from one
+    ``_RowTaps`` for the whole call, which keeps each image row's tap
+    products while the current group's patches read that row; its logits
+    differ in the last bits from a forward over ``extract_patches``'
+    patches, and do not depend on the pixel order or chunking either.
     """
     check_inference_batch(batch)
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
@@ -270,16 +330,17 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     if full < size:
         groups.append((full, size, size - full))
     out = np.empty(size, dtype=np.int64)
+    taps = _RowTaps(mdl, cube) if cfg.uses_patches else None
     for start, stop, c in groups:
         ids = pixel_ids[start:stop]
-        prop = feats = None
+        prop = feats = patches = None
         if cfg.uses_graph:
             feats = cube.pixels(ids)
             prop = chunk_prop(feats.reshape(-1, c, feats.shape[1]),
                               cfg.graph_k, cfg.graph_sigma)
-        p = extract_patches(cube, ids, cfg.patch_size) \
-            if cfg.uses_patches else None
-        out[start:stop] = predict(mdl, feats, prop, p)
+        if taps is not None:
+            patches = taps.patches(ids)
+        out[start:stop] = predict(mdl, feats, prop, patches)
     return out
 
 

@@ -8,7 +8,8 @@ the scene, and the SHA-256 of its eval-mode logits and of its predicted
 classes must equal theirs, and so must the SHA-256 of the text and CSV
 reports that ``eval`` writes for its test pixels. The bytes of the
 ``bias.csv`` that ``bias`` writes for the scene's training graph are
-pinned too. A speed-up that reorders a floating-point sum, or rounds
+pinned too, and so are the operator triplets of one 1024-pixel inference
+chunk, the chunk size of the ``gcn`` maps. A speed-up that reorders a floating-point sum, or rounds
 through another temporary, fails here instead of slipping through.
 
 Other numpy versions, BLAS builds, BLAS kernels and BLAS thread counts
@@ -17,7 +18,8 @@ they were recorded on; elsewhere the test skips and names both platforms.
 To re-record after a change that accepts new bits, run
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_bitwise.py`` (the
 suite's one BLAS thread) and paste its output over ``RECORDED``,
-``RECORDED_INFERENCE``, ``RECORDED_EVAL`` and ``RECORDED_BIAS``.
+``RECORDED_INFERENCE``, ``RECORDED_EVAL``, ``RECORDED_BIAS`` and
+``RECORDED_CHUNK``.
 """
 
 import ctypes
@@ -35,8 +37,9 @@ from mgk.data import synth_scene
 from mgk.graph import build_knn_rbf_graph
 from mgk.metrics import report_text, write_report_csv
 from mgk.model import ARCHITECTURES, forward, save_model
-from mgk.pipeline import (dataset_from_parts, evaluate_part, format_log_rows,
-                          infer_model_config, predict_pixels, train_model)
+from mgk.pipeline import (chunk_prop, dataset_from_parts, evaluate_part,
+                          format_log_rows, infer_model_config, predict_pixels,
+                          train_model)
 from mgk.sampler import estimator_bias_diagnostic, write_bias_csv
 
 # 33 train pixels at batch 8: four full batches and a one-node tail that
@@ -57,6 +60,13 @@ PREDICT_GROUP_ROWS = 64
 EVAL_BATCH = 10
 BIAS_GRAPH = (5, 1.0)
 BIAS_RUN = (8, 50, 29)
+
+# One inference chunk of 1024 pixels: every pixel of a 32x32 scene, as one
+# chunk graph at the default k and sigma. At this chunk size each row of
+# the KNN build's Gram buffer is 8 KiB long.
+CHUNK_SCENE = dict(classes=4, size=32, bands=32, noise_sigma=0.02, seed=7,
+                   train_per_class=5)
+CHUNK_GRAPH = (10, 1.0)
 
 RECORDED_PLATFORM = (
     'numpy 2.4.6, scipy-openblas 0.3.31.188.0, SkylakeX, BLAS threads 1')
@@ -102,23 +112,23 @@ RECORDED_INFERENCE = {
         '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
     ),
     'cnn2d@10': (
-        'c2f80e67b5115fe012afd5162483fde0e864a646e69e526e5e5bf3f3dc8d4c30',
+        '404d6e086b7147690fd43a4745d16c6ca18920a9264bfa6e8a455a0abe3e6673',
         '469c4a821fb8faead36ca6abe1dd618d5f8fff25399414c21e8ce91dcd50b0c4',
     ),
     'funet-a@10': (
-        '27317c0e63fe17ab330955be93928062f2e12aad6cfda10b52676cc12243466d',
+        '0baade3e25aff7101a86ceb3055b90480a12536177fd983c6567b88d52a043c4',
         '469c4a821fb8faead36ca6abe1dd618d5f8fff25399414c21e8ce91dcd50b0c4',
     ),
     'funet-m@10': (
-        '4819f469f746fbcc140c54961aa91d2f4b55918050e1827fa4f05f23efe482f2',
+        'b68272019a48f072e9ad0502c21a8ba1a66bd6092a8c30d1b5318647b09b4e0d',
         '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
     ),
     'funet-c@10': (
-        'bab6baaf480d4981e9828cce5c0fc27ec67a3c32d800827b9a2e73b68d6e9e88',
+        'dc133c4ccb536b9af1873b9645f1028e1847c0092d335c579640c0896e621c12',
         '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
     ),
     'funet-c@1': (
-        '259896191999a1fcb0df4b7b9596b270ea48441c8e0c28c93e7674130e72013b',
+        '21fce15b2ca942273d94facd0f480bee50f20d1c5a817da649d1037309193a0d',
         '2ee97c1cafdffee1e694c8f40c137962d99e6a3793cbde36a77dcd5114f9031b',
     ),
 }
@@ -151,6 +161,8 @@ RECORDED_EVAL = {
 }
 RECORDED_BIAS = (
     '6c38862ba8f71b417a2684b1cdcd74b2f93cf3b910378215f686b94eff6a8146')
+RECORDED_CHUNK = (
+    '9d2383b32f86d5078e5342fc398fc4fecf63ec21cebb0770a240397880b38641')
 
 
 def blas_platform() -> str:
@@ -243,6 +255,19 @@ def bias_digest(ds):
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def chunk_digest():
+    """SHA-256 hex digest of the (rows, cols, vals) triplets of
+    ``chunk_prop`` over the 1024 pixels of ``CHUNK_SCENE`` as one chunk."""
+    ds = dataset_from_parts(*synth_scene(**CHUNK_SCENE))
+    feats = ds.cube.pixels(np.arange(ds.cube.height * ds.cube.width))
+    prop = chunk_prop(feats[None], *CHUNK_GRAPH)
+    h = hashlib.sha256()
+    for arr, dtype in ((prop.rows, "<i8"), (prop.cols, "<i8"),
+                       (prop.vals, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
 def require_recorded_platform():
     here = blas_platform()
     if here != RECORDED_PLATFORM:
@@ -299,6 +324,11 @@ def test_bias_csv_matches_recorded_digest(scene):
     assert bias_digest(scene) == RECORDED_BIAS, "bias.csv bytes changed"
 
 
+def test_1024_pixel_chunk_operator_matches_recorded_digest():
+    require_recorded_platform()
+    assert chunk_digest() == RECORDED_CHUNK, "chunk operator bits changed"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -324,3 +354,4 @@ if __name__ == "__main__":
     show("RECORDED_EVAL", [(arch, eval_report_digests(results[arch].model, ds))
                            for arch in ARCHITECTURES])
     print(f"RECORDED_BIAS = (\n    {bias_digest(ds)!r})")
+    print(f"RECORDED_CHUNK = (\n    {chunk_digest()!r})")

@@ -256,6 +256,27 @@ def test_values_that_cannot_train_exit_1_before_any_work(
     assert not ckpt.exists()
 
 
+def test_oversized_patch_size_exits_1_before_any_work(scene_dir, tmp_path,
+                                                      capsys, monkeypatch):
+    # 24 train pixels of 6 bands in 99999 x 99999 patches would take 11.5
+    # TB; nothing is allocated, since every allocating step is stubbed
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the patch size was checked")
+
+    for name in ("build_knn_rbf_graph", "extract_patches", "build"):
+        monkeypatch.setattr(mgk.pipeline, name, no_work)
+    ckpt = tmp_path / "m.mgkp"
+    assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
+                 *FAST_MODEL, *FAST_TRAIN, "--model.architecture=funet-c",
+                 "--model.patch_size=99999"]) == 1
+    assert capsys.readouterr().err == (
+        "error: model.patch_size=99999 needs 11519769601152 bytes of patches "
+        "for the 24 train pixels; the limit is 2147483648\n")
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("flag, message", [
     ("--model.classes=2", "model.classes=2 is below the split's 3 classes"),
     ("--model.input_bands=5", "model.input_bands=5 is not the cube's 6 bands"),

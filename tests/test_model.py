@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from conftest import FD_H, fd_grad, random_graph, rel_err
 from mgk.errors import ConfigError, ContractError, ShapeError
 from mgk import nn
-from mgk.model import (ARCHITECTURES, Model, ModelConfig, build,
-                       cnn_branch_forward, forward, fuse, fuse_backward,
-                       gcn_branch_forward, head_forward, load_model,
-                       loss_and_grads, predict, save_model)
+from mgk.model import (ARCHITECTURES, Model, ModelConfig, TapPatches,
+                       block1_taps, build, cnn_branch_forward, forward, fuse,
+                       fuse_backward, gcn_branch_forward, head_forward,
+                       load_model, loss_and_grads, predict, save_model)
 from mgk.sampler import induce_subgraph
 
 
@@ -193,6 +193,29 @@ def test_forward_refuses_features_or_patches_of_the_wrong_rank(
         patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
     with pytest.raises(ShapeError, match=named):
         forward(build(toy_cfg(arch)), features, prop, patches=patches)
+
+
+@pytest.mark.parametrize("arch", ["cnn2d", "funet-c"])
+def test_eval_forward_reads_tap_patches_as_the_patches_they_stand_for(arch):
+    # each patch's cells are its own positions, so the shared taps are the
+    # per-patch conv's products summed in another order
+    rng = np.random.default_rng(31)
+    model = build(toy_cfg(arch), seed=14)
+    randomize_batch_norms(model, rng)
+    feats, prop, _ = graph_batch(rng, 6, TOY["input_bands"], TOY["classes"])
+    if not model.cfg.uses_graph:
+        feats = prop = None
+    patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    cells = np.arange(patches[..., 0].size).reshape(patches.shape[:3])
+    taps = block1_taps(model, patches.reshape(6, -1, TOY["input_bands"]))
+    shared = TapPatches(taps.reshape(-1, *taps.shape[2:]), cells)
+    want, _ = forward(model, feats, prop, patches, mode="eval")
+    got, _ = forward(model, feats, prop, shared, mode="eval")
+    assert rel_err(got, want) <= 1e-13
+    with pytest.raises(ContractError, match="eval"):
+        forward(model, feats, prop, shared, mode="train")
+    with pytest.raises(ShapeError, match=r"patches \(6, 3, 2, None\)"):
+        forward(model, feats, prop, TapPatches(taps, cells[:, :, :2]))
 
 
 def test_funet_a_forward_composes_from_branches():

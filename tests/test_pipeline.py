@@ -1,19 +1,22 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import mgk.graph
 import mgk.model
 import mgk.pipeline
 import mgk.sampler
-from mgk.data import LabelGrid, SplitSpec, synth_scene
+from mgk import nn
+from mgk.data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
+                      synth_scene)
 from mgk.errors import ConfigError, ContractError, NumericError
 from mgk.metrics import overall_accuracy
 from mgk.graph import build_knn_rbf_graph, renormalized_propagation
-from mgk.model import ARCHITECTURES, build, save_model
-from mgk.pipeline import (Dataset, chunk_prop, dataset_from_parts,
+from mgk.model import ARCHITECTURES, ModelConfig, build, save_model
+from mgk.pipeline import (Dataset, _RowTaps, chunk_prop, dataset_from_parts,
                           evaluate_part,
                           fold_singleton_tail, format_log_rows,
                           infer_model_config, predict_pixels, train_model)
@@ -321,6 +324,69 @@ def test_grouped_inference_peaks_no_higher_than_one_wide_chunk(map_ds):
     assert peaks[0] <= peaks[1]
 
 
+def patch_model(rng, bands, size, c1):
+    """A cnn2d model whose block-1 conv has random weights and bias."""
+    mdl = build(ModelConfig("cnn2d", input_bands=bands, classes=2,
+                            cnn_channels=(c1, 2, 2), fusion_fc=2,
+                            patch_size=size), seed=rng.integers(2**32))
+    mdl.layers["cnn.block1.conv"].bias = rng.normal(size=c1)
+    return mdl
+
+
+# The reference is the training path's block 1, the per-patch conv of
+# extract_patches. The shared path sums the same products in another
+# order, so each output must be within 1e-14 of the sum of its terms'
+# magnitudes (the conv of |patches| by |W|, plus |bias|).
+@seed(26)
+@settings(max_examples=80, database=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4),
+       st.sampled_from([1, 3, 5, 7, 9]), st.integers(1, 3),
+       st.integers(1, 12), st.sampled_from(["rows", "shuffled", "sparse"]),
+       st.integers(0, 2**32 - 1))
+def test_shared_block1_matches_the_per_patch_conv(height, width, bands, size,
+                                                 c1, batch, order, seed_):
+    rng = np.random.default_rng(seed_)
+    cube = SpectralCube(rng.random((height, width, bands), dtype=np.float32))
+    mdl = patch_model(rng, bands, size, c1)
+    conv = mdl.layers["cnn.block1.conv"]
+    magnitude = nn.LayerParams("conv2d", weights=np.abs(conv.weights),
+                               bias=np.abs(conv.bias))
+    n = height * width
+    ids = {"rows": np.arange(n), "shuffled": rng.permutation(n),
+           "sparse": rng.choice(n, rng.integers(1, n + 1), replace=False)
+           }[order]
+    taps = _RowTaps(mdl, cube)
+    for start in range(0, ids.size, batch):
+        chunk = ids[start:start + batch]
+        shared = taps.patches(chunk)
+        got = nn.conv2d_from_taps(shared.taps, shared.cells, conv)
+        patches = extract_patches(cube, chunk, size)
+        want, _ = nn.conv2d_forward(patches, conv)
+        scale, _ = nn.conv2d_forward(np.abs(patches), magnitude)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_shared_block1_keeps_only_the_rows_a_group_reads():
+    # a map of an image 8 times as tall peaks no higher: the tap products
+    # of a 32-px-wide image at 32 channels are 72 KiB a row, 9 MiB for
+    # the whole tall image, while one 32-px chunk's patches read 7 rows
+    rng = np.random.default_rng(5)
+    mdl = patch_model(rng, 8, 7, 32)
+    randomize_batch_norms(mdl, rng)
+    peaks = []
+    for height in (16, 128):
+        cube = SpectralCube(rng.random((height, 32, 8), dtype=np.float32))
+        ids = np.arange(height * 32)
+        tracemalloc.start()
+        try:
+            predict_pixels(mdl, cube, ids, batch=32)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_chunk_prop_clamps_k_and_gives_singletons_the_identity():
     feats = np.random.default_rng(3).random((3, 4, 2))
     got = chunk_prop(feats, 10, 1.0)
@@ -396,6 +462,33 @@ def test_folded_batches_hold_at_least_two_nodes(nm, seed):
     else:
         assert len(folded) == len(batches) - 1
         assert folded[-1].size == m + 1
+
+
+def test_patch_tensor_above_its_byte_limit_fails_before_any_work(
+        small_ds, monkeypatch):
+    class Started(Exception):
+        pass
+
+    def sentinel(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(mgk.pipeline, "extract_patches", sentinel)
+    monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", sentinel)
+    # 24 train pixels of 6 bands: a 5 x 5 patch tensor is 28800 bytes
+    monkeypatch.setattr(mgk.pipeline, "PATCH_BYTES_MAX", 28800)
+    for arch in ("cnn2d", "funet-c"):
+        cfg = small_cfg(small_ds, arch)
+        with pytest.raises(Started):
+            train_model(small_ds, dataclasses.replace(cfg, patch_size=5),
+                        **TRAIN_KW)
+        with pytest.raises(ContractError, match=(
+                r"^model.patch_size=7 needs 56448 bytes of patches for the "
+                r"24 train pixels; the limit is 28800$")):
+            train_model(small_ds, dataclasses.replace(cfg, patch_size=7),
+                        **TRAIN_KW)
+    minigcn = dataclasses.replace(small_cfg(small_ds), patch_size=7)
+    with pytest.raises(Started):  # a graph-only model reads no patches
+        train_model(small_ds, minigcn, **TRAIN_KW)
 
 
 def test_node_budget_below_two_fails_before_any_work(small_ds, monkeypatch):
