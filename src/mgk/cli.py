@@ -339,6 +339,7 @@ def cmd_predict_map(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    check_inference_batch(cfg.train.batch)
     ds = _load_ds(cfg)
     n_train = ds.part_pixels("train")[0].size
     uses_graph = _model_cfg(cfg, ds).uses_graph  # whole grid, before any cell

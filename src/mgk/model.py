@@ -22,7 +22,9 @@ vertex features and the propagation operator of the batch's graph, the
 spatial branch its image patches, and the loss its one-hot labels. In eval
 mode the spatial branch may instead read ``TapPatches``: the patches as
 image positions, whose block-1 tap products (``block1_taps``) are shared
-between the patches that overlap there; inference hands it those. A
+between the patches that overlap there; inference hands it those.
+``forward`` checks every input's shape once, before either branch runs,
+and the branches and the head write their tapes into its one table. A
 ``Model``'s layer table is kept in layer order, the order ``build`` gives
 and of the checkpoint's blocks. ``ModelConfig`` also holds the (k, sigma)
 of the KNN graphs its graph branch was trained on, which inference uses
@@ -221,23 +223,19 @@ class _NoTapes:
     def __setitem__(self, name, tape):
         pass
 
-    def update(self, tapes):
-        pass
-
 
 _NO_TAPES = _NoTapes()
 
 
-def gcn_branch_forward(model: Model, x, prop, mode="eval", bn_momentum=0.9):
+def _gcn_branch_forward(model: Model, x, prop, tapes, mode, bn_momentum):
     L = model.layers
-    tapes = {} if mode == "train" else _NO_TAPES
     h, tapes["gcn.bn_in"] = nn.batch_norm_forward(x, L["gcn.bn_in"], mode,
                                                   bn_momentum)
     h, tapes["gcn.conv"] = nn.graph_conv_forward(h, prop, L["gcn.conv"])
     h, tapes["gcn.bn_out"] = nn.batch_norm_forward(h, L["gcn.bn_out"], mode,
                                                    bn_momentum)
     h, tapes["gcn.relu"] = nn.relu_forward(h, mode)
-    return h, tapes
+    return h
 
 
 def _gcn_branch_backward(dh, tapes, grads):
@@ -249,24 +247,11 @@ def _gcn_branch_backward(dh, tapes, grads):
     grads["gcn.bn_in"] = nn.batch_norm_param_grads(dh, tapes["gcn.bn_in"])
 
 
-def cnn_branch_forward(model: Model, patches, mode="eval", bn_momentum=0.9):
-    """The spatial branch on a ``(rows, size, size, bands)`` patch array, or
-    in eval mode on ``TapPatches``, whose block-1 conv sums shared tap
-    products instead of running its own product."""
-    cfg = model.cfg
-    if not isinstance(patches, TapPatches):
-        patches = np.asarray(patches, dtype=np.float64)
-    elif mode != "eval":
-        raise ContractError("TapPatches feed eval-mode forwards only")
-    shape = np.shape(patches)
-    if len(shape) != 4 or shape[1:3] != (cfg.patch_size, cfg.patch_size) \
-            or shape[3] not in (cfg.input_bands, None):
-        raise ShapeError(
-            f"patches {shape} do not match configured "
-            f"{cfg.patch_size}x{cfg.patch_size}x{cfg.input_bands}"
-        )
+def _cnn_branch_forward(model: Model, patches, tapes, mode, bn_momentum):
+    """The spatial branch on a patch array, or on ``TapPatches``, whose
+    block-1 conv sums shared tap products instead of running its own
+    product."""
     L = model.layers
-    tapes = {} if mode == "train" else _NO_TAPES
     h = patches
     for blk in ("cnn.block1", "cnn.block2", "cnn.block3"):
         if isinstance(h, TapPatches):
@@ -278,7 +263,7 @@ def cnn_branch_forward(model: Model, patches, mode="eval", bn_momentum=0.9):
         h, tapes[f"{blk}.pool"] = nn.maxpool2x2_forward(h, mode)
         h, tapes[f"{blk}.relu"] = nn.relu_forward(h, mode)
     tapes["cnn.flatten_shape"] = h.shape
-    return h.reshape(h.shape[0], -1), tapes
+    return h.reshape(h.shape[0], -1)
 
 
 def _cnn_branch_backward(dflat, tapes, grads):
@@ -296,15 +281,14 @@ def _cnn_branch_backward(dflat, tapes, grads):
         dh, tapes["cnn.block1.conv"])
 
 
-def head_forward(model: Model, h, mode="eval", bn_momentum=0.9):
+def _head_forward(model: Model, h, tapes, mode, bn_momentum):
     L = model.layers
-    tapes = {} if mode == "train" else _NO_TAPES
     h, tapes["head.fc1"] = nn.fully_connected_forward(h, L["head.fc1"])
     h, tapes["head.bn"] = nn.batch_norm_forward(h, L["head.bn"], mode,
                                                 bn_momentum)
     h, tapes["head.relu"] = nn.relu_forward(h, mode)
     logits, tapes["head.fc2"] = nn.fully_connected_forward(h, L["head.fc2"])
-    return logits, tapes
+    return logits
 
 
 def _head_backward(dlogits, tapes, grads):
@@ -318,7 +302,7 @@ def _head_backward(dlogits, tapes, grads):
 
 # ------------------------------------------------------------ forward / loss
 
-def _check_inputs(model: Model, features, prop, patches):
+def _check_inputs(model: Model, features, prop, patches, mode):
     cfg = model.cfg
     sizes = set()
     if cfg.uses_graph:
@@ -339,9 +323,12 @@ def _check_inputs(model: Model, features, prop, patches):
     if cfg.uses_patches:
         if patches is None:
             raise ContractError(f"{cfg.architecture} needs image patches")
-        shape = np.shape(patches)
-        if len(shape) != 4:
-            raise ShapeError(f"patches must be 4-D, got shape {shape}")
+        if isinstance(patches, TapPatches) and mode != "eval":
+            raise ContractError("TapPatches feed eval-mode forwards only")
+        shape, s = np.shape(patches), cfg.patch_size
+        if shape[1:] not in ((s, s, cfg.input_bands), (s, s, None)):
+            raise ShapeError(f"patches {shape} do not match configured "
+                             f"{s}x{s}x{cfg.input_bands}")
         sizes.add(shape[0])
     if len(sizes) > 1:
         raise ContractError(
@@ -363,24 +350,21 @@ def forward(model: Model, features=None, prop=None, patches=None,
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-    _check_inputs(model, features, prop, patches)
+    _check_inputs(model, features, prop, patches, mode)
     cfg = model.cfg
     tapes = {} if mode == "train" else _NO_TAPES
     h_cnn = h_gcn = None
     if cfg.uses_patches:
-        h_cnn, t = cnn_branch_forward(model, patches, mode, bn_momentum)
-        tapes.update(t)
+        h_cnn = _cnn_branch_forward(model, patches, tapes, mode, bn_momentum)
     if cfg.uses_graph:
-        h_gcn, t = gcn_branch_forward(model, features, prop, mode,
-                                      bn_momentum)
-        tapes.update(t)
+        h_gcn = _gcn_branch_forward(model, features, prop, tapes, mode,
+                                    bn_momentum)
     if cfg.fusion_kind is not None:
         fused = fuse(h_cnn, h_gcn, cfg.fusion_kind)
         tapes["fusion"] = (h_cnn, h_gcn)
     else:
         fused = h_cnn if h_gcn is None else h_gcn
-    logits, t = head_forward(model, fused, mode, bn_momentum)
-    tapes.update(t)
+    logits = _head_forward(model, fused, tapes, mode, bn_momentum)
     return logits, (tapes if mode == "train" else None)
 
 

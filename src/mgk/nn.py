@@ -7,14 +7,15 @@ step, ``x @ W + b``, and its weight and bias gradients: graph conv applies
 it to ``prop @ h``, conv2d to its im2col columns. For inference over
 overlapping patches, ``conv2d_taps`` multiplies each image position by
 every kernel tap once and ``conv2d_from_taps`` sums each patch's conv
-output from those products. Batch norm, ReLU and max pooling take a
-``mode``: in eval mode they keep no tape, mask or argmax index, and batch
-norm and ReLU work in place. ``conv2d_param_grads`` and
-``batch_norm_param_grads`` return the same grads without ``dx``, for a
-model's first layers, whose input gradient nothing reads. No autograd, no
-framework: the layer set is small enough that explicit gradients stay
-auditable, and the whole stack is checked against central finite
-differences in the tests.
+output from those products. It walks the kernel's tap windows, clipped
+to the map, as ``conv2d_backward`` does to add each tap's columns into
+the input gradient. Batch norm, ReLU and max pooling take a ``mode``: in
+eval mode they keep no tape, mask or argmax index, and batch norm and ReLU
+work in place. ``conv2d_param_grads`` and ``batch_norm_param_grads``
+return the same grads without ``dx``, for a model's first layers, whose
+input gradient nothing reads. No autograd, no framework: the layer set is
+small enough that explicit gradients stay auditable, and the whole stack
+is checked against central finite differences in the tests.
 
 All math runs in float64. Image tensors are laid out (batch, height, width,
 channels); vertex features are (batch, features). Graph conv applies its
@@ -214,6 +215,20 @@ def _im2col(xp, kh, kw):
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, kh * kw * c)
 
 
+def _tap_windows(kh, kw, h, w):
+    """``(t, out_cells, in_cells)`` for each tap ``t = i*kw + j`` of a
+    same-padded kh x kw kernel on an h x w map, in tap order: output cell
+    (a, b) reads input cell (a + i - kh//2, b + j - kw//2), and both are
+    (rows, columns) slices clipped to the map."""
+    for i in range(kh):
+        for j in range(kw):
+            di, dj = i - kh // 2, j - kw // 2
+            a0, a1 = max(0, -di), min(h, h - di)
+            b0, b1 = max(0, -dj), min(w, w - dj)
+            yield (i * kw + j, (slice(a0, a1), slice(b0, b1)),
+                   (slice(a0 + di, a1 + di), slice(b0 + dj, b1 + dj)))
+
+
 def conv2d_forward(x, p: LayerParams):
     """Same-padded stride-1 cross-correlation; kernel must be odd-sized."""
     x = np.asarray(x, dtype=np.float64)
@@ -257,14 +272,10 @@ def conv2d_backward(dout, tape: TapeEntry):
     _, wshape, wmat, xshape = tape.cache
     kh, kw, c_in, c_out = wshape
     b, h, w, _ = xshape
-    dcols = (dout.reshape(-1, c_out) @ wmat.T).reshape(b, h, w, kh * kw * c_in)
-    ph, pw = kh // 2, kw // 2
-    dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c_in))
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + h, j:j + w, :] += \
-                dcols[..., (i * kw + j) * c_in:(i * kw + j + 1) * c_in]
-    dx = dxp[:, ph:ph + h, pw:pw + w, :]
+    dcols = (dout.reshape(-1, c_out) @ wmat.T).reshape(b, h, w, -1, c_in)
+    dx = np.zeros((b, h, w, c_in))
+    for t, (oa, ob), (ia, ib) in _tap_windows(kh, kw, h, w):
+        dx[:, ia, ib] += dcols[:, oa, ob, t]
     return dx, grads
 
 
@@ -296,13 +307,8 @@ def conv2d_from_taps(taps, cells, p: LayerParams) -> np.ndarray:
     n, h, w = cells.shape
     out = np.empty((n, h, w, c_out))
     out[...] = p.bias
-    for i in range(kh):
-        for j in range(kw):
-            di, dj = i - kh // 2, j - kw // 2
-            a0, a1 = max(0, -di), min(h, h - di)
-            b0, b1 = max(0, -dj), min(w, w - dj)
-            out[:, a0:a1, b0:b1] += taps[
-                cells[:, a0 + di:a1 + di, b0 + dj:b1 + dj], i * kw + j]
+    for t, (oa, ob), (ia, ib) in _tap_windows(kh, kw, h, w):
+        out[:, oa, ob] += taps[cells[:, ia, ib], t]
     return out
 
 

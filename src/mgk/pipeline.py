@@ -188,6 +188,9 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
         raise ContractError(f"l2 must be >= 0, got {l2}")
     if l2 == np.inf:
         raise ContractError(f"l2 must be finite, got {l2}")
+    if not 0.0 < base_lr < np.inf:
+        raise ContractError(
+            f"base_lr must be positive and finite, got {base_lr}")
     lrs = [schedule_lr(base_lr, e, epochs) for e in range(epochs)]
     if model_cfg.classes < ds.num_classes:
         raise ContractError(f"model.classes={model_cfg.classes} is below "

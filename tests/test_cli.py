@@ -231,6 +231,8 @@ def test_split_without_classes_exits_1(scene_dir, tmp_path, capsys,
     ("--train.base_lr=0", "base_lr must be positive and finite, got 0.0"),
     ("--train.base_lr=inf", "base_lr must be positive and finite, got inf"),
     ("--train.base_lr=nan", "base_lr must be positive and finite, got nan"),
+    ("--train.epochs=0 --train.base_lr=-1",
+     "base_lr must be positive and finite, got -1.0"),
     ("--model.cnn_channels=8,16,32", "funet-a needs matching branch widths; "
      "spatial branch emits 32, spectral emits 12"),
     ("--graph.k=0", "graph_k must be >= 1"),
@@ -251,7 +253,7 @@ def test_values_that_cannot_train_exit_1_before_any_work(
     ckpt = tmp_path / "m.mgkp"
     assert main(["train", *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
                  *FAST_MODEL, *FAST_TRAIN, "--model.architecture=funet-a",
-                 flag]) == 1
+                 *flag.split()]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not ckpt.exists()
 
@@ -778,6 +780,25 @@ def test_sweep_checks_a_graph_free_grid_before_the_first_cell(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --k-grid value 0 ")
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_refuses_an_inference_batch_below_one_before_training(
+        scene_dir, tmp_path, capsys, monkeypatch):
+    # gcn trains full batch, so only the test-split inference reads the
+    # batch
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the batch was checked")
+
+    monkeypatch.setattr(mgk.cli, "train_model", no_training)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--k-grid", "5", *data_flags(scene_dir),
+                 f"--paths.output={out}", *FAST_MODEL, *FAST_TRAIN,
+                 "--model.architecture=gcn", "--train.batch=0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: inference batch must be >= 1, got 0\n"
     assert not (out / "sweep.csv").exists()
 
 

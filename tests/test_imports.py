@@ -10,7 +10,9 @@ and each of those names must be loaded by the package, a script or the
 acceptance spec, so that no export lives only for its own unit tests.
 The same holds for each public top-level function, class and constant
 of ``src/mgk`` and ``scripts/``, and for each public method or property
-of a public class, which ``perfbench/``'s harness may load too. The
+of a public class, which ``perfbench/``'s harness may load too. Each
+private top-level function, class and constant of ``src/mgk`` must be
+loaded by the package itself, so no helper outlives its callers. The
 bench times the trainer's own epoch, ``pipeline.train_epoch``, so it may
 neither import nor load the steps an epoch is made of.
 """
@@ -110,16 +112,21 @@ def test_every_export_is_used_outside_init_and_unit_tests():
     assert sorted(set(mgk.__all__) - used) == []
 
 
-def public_definitions(source: str) -> list:
-    """Names without a leading underscore that the module's top-level
-    ``def``, ``class`` and assignment statements bind."""
+def definitions(source: str) -> list:
+    """Names that the module's top-level ``def``, ``class`` and assignment
+    statements bind."""
     bound = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.append(node.name)
         elif isinstance(node, ast.Assign):
             bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
-    return [name for name in bound if not name.startswith("_")]
+    return bound
+
+
+def public_definitions(source: str) -> list:
+    """``definitions`` without a leading underscore."""
+    return [name for name in definitions(source) if not name.startswith("_")]
 
 
 def test_public_definitions_skips_imports_and_private_names():
@@ -135,6 +142,21 @@ def test_every_public_definition_is_used_outside_unit_tests():
     unused = [f"{path.name}:{name}" for path in SOURCES
               for name in public_definitions(path.read_text(encoding="utf-8"))
               if name not in used]
+    assert unused == []
+
+
+def test_definitions_keeps_private_names():
+    source = "import os\n_Y = 2\ndef _g(): pass\nclass _D: pass\nX = 1\n"
+    assert definitions(source) == ["_Y", "_g", "_D", "X"]
+
+
+def test_every_private_definition_is_used_by_the_package():
+    package = [path for path in SOURCES if path.parent.name == "mgk"]
+    used = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                         for path in package))
+    unused = [f"{path.name}:{name}" for path in package
+              for name in definitions(path.read_text(encoding="utf-8"))
+              if name.startswith("_") and name not in used]
     assert unused == []
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from conftest import FD_H, fd_grad, random_graph, rel_err
 from mgk.errors import ConfigError, ContractError, ShapeError
 from mgk import nn
-from mgk.model import (ARCHITECTURES, Model, ModelConfig, TapPatches,
-                       block1_taps, build, cnn_branch_forward, forward, fuse,
-                       fuse_backward, gcn_branch_forward, head_forward,
-                       load_model, loss_and_grads, predict, save_model)
+from mgk.model import (_NO_TAPES, ARCHITECTURES, Model, ModelConfig,
+                       TapPatches, _cnn_branch_forward, _gcn_branch_forward,
+                       _head_forward, block1_taps, build, forward, fuse,
+                       fuse_backward, load_model, loss_and_grads, predict,
+                       save_model)
 from mgk.sampler import induce_subgraph
 
 
@@ -225,9 +226,10 @@ def test_funet_a_forward_composes_from_branches():
     patches = patch_tensor(rng, 8, TOY["patch_size"], TOY["input_bands"])
     logits, tapes = forward(model, feats, prop, patches)
     assert tapes is None
-    h_cnn, _ = cnn_branch_forward(model, patches)
-    h_gcn, _ = gcn_branch_forward(model, feats, prop)
-    manual, _ = head_forward(model, fuse(h_cnn, h_gcn, "additive"))
+    h_cnn = _cnn_branch_forward(model, patches, _NO_TAPES, "eval", 0.9)
+    h_gcn = _gcn_branch_forward(model, feats, prop, _NO_TAPES, "eval", 0.9)
+    manual = _head_forward(model, fuse(h_cnn, h_gcn, "additive"), _NO_TAPES,
+                           "eval", 0.9)
     assert rel_err(logits, manual) <= 1e-12
 
 

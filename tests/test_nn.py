@@ -182,6 +182,42 @@ def test_conv2d_param_grads_equal_backward_bitwise(h, w, kh, kw, b, c_in,
         assert np.array_equal(bits(got[f]), bits(want[f])), f
 
 
+def ref_conv2d_input_grad(dout, p, xshape):
+    """conv2d's input gradient by col2im into a zero-padded buffer, the
+    reference for ``conv2d_backward``'s bytes."""
+    kh, kw, c_in, c_out = p.weights.shape
+    b, h, w, _ = xshape
+    wmat = p.weights.reshape(kh * kw * c_in, c_out)
+    dcols = (dout.reshape(-1, c_out) @ wmat.T).reshape(b, h, w, -1)
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c_in))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + h, j:j + w, :] += \
+                dcols[..., (i * kw + j) * c_in:(i * kw + j + 1) * c_in]
+    return dxp[:, ph:ph + h, pw:pw + w, :]
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([1, 3, 5]),
+       st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(1, 1, 5, 5, 1, 1, 1, 0)
+@example(2, 8, 3, 5, 2, 3, 1, 1)
+def test_conv2d_backward_input_grad_matches_padded_col2im_bitwise(
+        h, w, kh, kw, b, c_in, c_out, seed):
+    rng = np.random.default_rng(seed)
+    p = nn.make_conv2d(rng, kh, kw, c_in, c_out)
+    x = rng.normal(size=(b, h, w, c_in))
+    _, tape = nn.conv2d_forward(x, p)
+    dout = rng.normal(size=(b, h, w, c_out))
+    # whole cells of -0.0, whose columns must give the reference's zeros
+    dout[rng.random((b, h, w)) < 0.3] = -0.0
+    dx, _ = nn.conv2d_backward(dout, tape)
+    want = ref_conv2d_input_grad(dout, p, x.shape)
+    assert dx.shape == x.shape
+    assert np.array_equal(bits(dx), bits(want))
+
+
 def test_maxpool_table_shapes():
     rng = np.random.default_rng(3)
     for h_in, h_out in ((7, 4), (4, 2), (2, 1), (1, 1)):
