@@ -13,12 +13,24 @@ File formats (all little-endian, bit-exact round-trips):
 Cubes store float32. The learning path reads them through two gathers,
 ``SpectralCube.pixels`` (spectra) and ``extract_patches`` (edge-replicated
 windows), each of which converts only the pixels it is asked for to
-float64; no whole-cube float64 copy outlives ``normalize_bands``.
+float64. The whole-cube stages work on the cube's pixel matrix (height *
+width rows of ``bands`` values) in row blocks of at most ``_BLOCK_VALUES``
+values: ``load_cube`` reads each block's run of every band into one
+preallocated cube, ``normalize_bands`` and ``synth_scene`` compute each
+block in float64 into one float32 result, and ``SpectralCube`` checks
+finiteness a block at a time. ``save_cube`` writes one band at a time. So
+beside its cube (for ``normalize_bands``, its input and its result) a
+stage holds a few blocks or one band, never a whole-cube float64 copy or a
+second float32 one; the one exception is a one-band cube whose minimum is
+a mix of +0.0 and -0.0 (see ``normalize_bands``). Each element goes
+through the operations of one whole-cube step, so the bytes do not depend
+on the block size.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,16 @@ from .errors import ConfigError, ContractError, FormatError
 
 CUBE_MAGIC = b"HSC1"
 LABEL_MAGIC = b"HSL1"
+
+# Values per row block of a whole-cube stage: 1 MiB as float64.
+_BLOCK_VALUES = 1 << 17
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """Slices that cover ``rows`` rows of ``width`` values each, in blocks
+    of at most ``_BLOCK_VALUES`` values (one row when a row is longer)."""
+    step = max(1, _BLOCK_VALUES // max(width, 1))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 @dataclass
@@ -39,9 +61,11 @@ class SpectralCube:
         v = np.asarray(self.values, dtype=np.float32)
         if v.ndim != 3:
             raise ContractError(f"cube must be 3-D (H, W, D), got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        self.values = np.ascontiguousarray(v)
+        flat = _matrix(self.values)
+        if not all(np.isfinite(flat[rows]).all()
+                   for rows in _row_blocks(*flat.shape)):
             raise ContractError("cube values must be finite")
-        self.values = v
 
     @property
     def height(self) -> int:
@@ -58,7 +82,14 @@ class SpectralCube:
     def pixels(self, ids) -> np.ndarray:
         """float64 (len(ids), bands) spectra of linear row-major pixel ids."""
         ids = _pixel_ids(self, ids)
-        return self.values.reshape(-1, self.bands)[ids].astype(np.float64)
+        return _matrix(self.values)[ids].astype(np.float64)
+
+
+def _matrix(values: np.ndarray) -> np.ndarray:
+    """The (height * width, bands) pixel matrix of a C-contiguous cube
+    array, as a view: one row per linear row-major pixel id."""
+    h, w, d = values.shape
+    return values.reshape(h * w, d)
 
 
 def _pixel_ids(cube: SpectralCube, ids) -> np.ndarray:
@@ -210,6 +241,7 @@ def _header_dims(header: dict, keys, what: str) -> tuple:
 
 
 def save_cube(path, cube: SpectralCube) -> None:
+    """Write the cube file, its payload one band at a time."""
     header = {
         "height": cube.height,
         "width": cube.width,
@@ -217,37 +249,64 @@ def save_cube(path, cube: SpectralCube) -> None:
         "dtype": "f32le",
         "order": "band-sequential",
     }
-    payload = np.ascontiguousarray(
-        cube.values.transpose(2, 0, 1), dtype="<f4"
-    ).tobytes()
     with open(path, "wb") as fh:
         fh.write(CUBE_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload)
+        for band in range(cube.bands):
+            fh.write(np.ascontiguousarray(cube.values[:, :, band],
+                                          dtype="<f4"))
+
+
+def _read_head(fh, magic: bytes) -> bytes:
+    """The file's first bytes: through the first newline after its magic,
+    or as far as the magic matched, or the whole file."""
+    head = bytearray()
+    while chunk := fh.read(1 << 12):
+        head += chunk
+        if (head[:len(magic)] != magic[:len(head)]
+                or head.find(b"\n", len(magic)) >= 0):
+            break
+    return bytes(head)
 
 
 def load_cube(path) -> SpectralCube:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, start = _read_header(data, CUBE_MAGIC, "cube")
-    h, w, d = _header_dims(header, ("height", "width", "bands"), "cube")
-    for key in ("dtype", "order"):
-        if key not in header:
-            raise FormatError(f"cube header is missing {key!r}", offset=4)
-    if header["dtype"] != "f32le" or header["order"] != "band-sequential":
-        raise FormatError(
-            f"unsupported cube encoding {header['dtype']}/{header['order']}",
-            offset=4,
-        )
-    expected = h * w * d * 4
-    if len(data) - start != expected:
-        raise FormatError(
-            f"cube payload is {len(data) - start} bytes, expected {expected}",
-            offset=start + min(len(data) - start, expected),
-        )
-    vals = np.frombuffer(data, dtype="<f4", offset=start).reshape(d, h, w)
-    return SpectralCube(values=vals.transpose(1, 2, 0).copy())
+    """Read a cube file. The band-sequential payload is read one row block
+    at a time, each block's run of every band, into one preallocated
+    (height, width, bands) array."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header, start = _read_header(_read_head(fh, CUBE_MAGIC), CUBE_MAGIC,
+                                     "cube")
+        h, w, d = _header_dims(header, ("height", "width", "bands"), "cube")
+        for key in ("dtype", "order"):
+            if key not in header:
+                raise FormatError(f"cube header is missing {key!r}", offset=4)
+        if header["dtype"] != "f32le" or header["order"] != "band-sequential":
+            raise FormatError(
+                f"unsupported cube encoding {header['dtype']}/"
+                f"{header['order']}", offset=4,
+            )
+        expected = h * w * d * 4
+        if size - start != expected:
+            raise FormatError(
+                f"cube payload is {size - start} bytes, expected {expected}",
+                offset=start + min(size - start, expected),
+            )
+        values = np.empty((h, w, d), dtype=np.float32)
+        flat = _matrix(values)
+        blocks = _row_blocks(h * w, d)
+        runs = np.empty((d, blocks[0].stop), dtype="<f4")
+        for rows in blocks:
+            block = runs[:, :rows.stop - rows.start]
+            for band in range(d):
+                offset = fh.seek(start + (band * h * w + rows.start) * 4)
+                got = fh.readinto(block[band])
+                if got != block[band].nbytes:
+                    raise FormatError("cube file ended while it was read",
+                                      offset=offset + got)
+            flat[rows] = block.T
+    return SpectralCube(values=values)
 
 
 def save_labels(path, grid: LabelGrid) -> None:
@@ -310,18 +369,51 @@ def load_split(path) -> SplitSpec:
 # ------------------------------------------------------------ normalization
 
 def normalize_bands(cube: SpectralCube) -> SpectralCube:
-    """Min-max scale each band to [0, 1]; constant bands go to 0.
+    """Min-max scale each band to [0, 1]; constant bands go to +0.0.
 
-    Works in place on one float64 copy. A constant band is exactly 0 once
-    its minimum is subtracted and is then divided by 1, not by its zero
-    span. Idempotent: applying it twice returns the same bytes.
+    Each band's min and max are taken on the float32 cube, which is exact.
+    Then each row block is cast to float64, has the minima subtracted, is
+    divided by the spans and is cast back into one float32 result: the
+    operations of one whole-cube float64 step, element by element. A
+    constant band is divided by 1, not by its zero span, and its results
+    are then set to +0.0, which a band of both zeros would otherwise miss.
+    Idempotent: applying it twice returns the same bytes.
     """
-    v = cube.values.astype(np.float64)
-    lo = v.min(axis=(0, 1))
-    span = v.max(axis=(0, 1)) - lo
-    v -= lo
-    v /= np.where(span > 0.0, span, 1.0)
-    return SpectralCube(values=v.astype(np.float32))
+    flat = _matrix(cube.values)
+    blocks = _row_blocks(*flat.shape)
+    lo = np.min([flat[rows].min(axis=0) for rows in blocks], axis=0)
+    hi = np.max([flat[rows].max(axis=0) for rows in blocks], axis=0)
+    lo = lo.astype(np.float64)
+    span = hi - lo
+    if cube.bands == 1 and lo[0] == 0.0 < span[0] and _both_zeros(flat):
+        # Which zero a one-band min returns depends on the reduction's SIMD
+        # layout, which differs between float32 and float64, and the sign
+        # of each -0.0 value's result follows it. Only this case still
+        # takes the whole-cube float64 copy.
+        lo = cube.values.astype(np.float64).min(axis=(0, 1))
+    constant = np.flatnonzero(span <= 0.0)
+    span[constant] = 1.0
+    out = np.empty_like(cube.values)
+    out_flat = _matrix(out)
+    buf = np.empty((blocks[0].stop, cube.bands))
+    for rows in blocks:
+        block = buf[:rows.stop - rows.start]
+        np.subtract(flat[rows], lo, out=block)
+        block /= span
+        block[:, constant] = 0.0
+        out_flat[rows] = block
+    return SpectralCube(values=out)
+
+
+def _both_zeros(flat: np.ndarray) -> bool:
+    """Whether the pixel matrix holds both +0.0 and -0.0."""
+    zeros = negative = 0
+    for rows in _row_blocks(*flat.shape):
+        block = flat[rows]
+        signs = np.signbit(block[block == 0.0])
+        zeros += signs.size
+        negative += np.count_nonzero(signs)
+    return 0 < negative < zeros
 
 
 # ----------------------------------------------------------------- patching
@@ -391,9 +483,14 @@ def synth_scene(classes: int, size: int, bands: int, noise_sigma: float,
     for c, cols in enumerate(stripes):
         labels[:, cols] = c + 1
 
-    values = protos[labels - 1].astype(np.float64)
-    values += rng.normal(0.0, noise_sigma, size=values.shape)
-    cube = SpectralCube(values=values.astype(np.float32))
+    values = np.empty((size, size, bands), dtype=np.float32)
+    flat, classes_of = _matrix(values), labels.reshape(-1) - 1
+    for rows in _row_blocks(size * size, bands):
+        # one draw per block continues the stream of one whole-cube draw
+        block = protos[classes_of[rows]]
+        block += rng.normal(0.0, noise_sigma, size=block.shape)
+        flat[rows] = block
+    cube = SpectralCube(values=values)
     grid = LabelGrid(labels=labels)
 
     train, test = {}, {}

@@ -1,13 +1,16 @@
+import contextlib
 import io
 import json
 import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mgk.data
 from mgk.data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
                       load_cube, load_labels, load_split, normalize_bands,
                       save_cube, save_labels, save_split, synth_scene)
@@ -46,6 +49,82 @@ def ref_extract_patches(cube, pixel_ids, size):
                      cube.width - 1)
         out[i] = cube.values[np.ix_(rr, cc)].astype(np.float64)
     return out
+
+
+def ref_save_cube(path, cube):
+    """save_cube as it was before it wrote one band at a time: the whole
+    transposed payload in one buffer, kept as the reference for its bytes."""
+    header = {
+        "height": cube.height,
+        "width": cube.width,
+        "bands": cube.bands,
+        "dtype": "f32le",
+        "order": "band-sequential",
+    }
+    payload = np.ascontiguousarray(
+        cube.values.transpose(2, 0, 1), dtype="<f4"
+    ).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(b"HSC1")
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(payload)
+
+
+def ref_load_cube(path):
+    """load_cube as it was before it read in row blocks: the whole file,
+    then one transposed copy; kept as the reference for its bytes, its
+    error messages and their offsets."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, start = mgk.data._read_header(data, b"HSC1", "cube")
+    h, w, d = mgk.data._header_dims(header, ("height", "width", "bands"),
+                                    "cube")
+    for key in ("dtype", "order"):
+        if key not in header:
+            raise FormatError(f"cube header is missing {key!r}", offset=4)
+    if header["dtype"] != "f32le" or header["order"] != "band-sequential":
+        raise FormatError(
+            f"unsupported cube encoding {header['dtype']}/{header['order']}",
+            offset=4,
+        )
+    expected = h * w * d * 4
+    if len(data) - start != expected:
+        raise FormatError(
+            f"cube payload is {len(data) - start} bytes, expected {expected}",
+            offset=start + min(len(data) - start, expected),
+        )
+    vals = np.frombuffer(data, dtype="<f4", offset=start).reshape(d, h, w)
+    return SpectralCube(values=vals.transpose(1, 2, 0).copy())
+
+
+def ref_synth_scene(classes, size, bands, noise_sigma, seed,
+                    train_per_class):
+    """synth_scene's draws as they were before it filled its cube in row
+    blocks: one whole-cube float64 noise draw, kept as the reference for
+    the cube's bytes and the split that the generator draws after it."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=classes)
+    b = np.arange(bands)
+    protos = np.stack([
+        0.5 + 0.35 * np.sin(2.0 * np.pi * (c + 1) * b / bands + phases[c])
+        for c in range(classes)
+    ])
+    stripes = np.array_split(np.arange(size), classes)
+    labels = np.zeros((size, size), dtype=np.uint16)
+    for c, cols in enumerate(stripes):
+        labels[:, cols] = c + 1
+    values = protos[labels - 1].astype(np.float64)
+    values += rng.normal(0.0, noise_sigma, size=values.shape)
+    train, test = {}, {}
+    flat = labels.ravel()
+    for c in range(1, classes + 1):
+        members = np.nonzero(flat == c)[0]
+        chosen = np.sort(rng.choice(members, size=train_per_class,
+                                    replace=False))
+        train[c] = chosen
+        test[c] = np.setdiff1d(members, chosen)
+    return values.astype(np.float32), labels, train, test
 
 
 def same_bits(a, b):
@@ -415,3 +494,216 @@ def test_split_id_that_is_not_an_integer_is_named(tmp_path, doc, message):
     with pytest.raises(FormatError) as err:
         load_split(path)
     assert str(err.value) == message
+
+
+# --------------------------------------------- whole-cube stages in row blocks
+
+KIB = 1 << 10
+# Values per row block: one pixel per block, a few pixels, and the package's
+# own size, at which the small cubes below fit in one block.
+BLOCK_SIZES = [1, 7, 40, mgk.data._BLOCK_VALUES]
+
+
+@contextlib.contextmanager
+def block_size(values):
+    """Whole-cube stages work in row blocks of ``values`` values."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.data, "_BLOCK_VALUES", values)
+        yield
+
+
+@st.composite
+def io_cubes(draw, max_side=9):
+    """Cubes of any side from 1, values of either sign, -0.0 included."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(h, w, d)).astype(np.float32)
+    values[rng.random((h, w, d)) < 0.2] = -0.0
+    return SpectralCube(values=values)
+
+
+def assert_io_matches_reference(cube, tmp):
+    new, ref = os.path.join(tmp, "new.hsc"), os.path.join(tmp, "ref.hsc")
+    save_cube(new, cube)
+    ref_save_cube(ref, cube)
+    assert open(new, "rb").read() == open(ref, "rb").read()
+    assert same_bits(load_cube(ref).values, ref_load_cube(ref).values)
+
+
+@given(io_cubes(), st.sampled_from(BLOCK_SIZES))
+def test_cube_io_matches_reference_bytes(cube, block):
+    with tempfile.TemporaryDirectory() as tmp, block_size(block):
+        assert_io_matches_reference(cube, tmp)
+
+
+def test_cube_io_matches_reference_across_the_package_blocks(tmp_path):
+    rng = np.random.default_rng(12)
+    cube = SpectralCube(values=rng.normal(size=(83, 61, 100))
+                        .astype(np.float32))
+    assert cube.values.size > 3 * mgk.data._BLOCK_VALUES
+    assert_io_matches_reference(cube, tmp_path)
+
+
+GOOD_HEADER = json.dumps(CUBE_HEADER, sort_keys=True).encode()  # 16 bytes
+
+
+def header_with(**changes):
+    header = {**CUBE_HEADER, **changes}
+    return json.dumps({k: v for k, v in header.items() if v is not None}
+                      ).encode()
+
+
+@pytest.mark.parametrize("raw", [
+    b"",
+    b"HS",
+    b"NOPE" + GOOD_HEADER + b"\n" + bytes(16),
+    b"HS\nC" + GOOD_HEADER + b"\n" + bytes(16),
+    b"\nHSC1" + GOOD_HEADER + b"\n" + bytes(16),
+    b"NOPE" + bytes(200_000),
+    b"HSC1",
+    b"HSC1" + GOOD_HEADER,
+    b"HSC1" + b" " * 200_000,
+    b"HSC1\n" + bytes(16),
+    b"HSC1{height\n" + bytes(16),
+    b"HSC1\xff\xfe\n" + bytes(16),
+    b"HSC1[1, 2]\n" + bytes(16),
+    b"HSC1" + header_with(height=None) + b"\n" + bytes(16),
+    b"HSC1" + header_with(bands=0) + b"\n",
+    b"HSC1" + header_with(width="2") + b"\n" + bytes(16),
+    b"HSC1" + header_with(dtype=None) + b"\n" + bytes(16),
+    b"HSC1" + header_with(order=None) + b"\n" + bytes(16),
+    b"HSC1" + header_with(dtype="f64le") + b"\n" + bytes(32),
+    b"HSC1" + header_with(order="band-interleaved") + b"\n" + bytes(16),
+    b"HSC1" + GOOD_HEADER + b"\n",
+    b"HSC1" + GOOD_HEADER + b"\n" + bytes(15),
+    b"HSC1" + GOOD_HEADER + b"\n" + bytes(17),
+], ids=["empty", "short magic", "bad magic", "newline in magic",
+        "newline before magic", "bad magic and no newline", "magic only",
+        "no header newline", "long header and no newline", "empty header",
+        "not JSON", "not UTF-8", "not an object", "missing height",
+        "zero bands", "width a string", "missing dtype", "missing order",
+        "unsupported dtype", "unsupported order", "no payload",
+        "payload 1 byte short", "payload 1 byte long"])
+def test_cube_format_error_matches_reference(tmp_path, raw):
+    path = tmp_path / "cube.hsc"
+    path.write_bytes(raw)
+    errors = []
+    for load in (load_cube, ref_load_cube):
+        with pytest.raises(FormatError) as err:
+            load(path)
+        errors.append((str(err.value), err.value.offset))
+    assert errors[0] == errors[1]
+
+
+def test_cube_header_longer_than_one_read_loads_as_reference(tmp_path):
+    path = tmp_path / "cube.hsc"
+    payload = np.arange(4, dtype="<f4").tobytes()
+    path.write_bytes(b"HSC1" + header_with(note="x" * 200_000) + b"\n"
+                     + payload)
+    assert same_bits(load_cube(path).values, ref_load_cube(path).values)
+
+
+def test_cube_file_that_shrinks_while_read_is_refused(tmp_path):
+    path = tmp_path / "cube.hsc"
+    save_cube(path, SpectralCube(values=np.ones((2, 2, 3), np.float32)))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-6])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.data.os, "fstat",
+                   lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(FormatError, match="^cube file ended while it "
+                                              "was read") as err:
+            load_cube(path)
+    assert err.value.offset == size - 6
+
+
+@st.composite
+def signed_zero_cubes(draw, max_side=9):
+    """Cubes in which +0.0 and -0.0 mix: in bands of zeros alone, and
+    beside values of one or both signs; one-band cubes included."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(h, w, d)).astype(np.float32)
+    if draw(st.booleans()):
+        values = np.abs(values)  # a zero is then each band's minimum
+    zero = rng.random((h, w, d)) < draw(st.sampled_from([0.3, 0.8, 1.0]))
+    values[zero] = 0.0
+    values[zero & (rng.random((h, w, d)) < 0.5)] = -0.0
+    return SpectralCube(values=values)
+
+
+@given(signed_zero_cubes(), st.sampled_from(BLOCK_SIZES))
+def test_normalize_bands_matches_reference_on_signed_zeros(cube, block):
+    with block_size(block):
+        out = normalize_bands(cube).values
+    assert same_bits(out, ref_normalize_bands(cube))
+
+
+@pytest.mark.parametrize("block", [40, mgk.data._BLOCK_VALUES])
+def test_normalize_bands_one_band_of_signed_zeros_matches_reference(block):
+    # numpy's float32 and float64 mins of one band can return different
+    # zeros, and the sign of each -0.0 value's result follows the float64 one
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(2, 3000))
+        values = rng.random(n).astype(np.float32)
+        values[rng.random(n) < 0.05] = 0.0
+        values[(values == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        cube = SpectralCube(values=values.reshape(1, n, 1))
+        with block_size(block):
+            out = normalize_bands(cube).values
+        assert same_bits(out, ref_normalize_bands(cube))
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.4])
+@pytest.mark.parametrize("classes, size, bands, block", [
+    (3, 16, 8, 1), (4, 20, 5, 40), (2, 9, 1, 7),
+    (16, 80, 64, mgk.data._BLOCK_VALUES)])
+def test_synth_scene_matches_reference_bytes(tmp_path, classes, size, bands,
+                                             block, noise_sigma):
+    seed = classes * size + bands
+    with block_size(block):
+        cube, grid, split = synth_scene(classes, size, bands, noise_sigma,
+                                        seed, train_per_class=3)
+    values, labels, train, test = ref_synth_scene(classes, size, bands,
+                                                  noise_sigma, seed, 3)
+    assert same_bits(cube.values, values)
+    save_cube(tmp_path / "new.hsc", cube)
+    ref_save_cube(tmp_path / "ref.hsc", SpectralCube(values=values))
+    assert ((tmp_path / "new.hsc").read_bytes()
+            == (tmp_path / "ref.hsc").read_bytes())
+    assert same_bits(grid.labels, labels)
+    for part, ref_part in ((split.train, train), (split.test, test)):
+        assert list(part) == list(ref_part)
+        assert all(same_bits(part[c], ref_part[c]) for c in part)
+
+
+def traced_peak(fn, *args):
+    """Bytes that fn(*args) held at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cube_stages_peak_memory_within_block_budget(tmp_path):
+    # Budgets above the stage's cube(s), in blocks of B values: save_cube
+    # holds one band; load_cube one float32 block, the finiteness check's
+    # bool block and its header read; normalize_bands one float64 block and
+    # the bool block; synth_scene two float64 blocks (prototypes and noise) and its
+    # labels and split, at most 32 bytes per pixel.
+    block, size, bands = mgk.data._BLOCK_VALUES, 64, 96
+    cube, _, _ = synth_scene(4, size, bands, 0.1, seed=0, train_per_class=5)
+    cube_bytes = cube.values.nbytes
+    assert cube.values.size > 2 * block
+    path = tmp_path / "cube.hsc"
+    assert traced_peak(save_cube, path, cube) < 4 * size * size + 64 * KIB
+    assert traced_peak(load_cube, path) < cube_bytes + 5 * block + 64 * KIB
+    assert (traced_peak(normalize_bands, cube)
+            < cube_bytes + 9 * block + 64 * KIB)
+    assert (traced_peak(synth_scene, 4, size, bands, 0.1, 0, 5)
+            < cube_bytes + 16 * block + 32 * size * size + 64 * KIB)
