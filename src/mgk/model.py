@@ -24,7 +24,10 @@ mode the spatial branch may instead read ``TapPatches``: the patches as
 image positions, whose block-1 tap products (``block1_taps``) are shared
 between the patches that overlap there; inference hands it those.
 ``forward`` checks every input's shape once, before either branch runs,
-and the branches and the head write their tapes into its one table. A
+and the branches and the head write their tapes into its one table.
+Backward pops each tape from that table as it reads it, so a layer's saved
+activations are freed once its own backward has run, and the table is
+empty when ``loss_and_grads`` returns. A
 ``Model``'s layer table is kept in layer order, the order ``build`` gives
 and of the checkpoint's blocks. ``ModelConfig`` also holds the (k, sigma)
 of the KNN graphs its graph branch was trained on, which inference uses
@@ -239,12 +242,14 @@ def _gcn_branch_forward(model: Model, x, prop, tapes, mode, bn_momentum):
 
 
 def _gcn_branch_backward(dh, tapes, grads):
-    dh = nn.relu_backward(dh, tapes["gcn.relu"])
-    dh, grads["gcn.bn_out"] = nn.batch_norm_backward(dh, tapes["gcn.bn_out"])
-    dh, grads["gcn.conv"] = nn.graph_conv_backward(dh, tapes["gcn.conv"])
+    dh = nn.relu_backward(dh, tapes.pop("gcn.relu"))
+    dh, grads["gcn.bn_out"] = nn.batch_norm_backward(
+        dh, tapes.pop("gcn.bn_out"))
+    dh, grads["gcn.conv"] = nn.graph_conv_backward(dh, tapes.pop("gcn.conv"))
     # the vertex features' gradient is never read, so bn_in stops at its
     # own parameters
-    grads["gcn.bn_in"] = nn.batch_norm_param_grads(dh, tapes["gcn.bn_in"])
+    grads["gcn.bn_in"] = nn.batch_norm_param_grads(dh,
+                                                   tapes.pop("gcn.bn_in"))
 
 
 def _cnn_branch_forward(model: Model, patches, tapes, mode, bn_momentum):
@@ -267,18 +272,19 @@ def _cnn_branch_forward(model: Model, patches, tapes, mode, bn_momentum):
 
 
 def _cnn_branch_backward(dflat, tapes, grads):
-    dh = dflat.reshape(tapes["cnn.flatten_shape"])
+    dh = dflat.reshape(tapes.pop("cnn.flatten_shape"))
     for blk in ("cnn.block3", "cnn.block2", "cnn.block1"):
-        dh = nn.relu_backward(dh, tapes[f"{blk}.relu"])
-        dh = nn.maxpool2x2_backward(dh, tapes[f"{blk}.pool"])
-        dh, grads[f"{blk}.bn"] = nn.batch_norm_backward(dh, tapes[f"{blk}.bn"])
+        dh = nn.relu_backward(dh, tapes.pop(f"{blk}.relu"))
+        dh = nn.maxpool2x2_backward(dh, tapes.pop(f"{blk}.pool"))
+        dh, grads[f"{blk}.bn"] = nn.batch_norm_backward(
+            dh, tapes.pop(f"{blk}.bn"))
         if blk != "cnn.block1":
-            dh, grads[f"{blk}.conv"] = nn.conv2d_backward(dh,
-                                                          tapes[f"{blk}.conv"])
+            dh, grads[f"{blk}.conv"] = nn.conv2d_backward(
+                dh, tapes.pop(f"{blk}.conv"))
     # the patches' gradient is never read, so block 1's conv stops at its
     # own parameters
     grads["cnn.block1.conv"] = nn.conv2d_param_grads(
-        dh, tapes["cnn.block1.conv"])
+        dh, tapes.pop("cnn.block1.conv"))
 
 
 def _head_forward(model: Model, h, tapes, mode, bn_momentum):
@@ -292,11 +298,12 @@ def _head_forward(model: Model, h, tapes, mode, bn_momentum):
 
 
 def _head_backward(dlogits, tapes, grads):
-    dh, grads["head.fc2"] = nn.fully_connected_backward(dlogits,
-                                                        tapes["head.fc2"])
-    dh = nn.relu_backward(dh, tapes["head.relu"])
-    dh, grads["head.bn"] = nn.batch_norm_backward(dh, tapes["head.bn"])
-    dh, grads["head.fc1"] = nn.fully_connected_backward(dh, tapes["head.fc1"])
+    dh, grads["head.fc2"] = nn.fully_connected_backward(
+        dlogits, tapes.pop("head.fc2"))
+    dh = nn.relu_backward(dh, tapes.pop("head.relu"))
+    dh, grads["head.bn"] = nn.batch_norm_backward(dh, tapes.pop("head.bn"))
+    dh, grads["head.fc1"] = nn.fully_connected_backward(
+        dh, tapes.pop("head.fc1"))
     return dh
 
 
@@ -390,7 +397,7 @@ def loss_and_grads(model: Model, labels, features=None, prop=None,
     cfg = model.cfg
     d_cnn = d_gcn = dfused
     if cfg.fusion_kind is not None:
-        d_cnn, d_gcn = fuse_backward(dfused, *tapes["fusion"],
+        d_cnn, d_gcn = fuse_backward(dfused, *tapes.pop("fusion"),
                                      cfg.fusion_kind)
     if cfg.uses_patches:
         _cnn_branch_backward(d_cnn, tapes, grads)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mgk.model
 from conftest import FD_H, fd_grad, random_graph, rel_err
 from mgk.errors import ConfigError, ContractError, ShapeError
 from mgk import nn
@@ -401,6 +402,35 @@ def test_eval_forward_keeps_no_layer_tape_past_the_next_layer(arch,
         # train mode keeps them all for backward
         want = [0] * len(kept) if mode == "eval" else list(range(len(kept)))
         assert len(kept) >= 2 and kept == want, mode
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_reads_every_tape_of_the_training_forward(arch,
+                                                           monkeypatch):
+    # backward pops each tape as it reads it, so a tape that it never reads
+    # (held to the end of the step for nothing) is left in the table
+    rng = np.random.default_rng(23)
+    model = build(toy_cfg(arch), seed=14)
+    feats, prop, labels = graph_batch(rng, 6, TOY["input_bands"],
+                                      TOY["classes"])
+    patches = patch_tensor(rng, 6, TOY["patch_size"], TOY["input_bands"])
+    if not model.cfg.uses_graph:
+        feats = prop = None
+    if not model.cfg.uses_patches:
+        patches = None
+    real_forward = mgk.model.forward
+    tables, written = [], []
+
+    def spy(*args, **kwargs):
+        logits, tapes = real_forward(*args, **kwargs)
+        tables.append(tapes)
+        written.append(len(tapes))
+        return logits, tapes
+
+    monkeypatch.setattr(mgk.model, "forward", spy)
+    loss_and_grads(model, labels, feats, prop, patches)
+    assert len(tables) == 1 and written[0] >= 8
+    assert tables[0] == {}
 
 
 def test_eval_forward_is_side_effect_free():

@@ -16,10 +16,12 @@ from mgk.errors import ConfigError, ContractError, NumericError
 from mgk.metrics import overall_accuracy
 from mgk.graph import build_knn_rbf_graph, renormalized_propagation
 from mgk.model import ARCHITECTURES, ModelConfig, build, save_model
+from mgk.optim import AdamState
 from mgk.pipeline import (Dataset, _RowTaps, chunk_prop, dataset_from_parts,
                           evaluate_part,
                           fold_singleton_tail, format_log_rows,
-                          infer_model_config, predict_pixels, train_model)
+                          infer_model_config, predict_pixels, train_epoch,
+                          train_model)
 from mgk.sampler import partition_epoch
 from test_model import randomize_batch_norms
 
@@ -192,6 +194,28 @@ def test_train_model_runs_one_train_epoch_per_epoch(small_ds, monkeypatch):
         assert (built, budget, lr) == (1, 16, logged_lr)
         assert graph is graphs[0]
         assert loss == loss_sum / 24
+
+
+def test_full_batch_gcn_epoch_peaks_below_nine_activations():
+    # backward frees each layer's tapes once it has read them, so one
+    # full-graph step holds fewer than 9 activations of n x gcn_hidden
+    # float64 at its peak (8.55 measured)
+    n, bands, hidden, classes = 1024, 64, 128, 8
+    rng = np.random.default_rng(29)
+    feats = rng.normal(size=(n, bands))
+    graph = build_knn_rbf_graph(feats, 10, 1.0)
+    labels_hot = np.eye(classes)[rng.integers(0, classes, size=n)]
+    mdl = build(ModelConfig("gcn", input_bands=bands, classes=classes,
+                            gcn_hidden=hidden), seed=3)
+    state = AdamState()
+    tracemalloc.start()
+    try:
+        train_epoch(mdl, state, graph, feats, labels_hot, None, n, 5, 0.01,
+                    l2=0.001, bn_momentum=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n * hidden * 8
 
 
 def test_gcn_architecture_trains_full_batch(small_ds):
