@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import sampler as sampler_mod
-from .data import (load_cube, load_labels, normalize_bands, read_json,
-                   save_cube, save_labels, save_split, synth_scene)
+from .data import (load_labels, load_normalized_cube, read_json, save_cube,
+                   save_labels, save_split, synth_scene)
 from .errors import ConfigError, FormatError, MgkError
 from .graph import build_knn_rbf_graph
 from .metrics import overall_accuracy, report_text, write_report_csv
@@ -317,7 +317,7 @@ def cmd_predict_map(cfg: RunConfig, args) -> int:
     if cfg.paths.labels:
         truth = load_labels(cfg.paths.labels)
         truth_rgb = class_map_rgb(truth.labels)
-    cube = normalize_bands(load_cube(cfg.paths.cube))
+    cube = load_normalized_cube(cfg.paths.cube)
     if truth is not None:
         check_labels_match(cube, truth)
     h, w = cube.height, cube.width

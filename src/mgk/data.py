@@ -18,13 +18,16 @@ width rows of ``bands`` values) in row blocks of at most ``_BLOCK_VALUES``
 values: ``load_cube`` reads each block's run of every band into one
 preallocated cube, ``normalize_bands`` and ``synth_scene`` compute each
 block in float64 into one float32 result, and ``SpectralCube`` checks
-finiteness a block at a time. ``save_cube`` writes one band at a time. So
-beside its cube (for ``normalize_bands``, its input and its result) a
-stage holds a few blocks or one band, never a whole-cube float64 copy or a
-second float32 one; the one exception is a one-band cube whose minimum is
-a mix of +0.0 and -0.0 (see ``normalize_bands``). Each element goes
-through the operations of one whole-cube step, so the bytes do not depend
-on the block size.
+finiteness a block at a time. ``save_cube`` writes one band at a time.
+``normalize_bands`` returns a new cube and leaves its input as it was;
+``load_normalized_cube``, through which the commands read their cube,
+normalizes the cube it has just read in that cube's own array. So beside
+its cube (for ``normalize_bands``, its input and its result) a stage holds
+a few blocks or one band, never a whole-cube float64 copy or a second
+float32 one; the one exception is a one-band cube whose minimum is a mix
+of +0.0 and -0.0 (see ``normalize_bands``). Each element goes through the
+operations of one whole-cube step, so the bytes do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -371,14 +374,31 @@ def load_split(path) -> SplitSpec:
 def normalize_bands(cube: SpectralCube) -> SpectralCube:
     """Min-max scale each band to [0, 1]; constant bands go to +0.0.
 
-    Each band's min and max are taken on the float32 cube, which is exact.
-    Then each row block is cast to float64, has the minima subtracted, is
-    divided by the spans and is cast back into one float32 result: the
-    operations of one whole-cube float64 step, element by element. A
-    constant band is divided by 1, not by its zero span, and its results
-    are then set to +0.0, which a band of both zeros would otherwise miss.
-    Idempotent: applying it twice returns the same bytes.
+    Returns a new cube and leaves ``cube`` unchanged. Each band's min and
+    max are taken on the float32 cube, which is exact. Then each row block
+    is cast to float64, has the minima subtracted, is divided by the spans
+    and is cast back into the float32 result: the operations of one
+    whole-cube float64 step, element by element. A constant band is
+    divided by 1, not by its zero span, and its results are then set to
+    +0.0, which a band of both zeros would otherwise miss. Idempotent:
+    applying it twice returns the same bytes.
     """
+    return _normalize_into(cube, np.empty_like(cube.values))
+
+
+def load_normalized_cube(path) -> SpectralCube:
+    """The bytes of ``normalize_bands(load_cube(path))``, normalized in the
+    loaded cube's own array, so that one cube is alive, not two."""
+    cube = load_cube(path)
+    return _normalize_into(cube, cube.values)
+
+
+def _normalize_into(cube: SpectralCube, out: np.ndarray) -> SpectralCube:
+    """``normalize_bands`` of cube written into ``out``, a float32 array of
+    its shape, which may be the cube's own. Every read of the whole cube
+    (the bands' minima and maxima, and the signed-zero check) comes before
+    the first write, and each row block is read into a float64 buffer
+    before its rows are written, so the bytes are the same either way."""
     flat = _matrix(cube.values)
     blocks = _row_blocks(*flat.shape)
     lo = np.min([flat[rows].min(axis=0) for rows in blocks], axis=0)
@@ -393,7 +413,6 @@ def normalize_bands(cube: SpectralCube) -> SpectralCube:
         lo = cube.values.astype(np.float64).min(axis=(0, 1))
     constant = np.flatnonzero(span <= 0.0)
     span[constant] = 1.0
-    out = np.empty_like(cube.values)
     out_flat = _matrix(out)
     buf = np.empty((blocks[0].stop, cube.bands))
     for rows in blocks:

@@ -143,7 +143,11 @@ def _knn_edges(x, k: int) -> tuple:
     fill = np.empty((p1 - p0) * (s1 - s0) * c)
     for q0, q1, start, stop in blocks:
         xb = x[q0:q1]
-        gram = np.matmul(xb[:, start:stop], xb.transpose(0, 2, 1),
+        rows = xb[:, start:stop]
+        # a whole chunk's product is a syrk, doubled per sub-block below; a
+        # row range's is a gemm, which takes the exact doubling of its rows
+        whole = stop - start == c
+        gram = np.matmul(rows if whole else 2.0 * rows, xb.transpose(0, 2, 1),
                          out=buffer[:q1 - q0, :stop - start, :c])
         sq_cols = sq[q0:q1, None, :]
         sq_rows = sq[q0:q1, start:stop, None]
@@ -152,12 +156,12 @@ def _knn_edges(x, k: int) -> tuple:
             # one row per vertex of the sub-block, one column per vertex of
             # its chunk: (sq_i + sq_j) - 2 gram, summed in that order
             g = gram[p0:p1, s0:s1]
-            g *= 2.0
+            if whole:
+                g *= 2.0
             d2 = fill[:g.size].reshape(g.shape)
             np.add(sq_rows[p0:p1, s0:s1], sq_cols[p0:p1], out=d2)
             d2 -= g
             d2 = d2.reshape(-1, c)
-            np.maximum(d2, 0.0, out=d2)
             v0 = (q0 + p0) * c + start + s0  # the sub-block's first vertex
             r, col, d = _nearest(d2, k, start + s0)
             r += v0
@@ -184,7 +188,11 @@ def _blocks(chunks: int, rows: int, c: int, entries: int) -> list:
 def _nearest(d2, k: int, start: int) -> tuple:
     """Row-local row, column and distance of each row's k nearest other
     vertices in ``d2``, whose row i is vertex ``start + i`` of a chunk of
-    ``d2.shape[1]`` vertices. Sets each row's own entry to inf.
+    ``d2.shape[1]`` vertices, with distances clamped at 0. Sets each row's
+    own entry to inf.
+
+    Clamping is monotone, so clamping the k-th distance and the kept ones
+    selects what clamping the whole of ``d2`` would, with the same bits.
 
     Rows come in order. Within a row the order is the columns' when no
     block row has a tie at its k-th distance, and the distances' otherwise;
@@ -196,9 +204,9 @@ def _nearest(d2, k: int, start: int) -> tuple:
     # every row has at least k candidates at or below its k-th distance,
     # listed in row order, columns ascending (from flat indices: a 2-D
     # nonzero takes several times as long)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    kth = np.maximum(np.partition(d2, k - 1, axis=1)[:, k - 1], 0.0)
     r, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), d2.shape[1])
-    d = d2[r, col]
+    d = np.maximum(d2[r, col], 0.0)
     if r.size > k * d2.shape[0]:
         # a tie at some row's k-th distance: a stable sort of the
         # candidates by distance keeps the lower index among ties, as a

@@ -11,8 +11,11 @@ normalized cube, and each inference chunk builds its own small KNN graph
 among the chunk's pixels with the (k, sigma) of the model's config, the
 values its training graph was built with. For graph-only models, up to
 ``PREDICT_GROUP_ROWS`` rows of full chunks are built as one stacked,
-block-diagonal graph and run through one forward; the logits are bitwise
-those of one chunk at a time. Patch models do not cut patches for
+block-diagonal graph and run through one forward. Each chunk keeps its own
+graph, but the BLAS may split a group's dense products into rows
+otherwise than a chunk's, so the logits can differ in the last bits from
+those of one chunk at a time; for a given batch and
+``PREDICT_GROUP_ROWS`` they are fixed. Patch models do not cut patches for
 inference: block 1 of the spatial branch sums tap products that each image
 row gets once (``_RowTaps``), shared by every patch that overlaps the row.
 Everything downstream of a seed is deterministic, including the training
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
-                   load_cube, load_labels, load_split, normalize_bands,
-                   patch_rows_cols)
+                   load_labels, load_normalized_cube, load_split,
+                   normalize_bands, patch_rows_cols)
 from .errors import ConfigError, ContractError, NumericError
 from .graph import build_knn_rbf_graph, renormalized_propagation
 from .linalg import SparseSymMatrix
@@ -89,8 +92,9 @@ class Dataset:
 
 
 def load_dataset(cube_path, labels_path, split_path) -> Dataset:
-    return dataset_from_parts(load_cube(cube_path), load_labels(labels_path),
-                              load_split(split_path))
+    """The files' dataset, its cube normalized as it is read."""
+    return Dataset(cube=load_normalized_cube(cube_path),
+                   grid=load_labels(labels_path), split=load_split(split_path))
 
 
 def dataset_from_parts(cube, grid, split) -> Dataset:
@@ -314,12 +318,16 @@ def predict_pixels(mdl: Model, cube: SpectralCube, pixel_ids, *,
     temporaries grow with the rows, and so do one-pixel chunks: numpy
     multiplies a single row as a vector, whose sums may differ in the last
     bit from a matrix product's. Each chunk keeps its own graph and eval
-    mode acts row by row, so the logits do not depend on the grouping.
+    mode acts row by row, but the BLAS may split a group's dense products
+    into rows otherwise than a chunk's, so the logits can differ in the
+    last bits from those of one chunk at a time: on a 144-pixel scene at
+    batch 10, 60-row groups moved ``minigcn``'s by up to 4.4e-16. For a
+    given ``batch`` and ``PREDICT_GROUP_ROWS`` they are fixed.
     A patch architecture's block 1 reads ``TapPatches`` from one
     ``_RowTaps`` for the whole call, which keeps each image row's tap
     products while the current group's patches read that row; its logits
     differ in the last bits from a forward over ``extract_patches``'
-    patches, and do not depend on the pixel order or chunking either.
+    patches, and do not depend on the pixel order or chunking.
     """
     check_inference_batch(batch)
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)

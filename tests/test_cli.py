@@ -572,7 +572,7 @@ def test_inference_batch_below_one_is_refused(scene_dir, trained, tmp_path,
         raise AssertionError("data was read before the batch was checked")
 
     monkeypatch.setattr(mgk.cli, "load_dataset", no_data)
-    monkeypatch.setattr(mgk.cli, "load_cube", no_data)
+    monkeypatch.setattr(mgk.cli, "load_normalized_cube", no_data)
     _, ckpt = trained
     out = tmp_path / "refused"
     argv = [command, *data_flags(scene_dir), f"--paths.checkpoint={ckpt}",
@@ -640,7 +640,7 @@ def test_malformed_sidecar_exits_2_naming_the_field(
         raise AssertionError("data was read before the checkpoint")
 
     monkeypatch.setattr(mgk.cli, "load_dataset", no_data)
-    monkeypatch.setattr(mgk.cli, "load_cube", no_data)
+    monkeypatch.setattr(mgk.cli, "load_normalized_cube", no_data)
     _, ckpt = trained
     bad = tmp_path / "bad.mgkp"
     bad.write_bytes(ckpt.read_bytes())
@@ -731,7 +731,7 @@ def test_predict_map_refuses_classes_beyond_the_palette(scene_dir, trained,
     def no_cube(path):
         raise AssertionError("the cube was read")
 
-    monkeypatch.setattr(mgk.cli, "load_cube", no_cube)
+    monkeypatch.setattr(mgk.cli, "load_normalized_cube", no_cube)
     out = tmp_path / "wide"
     assert main(["predict-map", f"--paths.cube={scene_dir / 'cube.hsc'}",
                  f"--paths.labels={labels}", f"--paths.checkpoint={ckpt}",

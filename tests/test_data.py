@@ -12,9 +12,11 @@ from hypothesis import given, strategies as st
 
 import mgk.data
 from mgk.data import (LabelGrid, SpectralCube, SplitSpec, extract_patches,
-                      load_cube, load_labels, load_split, normalize_bands,
-                      save_cube, save_labels, save_split, synth_scene)
+                      load_cube, load_labels, load_normalized_cube,
+                      load_split, normalize_bands, save_cube, save_labels,
+                      save_split, synth_scene)
 from mgk.errors import ConfigError, ContractError, FormatError
+from mgk.pipeline import load_dataset
 
 
 def random_cube(rng, h=4, w=5, d=3):
@@ -707,3 +709,67 @@ def test_cube_stages_peak_memory_within_block_budget(tmp_path):
             < cube_bytes + 9 * block + 64 * KIB)
     assert (traced_peak(synth_scene, 4, size, bands, 0.1, 0, 5)
             < cube_bytes + 16 * block + 32 * size * size + 64 * KIB)
+
+
+def assert_loader_matches_reference(cube, path):
+    save_cube(path, cube)
+    got = load_normalized_cube(path).values
+    assert same_bits(got, normalize_bands(load_cube(path)).values)
+    assert same_bits(got, ref_normalize_bands(cube))
+
+
+def signed_zero_band(n):
+    """n values of a constant band, +0.0 and -0.0 in turn."""
+    zeros = np.zeros(n, dtype=np.float32)
+    zeros[1::2] = -0.0
+    return zeros
+
+
+@pytest.mark.parametrize("block", [40, mgk.data._BLOCK_VALUES])
+def test_loader_normalizes_as_normalize_bands_and_the_reference(tmp_path,
+                                                                block):
+    rng = np.random.default_rng(13)
+    random = rng.normal(size=(23, 17, 6)).astype(np.float32)
+    constant_zeros = random.copy()
+    constant_zeros[:, :, 2] = signed_zero_band(23 * 17).reshape(23, 17)
+    # one band whose minimum is a mix of +0.0 and -0.0
+    one_band = np.abs(rng.normal(size=(1, 3000, 1))).astype(np.float32)
+    one_band[0, ::7, 0] = signed_zero_band(one_band[0, ::7, 0].size)
+    with block_size(block):
+        for values in (random, constant_zeros, one_band):
+            assert_loader_matches_reference(SpectralCube(values=values),
+                                            tmp_path / "cube.hsc")
+
+
+@given(signed_zero_cubes(), st.sampled_from(BLOCK_SIZES))
+def test_loader_matches_normalize_bands_on_signed_zeros(cube, block):
+    with tempfile.TemporaryDirectory() as tmp, block_size(block):
+        assert_loader_matches_reference(cube, os.path.join(tmp, "cube.hsc"))
+
+
+@given(st.one_of(cubes(), signed_zero_cubes()), st.sampled_from(BLOCK_SIZES))
+def test_normalize_bands_leaves_its_input_unchanged(cube, block):
+    before = cube.values.copy()
+    with block_size(block):
+        out = normalize_bands(cube)
+    assert out.values is not cube.values
+    assert same_bits(cube.values, before)
+
+
+def test_load_dataset_holds_one_cube_and_a_normalizing_block(tmp_path):
+    # load_cube's float32 and bool blocks (5·B) are freed before
+    # normalization's float64 and bool blocks (9·B) are made; labels and
+    # split take well under 64 bytes per pixel. A second cube does not fit.
+    block, size, bands = mgk.data._BLOCK_VALUES, 64, 256
+    cube, grid, split = synth_scene(4, size, bands, 0.1, seed=1,
+                                    train_per_class=5)
+    paths = [tmp_path / name for name in ("cube.hsc", "labels.hsl",
+                                          "split.json")]
+    for save, path, part in zip((save_cube, save_labels, save_split), paths,
+                                (cube, grid, split)):
+        save(path, part)
+    cube_bytes = cube.values.nbytes
+    assert cube_bytes > 8 * block
+    del cube, grid, split
+    assert (traced_peak(load_dataset, *paths)
+            < cube_bytes + 9 * block + 64 * size * size + 64 * KIB)

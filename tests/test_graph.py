@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mgk.graph
-from conftest import assert_same_triplets, lexsort_canonical
+from conftest import assert_same_triplets, bits, lexsort_canonical
 from mgk.errors import ContractError, ShapeError
 from mgk.graph import (Graph, build_knn_rbf_graph, chebyshev_scaled,
                        laplacian, renormalized_propagation,
@@ -161,6 +161,118 @@ def test_graph_bits_do_not_depend_on_the_distance_sub_block(shape):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries)
             assert _graph_bits(build_knn_rbf_graph(feats, 10, 1.0)) == want
+
+
+def ref_knn_edges(x, k):
+    """_knn_edges as it was before its distance fill dropped two passes:
+    each Gram sub-block doubled after the product and each distance clamped
+    at 0 before the selection; kept as the reference for its bits."""
+    chunks, c = x.shape[:2]
+    sq = np.sum(x * x, axis=2)
+    dst = np.empty(chunks * c * k, dtype=np.int64)
+    dist = np.empty(chunks * c * k)
+    blocks = mgk.graph._blocks(chunks, c, c, mgk.graph.KNN_GRAM_ENTRIES)
+    q0, q1, start, stop = blocks[0]
+    width = c if c < 128 else 8 * (-(-c // 8) | 1)
+    buffer = np.empty((q1 - q0, stop - start, width))
+    p0, p1, s0, s1 = mgk.graph._blocks(q1 - q0, stop - start, c,
+                                       mgk.graph.KNN_BLOCK_ENTRIES)[0]
+    fill = np.empty((p1 - p0) * (s1 - s0) * c)
+    for q0, q1, start, stop in blocks:
+        xb = x[q0:q1]
+        gram = np.matmul(xb[:, start:stop], xb.transpose(0, 2, 1),
+                         out=buffer[:q1 - q0, :stop - start, :c])
+        sq_cols = sq[q0:q1, None, :]
+        sq_rows = sq[q0:q1, start:stop, None]
+        for p0, p1, s0, s1 in mgk.graph._blocks(q1 - q0, stop - start, c,
+                                                mgk.graph.KNN_BLOCK_ENTRIES):
+            g = gram[p0:p1, s0:s1]
+            g *= 2.0
+            d2 = fill[:g.size].reshape(g.shape)
+            np.add(sq_rows[p0:p1, s0:s1], sq_cols[p0:p1], out=d2)
+            d2 -= g
+            d2 = d2.reshape(-1, c)
+            np.maximum(d2, 0.0, out=d2)
+            v0 = (q0 + p0) * c + start + s0
+            local = np.arange(d2.shape[0])
+            d2[local, (start + s0 + local) % c] = np.inf
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            r, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), c)
+            d = d2[r, col]
+            if r.size > k * d2.shape[0]:
+                order = np.lexsort((col, d, r))
+                r, col, d = r[order], col[order], d[order]
+                keep = np.arange(r.size) - np.searchsorted(r, r) < k
+                r, col, d = r[keep], col[keep], d[keep]
+            r += v0
+            edges = slice(v0 * k, (v0 + d2.shape[0]) * k)
+            dst[edges] = col + r - r % c
+            dist[edges] = d
+    return dst, dist
+
+
+def with_repeated_rows(rng, feats, share):
+    """feats with about ``share`` of each chunk's rows made copies of one
+    of its rows, half of them with one value one float32 step away: a
+    cluster whose distances round to either side of zero, with ties."""
+    chunks, c, d = feats.shape
+    for q in range(chunks):
+        centre = feats[q, rng.integers(c)].copy()
+        for i in np.flatnonzero(rng.random(c) < share):
+            feats[q, i] = centre
+            if rng.random() < 0.5:
+                j = rng.integers(d)
+                feats[q, i, j] = np.nextafter(
+                    np.float32(centre[j]),
+                    np.float32(np.inf if rng.random() < 0.5 else -np.inf))
+    return feats
+
+
+def assert_knn_edges_match_reference(x, k):
+    dst, dist = mgk.graph._knn_edges(x, k)
+    want_dst, want_dist = ref_knn_edges(x, k)
+    assert np.array_equal(dst, want_dst)
+    assert np.array_equal(bits(dist), bits(want_dist))
+
+
+@given(st.data())
+def test_knn_edges_match_the_clamp_everything_reference(data):
+    # float32 values, as spectra read from a cube are, of one scale or of
+    # many, with repeated and nearly repeated rows
+    chunks = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(2, 40))
+    d = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    feats = rng.random((chunks, c, d))
+    if data.draw(st.booleans()):
+        feats *= 10.0 ** rng.integers(-20, 20, (chunks, c, d))
+    feats = with_repeated_rows(
+        rng, feats.astype(np.float32).astype(np.float64),
+        data.draw(st.sampled_from([0.0, 0.5, 0.9])))
+    k = data.draw(st.integers(1, c - 1))
+    # Gram blocks of whole chunks (a syrk) or of row ranges of one chunk
+    # (a gemm); sub-blocks of either
+    entries = []
+    for _ in range(2):
+        if data.draw(st.booleans()):
+            entries.append(data.draw(st.integers(1, chunks)) * c * c)
+        else:
+            entries.append(data.draw(st.integers(1, c - 1)) * c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.graph, "KNN_GRAM_ENTRIES", entries[0])
+        mp.setattr(mgk.graph, "KNN_BLOCK_ENTRIES", entries[1])
+        assert_knn_edges_match_reference(feats, k)
+
+
+@pytest.mark.parametrize("shape", [(1, 1200, 64), (2, 1024, 16),
+                                   (3, 100, 144)])
+def test_knn_edges_match_the_reference_at_the_package_blocks(shape):
+    # row ranges of 873 and 327 rows; two whole 1024-px chunks; three
+    # whole chunks in one product
+    rng = np.random.default_rng(17)
+    feats = with_repeated_rows(
+        rng, rng.random(shape).astype(np.float32).astype(np.float64), 0.1)
+    assert_knn_edges_match_reference(feats, 10)
 
 
 def _diagonal_block(s, q, c):
