@@ -24,7 +24,7 @@ from .metrics import (ConfusionMatrix, UndefinedKappaError, accumulate,
 from .model import (ARCHITECTURES, Model, ModelConfig, build, forward,
                     load_model, loss_and_grads, predict, save_model)
 from .pipeline import (Dataset, TrainResult, evaluate_part, load_dataset,
-                       predict_pixels, train_model)
+                       predict_pixels, train_model, train_set)
 from .bench import ScalingReport, fit_loglog_slope, run_scaling
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "per_class_accuracy", "average_accuracy", "kappa",
     "ARCHITECTURES", "ModelConfig", "Model", "build", "forward",
     "loss_and_grads", "predict", "save_model", "load_model",
-    "Dataset", "TrainResult", "load_dataset", "train_model",
+    "Dataset", "TrainResult", "load_dataset", "train_set", "train_model",
     "predict_pixels", "evaluate_part",
     "ScalingReport", "run_scaling", "fit_loglog_slope",
 ]

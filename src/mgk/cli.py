@@ -28,7 +28,8 @@ from .metrics import overall_accuracy, report_text, write_report_csv
 from .model import ModelConfig, load_model, save_model
 from .pipeline import (Dataset, check_inference_batch, check_labels_match,
                        evaluate_part, format_log_rows, infer_model_config,
-                       load_dataset, predict_pixels, train_model)
+                       load_dataset, predict_pixels, train_model,
+                       train_set)
 
 SEED_ENV_VAR = "MGK_SEED"
 
@@ -272,7 +273,11 @@ def cmd_synth(args) -> int:
 def cmd_train(cfg: RunConfig, args) -> int:
     _require(cfg, "checkpoint")
     ds = _load_ds(cfg)
-    result = _train(cfg, ds)
+    model_cfg = _model_cfg(cfg, ds)
+    train = dataclasses.asdict(cfg.train)
+    data = train_set(ds, model_cfg, **train)
+    del ds  # the cube is freed before the first epoch
+    result = train_model(data, model_cfg, **train)
     os.makedirs(os.path.dirname(cfg.paths.checkpoint) or ".", exist_ok=True)
     save_model(cfg.paths.checkpoint, result.model)
     log_path = os.path.join(_out_dir(cfg), "train_log.csv")

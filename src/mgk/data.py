@@ -10,24 +10,24 @@ File formats (all little-endian, bit-exact round-trips):
 * split:  plain JSON {"train": {"<class>": [pixel indices]}, "test": ...}
           with linear row-major pixel indices (index = row * width + col).
 
-Cubes store float32. The learning path reads them through two gathers,
-``SpectralCube.pixels`` (spectra) and ``extract_patches`` (edge-replicated
-windows), each of which converts only the pixels it is asked for to
-float64. The whole-cube stages work on the cube's pixel matrix (height *
-width rows of ``bands`` values) in row blocks of at most ``_BLOCK_VALUES``
-values: ``load_cube`` reads each block's run of every band into one
-preallocated cube, ``normalize_bands`` and ``synth_scene`` compute each
-block in float64 into one float32 result, and ``SpectralCube`` checks
-finiteness a block at a time. ``save_cube`` writes one band at a time.
-``normalize_bands`` returns a new cube and leaves its input as it was;
-``load_normalized_cube``, through which the commands read their cube,
-normalizes the cube it has just read in that cube's own array. So beside
-its cube (for ``normalize_bands``, its input and its result) a stage holds
-a few blocks or one band, never a whole-cube float64 copy or a second
-float32 one; the one exception is a one-band cube whose minimum is a mix
-of +0.0 and -0.0 (see ``normalize_bands``). Each element goes through the
-operations of one whole-cube step, so the bytes do not depend on the
-block size.
+Cubes store float32. The learning path reads them through two gathers:
+``SpectralCube.pixels`` converts the spectra it is asked for to float64,
+and ``extract_patches`` copies edge-replicated windows as float32, which
+the model's first conv casts to float64. The whole-cube stages work on
+the cube's pixel matrix (height * width rows of ``bands`` values) in row
+blocks of at most ``_BLOCK_VALUES`` values: ``load_cube`` reads each
+block's run of every band into one preallocated cube, ``normalize_bands``
+and ``synth_scene`` compute each block in float64 into one float32 result,
+and ``SpectralCube`` checks finiteness a block at a time. ``save_cube``
+writes one band at a time. ``normalize_bands`` returns a new cube and
+leaves its input as it was; ``load_normalized_cube``, through which the
+commands read their cube, normalizes the cube it has just read in that
+cube's own array. So beside its cube (for ``normalize_bands``, its input
+and its result) a stage holds a few blocks or one band, never a
+whole-cube float64 copy or a second float32 one; the one exception is a
+one-band cube whose minimum is a mix of +0.0 and -0.0 (see
+``normalize_bands``). Each element goes through the operations of one
+whole-cube step, so the bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -456,11 +456,11 @@ def patch_rows_cols(cube: SpectralCube, pixel_ids, size: int) -> tuple:
 
 def extract_patches(cube: SpectralCube, pixel_ids, size: int = 7
                     ) -> np.ndarray:
-    """(len(pixel_ids), size, size, bands) float64 patches centered at
+    """(len(pixel_ids), size, size, bands) float32 patches centered at
     linear row-major pixel ids, in one gather of ``patch_rows_cols``'
-    pixels."""
+    pixels: the cube's own values, half the bytes of float64."""
     rr, cc = patch_rows_cols(cube, pixel_ids, size)
-    return cube.values[rr[:, :, None], cc[:, None, :]].astype(np.float64)
+    return cube.values[rr[:, :, None], cc[:, None, :]]
 
 
 # ----------------------------------------------------------- synthetic data

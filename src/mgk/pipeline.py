@@ -1,16 +1,21 @@
 """Dataset assembly, the training loop, and batched inference.
 
-This is the glue between the file formats and the math modules. The
-training graph is built on training pixels only. Each training step hands
-the model its batch as arrays: features, one-hot labels, patches, and the
-propagation operator of the subgraph the batch induces (for ``gcn``, the
-whole training graph). ``train_epoch`` induces an epoch's batches in one
-``induce_subgraph`` call, and each step takes its batch's diagonal block of
-that operator. Inference is inductive: ``predict_pixels`` reads only the
-normalized cube, and each inference chunk builds its own small KNN graph
-among the chunk's pixels with the (k, sigma) of the model's config, the
-values its training graph was built with. For graph-only models, up to
-``PREDICT_GROUP_ROWS`` rows of full chunks are built as one stacked,
+This is the glue between the file formats and the math modules. Training
+comes in two parts. ``train_set`` makes every refusal, then reads the
+train pixels from the dataset: their classes, their float64 spectra for a
+graph model and their float32 patches for a patch model. ``train_model``
+trains on that train set alone; ``mgk train`` drops the dataset between
+the two, so the cube is freed before the first epoch. The training graph
+is built on training pixels only. Each training step hands the model its
+batch as arrays: features, one-hot labels, patches, and the propagation
+operator of the subgraph the batch induces (for ``gcn``, the whole
+training graph). ``train_epoch`` induces an epoch's batches in one
+``induce_subgraph`` call, and each step takes its batch's diagonal block
+of that operator. Inference is inductive: ``predict_pixels`` reads only
+the normalized cube, and each inference chunk builds its own small KNN
+graph among the chunk's pixels with the (k, sigma) of the model's config,
+the values its training graph was built with. For graph-only models, up
+to ``PREDICT_GROUP_ROWS`` rows of full chunks are built as one stacked,
 block-diagonal graph and run through one forward. Each chunk keeps its own
 graph, but the BLAS may split a group's dense products into rows
 otherwise than a chunk's, so the logits can differ in the last bits from
@@ -43,7 +48,7 @@ from .sampler import induce_subgraph, partition_epoch
 # Rows per inference group of a graph-only model's full chunks; at least
 # one chunk.
 PREDICT_GROUP_ROWS = 1024
-# The largest float64 patch tensor of the train pixels that training will
+# The largest float32 patch tensor of the train pixels that training will
 # allocate, in bytes (2 GiB).
 PATCH_BYTES_MAX = 1 << 31
 
@@ -169,19 +174,21 @@ class TrainResult:
     log_rows: list  # (epoch, lr, loss, train_oa)
 
 
-def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
-                batch: int, base_lr: float, l2: float, bn_momentum: float,
-                seed: int) -> TrainResult:
-    """Seeded end-to-end training on the dataset's train pixels.
+def train_set(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
+              batch: int, base_lr: float, l2: float, bn_momentum: float,
+              seed) -> tuple:
+    """The train set that ``train_model`` trains on, built from the
+    dataset's train pixels: ``(classes, features, patches, budget)``.
 
-    gcn trains full batch (one batch per epoch covering every train pixel);
-    every other architecture partitions the train pixels into node-budget
-    batches, re-drawn each epoch; a one-node last batch joins the one before
-    it. Graph architectures induce an epoch's batches in one call and step
-    on its diagonal blocks, each bitwise its batch's own operator. Bitwise
-    reproducible for a fixed seed. Values that cannot train, a model that
-    does not fit the data, and a patch size whose train patches would take
-    more than ``PATCH_BYTES_MAX`` bytes are refused before any work.
+    ``classes`` are the zero-based train classes in pixel order,
+    ``features`` their float64 spectra (graph models, else None) and
+    ``patches`` their float32 ``extract_patches`` (patch models, else
+    None); ``budget`` is the node budget of a batch. It takes
+    ``train_model``'s keywords (``seed`` is not read) and makes every
+    refusal that ``train_model`` makes, before any work: values that cannot
+    train, a model that does not fit the data, and a patch size whose train
+    patches would take more than ``PATCH_BYTES_MAX`` bytes. The train set
+    holds nothing of ``ds``, so the cube can be freed once it is built.
     """
     if epochs < 0:
         raise ContractError(f"epochs must be >= 0, got {epochs}")
@@ -195,14 +202,13 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     if not 0.0 < base_lr < np.inf:
         raise ContractError(
             f"base_lr must be positive and finite, got {base_lr}")
-    lrs = [schedule_lr(base_lr, e, epochs) for e in range(epochs)]
     if model_cfg.classes < ds.num_classes:
         raise ContractError(f"model.classes={model_cfg.classes} is below "
                             f"the split's {ds.num_classes} classes")
     if model_cfg.input_bands != ds.cube.bands:
         raise ContractError(f"model.input_bands={model_cfg.input_bands} is "
                             f"not the cube's {ds.cube.bands} bands")
-    train_ids, train_classes = ds.part_pixels("train")
+    train_ids, classes = ds.part_pixels("train")
     n_train = train_ids.size
     budget = n_train if model_cfg.architecture == "gcn" \
         else min(batch, n_train)
@@ -213,22 +219,47 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
         raise ContractError(f"graph_k={model_cfg.graph_k} is not below the "
                             f"{n_train} train pixels")
     size = model_cfg.patch_size
-    patch_bytes = n_train * size * size * model_cfg.input_bands * 8
+    patch_bytes = n_train * size * size * model_cfg.input_bands * 4
     if model_cfg.uses_patches and patch_bytes > PATCH_BYTES_MAX:
         raise ContractError(
             f"model.patch_size={size} needs {patch_bytes} bytes of patches "
             f"for the {n_train} train pixels; the limit is {PATCH_BYTES_MAX}")
-    labels_hot = _one_hot(train_classes, model_cfg.classes)
+    features = ds.cube.pixels(train_ids) if model_cfg.uses_graph else None
+    patches = extract_patches(ds.cube, train_ids, size) \
+        if model_cfg.uses_patches else None
+    return classes, features, patches, budget
 
-    x_train = graph = None
+
+def train_model(ds, model_cfg: ModelConfig, *, epochs: int, batch: int,
+                base_lr: float, l2: float, bn_momentum: float,
+                seed) -> TrainResult:
+    """Seeded end-to-end training on a dataset's train pixels.
+
+    ``ds`` is a ``Dataset``, whose ``train_set`` this builds first, or the
+    train set that ``train_set`` built from one with the same keywords.
+    ``mgk train`` passes the train set and has dropped the Dataset, so the
+    cube is freed before the first epoch, and training holds the train set,
+    the KNN graph of its spectra, the model and Adam's state. A patch
+    model's train patches stay float32; its first conv casts each batch's
+    rows to float64, which is exact. gcn trains full batch (one batch per
+    epoch covering every train pixel); every other architecture partitions
+    the train pixels into node-budget batches, re-drawn each epoch; a
+    one-node last batch joins the one before it. Graph architectures induce
+    an epoch's batches in one call and step on its diagonal blocks, each
+    bitwise its batch's own operator. Bitwise reproducible for a fixed
+    seed. The refusals are ``train_set``'s, all before any work.
+    """
+    if isinstance(ds, Dataset):
+        ds = train_set(ds, model_cfg, epochs=epochs, batch=batch,
+                       base_lr=base_lr, l2=l2, bn_momentum=bn_momentum,
+                       seed=seed)
+    classes, features, patches, budget = ds
+    lrs = [schedule_lr(base_lr, e, epochs) for e in range(epochs)]
+    labels_hot = _one_hot(classes, model_cfg.classes)
+    graph = None
     if model_cfg.uses_graph:
-        x_train = ds.cube.pixels(train_ids)
-        graph = build_knn_rbf_graph(x_train, model_cfg.graph_k,
+        graph = build_knn_rbf_graph(features, model_cfg.graph_k,
                                     model_cfg.graph_sigma)
-    patches_train = None
-    if model_cfg.uses_patches:
-        patches_train = extract_patches(ds.cube, train_ids,
-                                        model_cfg.patch_size)
 
     seeds = np.random.SeedSequence(seed).spawn(epochs + 1)
     mdl = build(model_cfg, seed=seeds[0])
@@ -238,12 +269,12 @@ def train_model(ds: Dataset, model_cfg: ModelConfig, *, epochs: int,
     for epoch, lr in enumerate(lrs):
         try:
             loss_sum, preds = train_epoch(
-                mdl, state, graph, x_train, labels_hot, patches_train,
-                budget, seeds[1 + epoch], lr, l2=l2, bn_momentum=bn_momentum)
+                mdl, state, graph, features, labels_hot, patches, budget,
+                seeds[1 + epoch], lr, l2=l2, bn_momentum=bn_momentum)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
-        cm = accumulate(train_classes, preds, model_cfg.classes)
-        log_rows.append((epoch, lr, loss_sum / n_train,
+        cm = accumulate(classes, preds, model_cfg.classes)
+        log_rows.append((epoch, lr, loss_sum / classes.size,
                          overall_accuracy(cm)))
     return TrainResult(model=mdl, log_rows=log_rows)
 

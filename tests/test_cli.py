@@ -1,14 +1,18 @@
 import csv
 import dataclasses
+import gc
 import inspect
 import json
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import mgk.bench
 import mgk.cli
+import mgk.data
 import mgk.pipeline
 from mgk.cli import (PALETTE, RunConfig, SEED_ENV_VAR, class_map_rgb,
                      load_run_config, main, parse_overrides, run,
@@ -260,8 +264,8 @@ def test_values_that_cannot_train_exit_1_before_any_work(
 
 def test_oversized_patch_size_exits_1_before_any_work(scene_dir, tmp_path,
                                                       capsys, monkeypatch):
-    # 24 train pixels of 6 bands in 99999 x 99999 patches would take 11.5
-    # TB; nothing is allocated, since every allocating step is stubbed
+    # 24 train pixels of 6 bands in 99999 x 99999 float32 patches would take
+    # 5.8 TB; nothing is allocated, since every allocating step is stubbed
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
     def no_work(*args, **kwargs):
@@ -274,7 +278,7 @@ def test_oversized_patch_size_exits_1_before_any_work(scene_dir, tmp_path,
                  *FAST_MODEL, *FAST_TRAIN, "--model.architecture=funet-c",
                  "--model.patch_size=99999"]) == 1
     assert capsys.readouterr().err == (
-        "error: model.patch_size=99999 needs 11519769601152 bytes of patches "
+        "error: model.patch_size=99999 needs 5759884800576 bytes of patches "
         "for the 24 train pixels; the limit is 2147483648\n")
     assert not ckpt.exists()
 
@@ -405,6 +409,61 @@ def test_train_writes_checkpoint_log_and_summary(trained, capsys):
     lines = (out / "train_log.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,lr,loss,train_oa"
     assert len(lines) == 1 + 6
+
+
+@pytest.mark.parametrize("arch", ["minigcn", "funet-c"])
+def test_train_frees_the_cube_before_the_first_epoch(scene_dir, tmp_path,
+                                                     monkeypatch, arch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    cubes, alive = [], []
+    load, partition = mgk.cli.load_dataset, mgk.pipeline.partition_epoch
+
+    def spied_load(*args):
+        ds = load(*args)
+        cubes.append(weakref.ref(ds.cube.values))
+        return ds
+
+    def checked_partition(*args):
+        gc.collect()
+        alive.append(cubes[0]() is not None)
+        return partition(*args)
+
+    monkeypatch.setattr(mgk.cli, "load_dataset", spied_load)
+    monkeypatch.setattr(mgk.pipeline, "partition_epoch", checked_partition)
+    assert main(["train", *data_flags(scene_dir),
+                 f"--paths.checkpoint={tmp_path / 'm.mgkp'}", *FAST_MODEL,
+                 *FAST_TRAIN, f"--model.architecture={arch}"]) == 0
+    assert alive == [False] * 6
+
+
+def test_patch_training_peaks_below_its_cube_float32_patches_and_a_block(
+        tmp_path, monkeypatch):
+    # The peak comes while the train set is built beside the cube: the
+    # cube, the float32 train patches, the train spectra and the labels;
+    # or earlier, while loading, the cube and normalizing's float64 and
+    # bool blocks (9 bytes a value, a block of B values). The cube is freed
+    # before the KNN graph and the epochs, whose temporaries here are
+    # smaller than it. Float64 patches beside the cube do not fit.
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    size, bands, train_px, patch = 128, 64, 400, 7
+    assert main(["synth", "--out-dir", str(tmp_path), "--size", str(size),
+                 "--bands", str(bands), "--classes", "4",
+                 "--train-per-class", str(train_px // 4)]) == 0
+    cube_bytes = size * size * bands * 4
+    patch_bytes = train_px * patch * patch * bands * 4
+    other = 9 * mgk.data._BLOCK_VALUES + 64 * size * size + 64 * 1024
+    assert patch_bytes > cube_bytes > other
+    tracemalloc.start()
+    try:
+        assert main(["train", *data_flags(tmp_path),
+                     f"--paths.checkpoint={tmp_path / 'm.mgkp'}",
+                     *FAST_MODEL, "--model.architecture=funet-c",
+                     f"--model.patch_size={patch}", "--train.epochs=1",
+                     "--train.batch=8", "--graph.k=5"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cube_bytes + patch_bytes + other
 
 
 def test_same_seed_cli_runs_are_byte_identical(scene_dir, trained,

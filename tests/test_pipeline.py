@@ -295,6 +295,13 @@ def _logged_prediction(mdl, cube, ids, batch):
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_grouped_inference_matches_one_chunk_groups(map_ds, arch):
+    """Grouped logits are fixed for a given batch and
+    ``PREDICT_GROUP_ROWS``; they equal one-chunk groups' bits at the
+    batches listed first (16, 32 and 1024), not at every batch. At batch
+    10 with 60-row groups the BLAS may split a group's products into rows
+    otherwise than a chunk's (on ``tests/test_bitwise.py``'s scene that
+    moved ``minigcn``'s logits by up to 4.4e-16), so there two grouped
+    runs must agree bitwise."""
     mdl = train_model(map_ds, small_cfg(map_ds, arch),
                       **{**TRAIN_KW, "epochs": 1}).model
     full = 2048  # two groups at every batch below
@@ -313,6 +320,16 @@ def test_grouped_inference_matches_one_chunk_groups(map_ds, arch):
             assert chunks == full // batch + 1
             # a graph-only model: one call per group plus one for the tail
             assert calls == (chunks if mdl.cfg.uses_patches else 3)
+    ids = np.arange(full + 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mgk.pipeline, "PREDICT_GROUP_ROWS", 64)
+        (preds, logits, calls), (again, again_logits, again_calls) = [
+            _logged_prediction(mdl, map_ds.cube, ids, 10) for _ in range(2)]
+    assert np.array_equal(preds, again)
+    assert np.array_equal(logits.view(np.uint64),
+                          again_logits.view(np.uint64))
+    # 205 full chunks and a tail; a graph-only model groups six chunks
+    assert calls == again_calls == (206 if mdl.cfg.uses_patches else 36)
 
 
 @pytest.mark.parametrize("arch", ["gcn", "minigcn"])
@@ -498,16 +515,17 @@ def test_patch_tensor_above_its_byte_limit_fails_before_any_work(
 
     monkeypatch.setattr(mgk.pipeline, "extract_patches", sentinel)
     monkeypatch.setattr(mgk.pipeline, "build_knn_rbf_graph", sentinel)
-    # 24 train pixels of 6 bands: a 5 x 5 patch tensor is 28800 bytes
-    monkeypatch.setattr(mgk.pipeline, "PATCH_BYTES_MAX", 28800)
+    # 24 train pixels of 6 bands: a 5 x 5 float32 patch tensor is 14400
+    # bytes
+    monkeypatch.setattr(mgk.pipeline, "PATCH_BYTES_MAX", 14400)
     for arch in ("cnn2d", "funet-c"):
         cfg = small_cfg(small_ds, arch)
         with pytest.raises(Started):
             train_model(small_ds, dataclasses.replace(cfg, patch_size=5),
                         **TRAIN_KW)
         with pytest.raises(ContractError, match=(
-                r"^model.patch_size=7 needs 56448 bytes of patches for the "
-                r"24 train pixels; the limit is 28800$")):
+                r"^model.patch_size=7 needs 28224 bytes of patches for the "
+                r"24 train pixels; the limit is 14400$")):
             train_model(small_ds, dataclasses.replace(cfg, patch_size=7),
                         **TRAIN_KW)
     minigcn = dataclasses.replace(small_cfg(small_ds), patch_size=7)
